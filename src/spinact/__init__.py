@@ -39,6 +39,7 @@ from .equivariant_sum import (
     scenario_digest,
     serialize_scenario,
     total_invariants,
+    twisted_b_plus,
     validate_scenario,
 )
 from .index_parity import (

@@ -3,7 +3,8 @@
 Exit status contract: 0 = ran to completion (either verdict), 2 = the
 input failed validation or a theorem hypothesis, 1 = internal error.
 Verdicts are never encoded in exit codes. Output is deterministic:
-identical input and flags give byte-identical output at any parallelism.
+identical input and flags give byte-identical output. `enumerate` accepts
+`--jobs` and evaluates its points serially at any value.
 """
 
 from __future__ import annotations
@@ -11,32 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import equivariant_sum as eq
 from . import obstruction as ob
 from . import rep_ring as rr
 from .index_parity import IndeterminateParityError, classify_parity
-from .isometry import b_plus_invariant
 from .templates import klein_template, z2_template
 
 TEXT = "text"
 STRUCTURED = "structured"
 
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    output_format: str = TEXT
-    sweep_ranges: Optional[dict[str, tuple[int, int]]] = None
-    template: Optional[str] = None
-    parallelism: int = 1
 
 
 def _frac(x) -> str:
@@ -59,13 +46,8 @@ def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
     return doc
 
 
-def _subgroup_hints(s: eq.ActionScenario) -> list[dict]:
-    if s.group != eq.Z2XZ2:
-        return []
-    return [
-        {"subgroup": sub, "hint": ob.subgroup_smoothability_hint(s, sub)}
-        for sub in ob.SUBGROUPS
-    ]
+def _subgroup_hints(report: ob.ObstructionReport) -> list[dict]:
+    return [{"subgroup": sub, "hint": hint} for sub, hint in report.subgroup_hints]
 
 
 def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
@@ -82,7 +64,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
         "trace": None if report.trace_value is None else _frac(report.trace_value),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(er.fixed_set) for er in report.elements],
-        "subgroup_hints": _subgroup_hints(s),
+        "subgroup_hints": _subgroup_hints(report),
     }
 
 
@@ -117,56 +99,46 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
             else "NOT an algebraic integer"
         )
         lines.append(f"trace 2^(b-k) = {_frac(report.trace_value)} ({integral})")
-    for hint in _subgroup_hints(s):
-        lines.append(f"subgroup {hint['subgroup']}: {hint['hint']}")
+    for sub, hint in report.subgroup_hints:
+        lines.append(f"subgroup {sub}: {hint}")
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
 
 
-def run_check(config: RunConfig, out) -> int:
-    s = _load_scenario(config.input_path)
-    violations = eq.validate_scenario(s)
-    if violations:
-        for violation in violations:
-            out.write(f"violation [{violation.code}] {violation.message}\n")
-        return 2
+def run_check(args, out) -> int:
+    s = _load_scenario(args.input)
     report = ob.check(s)
-    if config.output_format == STRUCTURED:
+    if args.format == STRUCTURED:
         out.write(json.dumps(_report_doc(s, report), sort_keys=True, indent=2) + "\n")
     else:
         out.write(_render_report_text(s, report))
     return 0 if report.all_hypotheses_pass else 2
 
 
-def run_invariants(config: RunConfig, out) -> int:
-    s = _load_scenario(config.input_path)
-    violations = eq.validate_scenario(s)
-    if violations:
-        for violation in violations:
-            out.write(f"violation [{violation.code}] {violation.message}\n")
-        return 2
-    inv = eq.total_invariants(s)
+def run_invariants(args, out) -> int:
+    s = _load_scenario(args.input)
+    eq.require_valid(s)
+    inv = eq._total_invariants(s)
     elements = eq.elements_of(s.group)
     per_element = []
     for element in elements:
-        fs = eq.fixed_set_data(s, element)
+        fs = eq._fixed_set_data(s, element)
         try:
             parity = classify_parity(fs).value
         except IndeterminateParityError:
             parity = "indeterminate"
-        op = eq.induced_cohomology_action(s, element)
         per_element.append(
             {
                 "element": element,
                 "fixed_set": _fixed_set_doc(fs),
                 "parity": parity,
-                "b_plus_invariant": b_plus_invariant([op]),
+                "b_plus_invariant": eq._twisted_b_plus(s, (element,)),
             }
         )
-    joint = b_plus_invariant(
-        [eq.induced_cohomology_action(s, e) for e in elements]
-    )
-    if config.output_format == STRUCTURED:
+    # taken over every non-identity element, so 0 on Klein scenarios: no
+    # sign character is -1 on both generators and on their composition
+    joint = eq._twisted_b_plus(s, elements)
+    if args.format == STRUCTURED:
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "scenario_digest": eq.scenario_digest(s),
@@ -198,7 +170,9 @@ def run_invariants(config: RunConfig, out) -> int:
     return 0
 
 
-def _sweep_points(config: RunConfig) -> list[tuple[tuple[int, ...], eq.ActionScenario]]:
+def _sweep_points(
+    template: str, r: dict[str, tuple[int, int]]
+) -> list[tuple[tuple[int, ...], eq.ActionScenario]]:
     """Grid points of the sweep, restricted to totals with a smooth structure.
 
     The involution template needs l >= 3k sphere summands to smooth the E8
@@ -207,9 +181,8 @@ def _sweep_points(config: RunConfig) -> list[tuple[tuple[int, ...], eq.ActionSce
     all, every action is vacuously nonsmoothable and the certificate says
     nothing.
     """
-    r = config.sweep_ranges
     points = []
-    if config.template == "z2":
+    if template == "z2":
         l_lo, l_hi = r["l"]
         k_lo, k_hi = r["k"]
         for l in range(l_lo, l_hi + 1):
@@ -228,27 +201,22 @@ def _sweep_points(config: RunConfig) -> list[tuple[tuple[int, ...], eq.ActionSce
     return points
 
 
-def _evaluate_point(item):
-    params, scenario = item
-    report = ob.check(scenario)
-    hints = _subgroup_hints(scenario)
-    return params, report, hints
+def run_enumerate(args, out) -> int:
+    sweep = _parse_sweep(args.sweep)
+    needed = {"z2": {"l", "k"}, "klein": {"l1", "l2", "k"}}[args.template]
+    if set(sweep) != needed:
+        raise ValueError(f"--sweep for {args.template} needs exactly {sorted(needed)}")
+    # points come out of the grid in sorted order
+    results = [
+        (params, ob.check(scenario))
+        for params, scenario in _sweep_points(args.template, sweep)
+    ]
 
-
-def run_enumerate(config: RunConfig, out) -> int:
-    points = _sweep_points(config)
-    if config.parallelism > 1 and points:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_evaluate_point, points))
-    else:
-        results = [_evaluate_point(p) for p in points]
-    results.sort(key=lambda item: item[0])
-
-    names = ("l", "k") if config.template == "z2" else ("l1", "l2", "k")
+    names = ("l", "k") if args.template == "z2" else ("l1", "l2", "k")
     counts: dict[str, int] = {}
-    if config.output_format == STRUCTURED:
+    if args.format == STRUCTURED:
         rows = []
-        for params, report, hints in results:
+        for params, report in results:
             counts[report.verdict] = counts.get(report.verdict, 0) + 1
             row = dict(zip(names, params))
             row.update(
@@ -258,24 +226,24 @@ def run_enumerate(config: RunConfig, out) -> int:
                     "verdict": report.verdict,
                 }
             )
-            if hints:
-                row["subgroup_hints"] = hints
+            if report.subgroup_hints:
+                row["subgroup_hints"] = _subgroup_hints(report)
             rows.append(row)
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "template": config.template,
+            "template": args.template,
             "rows": rows,
             "summary": {k: counts[k] for k in sorted(counts)},
         }
         out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
-        for params, report, hints in results:
+        for params, report in results:
             counts[report.verdict] = counts.get(report.verdict, 0) + 1
             cells = " ".join(f"{n}={v}" for n, v in zip(names, params))
             line = f"{cells} b={report.b} k_bound={_frac(report.k)} verdict={report.verdict}"
-            if hints:
+            if report.subgroup_hints:
                 line += " subgroups=" + ",".join(
-                    f"{h['subgroup']}:{h['hint']}" for h in hints
+                    f"{sub}:{hint}" for sub, hint in report.subgroup_hints
                 )
             out.write(line + "\n")
         summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts)) or "empty"
@@ -376,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="ranges like l=3..9,k=0..3 (z2) or l1=3..4,l2=3..4,k=1..2 (klein)",
     )
+    # accepted so existing command lines keep working; points run serially
     p_enum.add_argument("--jobs", type=int, default=1)
     p_enum.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
     return parser
@@ -385,33 +354,14 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    runners = {
+        "check": run_check,
+        "invariants": run_invariants,
+        "repring": run_repring,
+        "enumerate": run_enumerate,
+    }
     try:
-        if args.command == "check":
-            config = RunConfig("check", input_path=args.input, output_format=args.format)
-            return run_check(config, out)
-        if args.command == "invariants":
-            config = RunConfig(
-                "invariants", input_path=args.input, output_format=args.format
-            )
-            return run_invariants(config, out)
-        if args.command == "repring":
-            return run_repring(args, out)
-        if args.command == "enumerate":
-            sweep = _parse_sweep(args.sweep)
-            needed = {"z2": {"l", "k"}, "klein": {"l1", "l2", "k"}}[args.template]
-            if set(sweep) != needed:
-                raise ValueError(
-                    f"--sweep for {args.template} needs exactly {sorted(needed)}"
-                )
-            config = RunConfig(
-                "enumerate",
-                output_format=args.format,
-                sweep_ranges=sweep,
-                template=args.template,
-                parallelism=max(1, args.jobs),
-            )
-            return run_enumerate(config, out)
-        parser.error(f"unknown command {args.command!r}")
+        return runners[args.command](args, out)
     except OSError as exc:
         sys.stderr.write(f"error: cannot read input: {exc}\n")
         return 2
@@ -419,7 +369,8 @@ def main(argv=None, out=None) -> int:
         sys.stderr.write(f"error: malformed scenario: {exc}\n")
         return 2
     except eq.InvalidScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        for violation in exc.violations:
+            out.write(f"violation [{violation.code}] {violation.message}\n")
         return 2
     except (ValueError, rr.FixedVectorError) as exc:
         sys.stderr.write(f"error: {exc}\n")

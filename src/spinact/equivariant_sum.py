@@ -8,6 +8,10 @@ module derives, per group element, the sign-twisted cohomology operator
 
 Connected-sum points and ball removals are not modelled; only their
 cohomological and fixed-set consequences are.
+
+Public functions validate their scenario first. The underscore-prefixed
+cores behind them assume a validated scenario; the checkers and the CLI
+use them so that one command validates once.
 """
 
 from __future__ import annotations
@@ -178,7 +182,9 @@ def element_action(
 
     For the composition of a Klein four-group scenario the permutation is
     the product of the generator permutations and labels on jointly fixed
-    summands compose through the label group.
+    summands compose through the label group. (Validation rejects a
+    summand that both generators swap along the same pair, so the
+    composition fixes exactly the jointly fixed summands.)
     """
     ids = _ids(s)
     if element == IDENTITY_ELEMENT:
@@ -195,19 +201,14 @@ def element_action(
         p1 = s.gen1.perm_map(ids)
         p2 = s.gen2.perm_map(ids)
         comp = {i: p1[p2[i]] for i in ids}
-        local = {}
-        for i in ids:
-            if comp[i] != i:
-                continue
-            if p1[i] == i and p2[i] == i:
-                local[i] = compose_labels(
-                    s.gen1.local.get(i, IDENTITY_LABEL),
-                    s.gen2.local.get(i, IDENTITY_LABEL),
-                )
-            else:
-                # both generators move i along the same swap; the composed
-                # map on i is the identity identification
-                local[i] = IDENTITY_LABEL
+        local = {
+            i: compose_labels(
+                s.gen1.local.get(i, IDENTITY_LABEL),
+                s.gen2.local.get(i, IDENTITY_LABEL),
+            )
+            for i in ids
+            if p1[i] == i and p2[i] == i
+        }
         return comp, local
     raise ValueError(f"unknown group element {element!r}")
 
@@ -460,6 +461,10 @@ def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
     positive and negative unless the scenario overrides the split.
     """
     require_valid(s)
+    return _fixed_set_data(s, element)
+
+
+def _fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
     if element == IDENTITY_ELEMENT:
         raise ValueError("the identity element fixes everything")
     _, local = element_action(s, element)
@@ -496,10 +501,75 @@ def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
 
 
 def total_invariants(s: ActionScenario) -> TotalInvariants:
+    """Rank, signature and evenness of the connected sum.
+
+    All three add over the orthogonal summands, so each distinct summand
+    form is diagonalised once and the assembled lattice is never built.
+    """
     require_valid(s)
-    total = scenario_lattice(s)
-    profile = signature_profile(total)
-    return TotalInvariants(total.rank, profile.signature, is_even(total))
+    return _total_invariants(s)
+
+
+def _total_invariants(s: ActionScenario) -> TotalInvariants:
+    profiles = _summand_profiles(s)
+    keys = [sm.kind_key() for sm in s.summands]
+    return TotalInvariants(
+        sum(profiles[key][1].rank for key in keys),
+        sum(profiles[key][1].signature for key in keys),
+        all(is_even(form) for form, _ in profiles.values()),
+    )
+
+
+def _summand_profiles(s: ActionScenario) -> dict:
+    """kind_key -> (form, signature profile), one entry per distinct form."""
+    profiles = {}
+    for sm in s.summands:
+        key = sm.kind_key()
+        if key not in profiles:
+            form = sm.form()
+            profiles[key] = (form, signature_profile(form))
+    return profiles
+
+
+def twisted_b_plus(s: ActionScenario, elements) -> int:
+    """Positive index of the form on the joint fixed sublattice of the
+    sign-twisted operators of the non-identity `elements`, read from the
+    summand orbits of the subgroup H they generate.
+
+    Each twisted operator is minus a block permutation, so a jointly fixed
+    vector transforms under H by a sign character that is -1 on every given
+    element. None exists for all three non-identity elements of Z2 x Z2,
+    whose product is the identity, and then the sublattice is zero.
+    Otherwise the elements of sign -1 are exactly the given ones, and an
+    orbit of H carries one copy of its summand form (scaled by the orbit
+    size) when none of them fixes its summands, and nothing otherwise.
+    Equals b_plus_invariant of the induced_cohomology_action operators,
+    without building them.
+    """
+    require_valid(s)
+    return _twisted_b_plus(s, elements)
+
+
+def _twisted_b_plus(s: ActionScenario, elements) -> int:
+    elements = set(elements)
+    if not elements or IDENTITY_ELEMENT in elements:
+        raise ValueError("need one or more non-identity group elements")
+    perms = [element_action(s, e)[0] for e in elements]
+    if len(perms) == 3:
+        return 0
+    profiles = _summand_profiles(s)
+    seen: set[str] = set()
+    b = 0
+    for sm in s.summands:
+        if sm.id in seen:
+            continue
+        orbit = {sm.id}
+        for p in perms:
+            orbit |= {p[i] for i in orbit}
+        seen |= orbit
+        if all(p[sm.id] != sm.id for p in perms):
+            b += profiles[sm.kind_key()][1].b_plus
+    return b
 
 
 def _invariants_of(x: Union[ActionScenario, IntegerLattice]) -> TotalInvariants:
@@ -522,6 +592,10 @@ def homeo_invariants_equal(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_generator(doc, field_name: str) -> GeneratorAction:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("generator must be an object", field_name)
@@ -530,26 +604,36 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
         raise ScenarioFormatError("permutation must be a list of id pairs", field_name)
     perm = []
     for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, str) for x in pair)
+        ):
             raise ScenarioFormatError(
                 f"permutation entry {pair!r} is not an id pair", field_name
             )
-        perm.append((str(pair[0]), str(pair[1])))
+        perm.append(tuple(pair))
     local_doc = doc.get("local", {})
     if not isinstance(local_doc, dict):
         raise ScenarioFormatError("local must map ids to labels", field_name)
-    local = {str(k): str(lbl) for k, lbl in local_doc.items()}
+    for k, lbl in local_doc.items():
+        if not isinstance(lbl, str):
+            raise ScenarioFormatError(f"label for {k!r} must be a string", field_name)
     overrides_doc = doc.get("overrides", {})
     if not isinstance(overrides_doc, dict):
         raise ScenarioFormatError("overrides must map ids to sign counts", field_name)
     overrides = {}
     for k, ov in overrides_doc.items():
-        if not (isinstance(ov, dict) and "n_plus" in ov and "n_minus" in ov):
+        if not (
+            isinstance(ov, dict)
+            and _is_int(ov.get("n_plus"))
+            and _is_int(ov.get("n_minus"))
+        ):
             raise ScenarioFormatError(
-                f"override for {k!r} needs n_plus and n_minus", field_name
+                f"override for {k!r} needs integer n_plus and n_minus", field_name
             )
-        overrides[str(k)] = (int(ov["n_plus"]), int(ov["n_minus"]))
-    return GeneratorAction(tuple(perm), local, overrides)
+        overrides[k] = (ov["n_plus"], ov["n_minus"])
+    return GeneratorAction(tuple(perm), dict(local_doc), overrides)
 
 
 def parse_scenario(text: str) -> ActionScenario:
@@ -573,22 +657,31 @@ def parse_scenario(text: str) -> ActionScenario:
         raise ScenarioFormatError("summands must be a list", "summands")
     summands = []
     for entry in summands_doc:
-        if not (isinstance(entry, dict) and "id" in entry and "kind" in entry):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and "kind" in entry
+        ):
             raise ScenarioFormatError(
-                f"summand entry {entry!r} needs id and kind", "summands"
+                f"summand entry {entry!r} needs a string id and a kind", "summands"
             )
-        kind = str(entry["kind"])
+        kind = entry["kind"]
         if kind not in KINDS:
             raise ScenarioFormatError(f"unknown summand kind {kind!r}", "summands")
         custom = None
         if kind == CUSTOM:
             gram = entry.get("gram")
-            if not isinstance(gram, list):
+            if not (
+                isinstance(gram, list)
+                and all(isinstance(row, list) for row in gram)
+                and all(_is_int(x) for row in gram for x in row)
+            ):
                 raise ScenarioFormatError(
-                    f"custom summand {entry['id']!r} needs a gram matrix", "summands"
+                    f"custom summand {entry['id']!r} needs a gram matrix of integers",
+                    "summands",
                 )
-            custom = IntegerLattice(tuple(tuple(int(x) for x in row) for row in gram))
-        summands.append(Summand(str(entry["id"]), kind, custom))
+            custom = IntegerLattice(tuple(tuple(row) for row in gram))
+        summands.append(Summand(entry["id"], kind, custom))
     if "generator1" not in doc:
         raise ScenarioFormatError("missing generator1", "generator1")
     gen1 = _parse_generator(doc["generator1"], "generator1")

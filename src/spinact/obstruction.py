@@ -3,8 +3,10 @@
 A certificate compares the positive index b of the restricted form on the
 fixed sublattice against the index-theoretic lower bound k; b < k under
 the stated hypotheses contradicts the existence of any smooth structure
-making the action smooth. Hypothesis failures are reported as data, not
-exceptions, so a user exploring scenarios can see which hypothesis broke.
+making the action smooth. Every number in it is read from the group's
+orbits on the summands, after a single validation of the scenario.
+Hypothesis failures are reported as data, not exceptions, so a user
+exploring scenarios can see which hypothesis broke.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .equivariant_sum import (
-    COMPOSITION,
     GEN1,
     GEN2,
     ActionScenario,
     FixedSetData,
     Z2,
     Z2XZ2,
-    fixed_set_data,
-    induced_cohomology_action,
+    _fixed_set_data,
+    _total_invariants,
+    _twisted_b_plus,
+    element_action,
+    elements_of,
     require_valid,
-    total_invariants,
 )
 from .index_parity import (
     EVEN,
@@ -38,7 +41,6 @@ from .index_parity import (
     lefschetz_index,
     real_index_from_signature,
 )
-from .isometry import b_plus_invariant, commute
 from .templates import recognize_klein_template
 
 Z2_THEOREM = "z2_odd_involution"
@@ -79,6 +81,8 @@ class ObstructionReport:
     index_data: Optional[IndexData]
     b2: int
     signature: int
+    # (subgroup, hint) for each proper subgroup of a Klein scenario
+    subgroup_hints: tuple[tuple[str, str], ...]
 
     @property
     def all_hypotheses_pass(self) -> bool:
@@ -86,7 +90,7 @@ class ObstructionReport:
 
 
 def _parity_report(s: ActionScenario, element: str) -> ElementReport:
-    fs = fixed_set_data(s, element)
+    fs = _fixed_set_data(s, element)
     try:
         parity = classify_parity(fs)
     except IndeterminateParityError:
@@ -112,77 +116,54 @@ def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
     return value, value.denominator == 1
 
 
-def check_z2(s: ActionScenario) -> ObstructionReport:
-    """Certificate for the single-involution inequality b >= -signature/16."""
-    require_valid(s)
-    if s.group != Z2:
-        raise ValueError("check_z2 expects a Z2 scenario")
-    inv = total_invariants(s)
-    gen_report = _parity_report(s, GEN1)
-    hypotheses = (
+def _generators_commute(s: ActionScenario) -> bool:
+    """The twisted generator operators are minus block permutations, so they
+    commute exactly when the summand permutations do."""
+    p1, _ = element_action(s, GEN1)
+    p2, _ = element_action(s, GEN2)
+    return all(p1[p2[i]] == p2[p1[i]] for i in p1)
+
+
+def _check(s: ActionScenario) -> ObstructionReport:
+    """Certificate of a validated scenario, decided from its orbit structure."""
+    inv = _total_invariants(s)
+    reports = tuple(_parity_report(s, e) for e in elements_of(s.group))
+    hypotheses = [
         Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
         Hypothesis(
             "signature_nonpositive", inv.signature <= 0, f"signature {inv.signature}"
         ),
         Hypothesis("b1_zero", True, "summands are simply connected by construction"),
-        _parity_hypothesis("generator_odd", gen_report, ODD),
-    )
-    b = b_plus_invariant([induced_cohomology_action(s, GEN1)])
-    k = k_odd(inv.signature)
-    trace, integral = _trace(b, k)
-    verdict = (
-        NONSMOOTHABLE
-        if all(h.passed for h in hypotheses) and b < k
-        else NO_OBSTRUCTION
-    )
-    index = IndexData(real_index_from_signature(inv.signature)) if inv.signature <= 0 else None
-    return ObstructionReport(
-        theorem=Z2_THEOREM,
-        hypotheses=hypotheses,
-        b=b,
-        k=k,
-        trace_value=trace,
-        trace_is_algebraic_integer=integral,
-        verdict=verdict,
-        elements=(gen_report,),
-        index_data=index,
-        b2=inv.b2,
-        signature=inv.signature,
-    )
-
-
-def check_z2xz2(s: ActionScenario) -> ObstructionReport:
-    """Certificate for the Klein four-group inequality
-    b >= -signature/32 + |twisted index|/8."""
-    require_valid(s)
-    if s.group != Z2XZ2:
-        raise ValueError("check_z2xz2 expects a Z2xZ2 scenario")
-    inv = total_invariants(s)
-    reports = tuple(_parity_report(s, e) for e in (GEN1, GEN2, COMPOSITION))
-    op1 = induced_cohomology_action(s, GEN1)
-    op2 = induced_cohomology_action(s, GEN2)
-    hypotheses = (
-        Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
-        Hypothesis(
-            "signature_nonpositive", inv.signature <= 0, f"signature {inv.signature}"
-        ),
-        Hypothesis("b1_zero", True, "summands are simply connected by construction"),
-        _parity_hypothesis("generator1_odd", reports[0], ODD),
-        _parity_hypothesis("generator2_odd", reports[1], ODD),
-        _parity_hypothesis("composition_even", reports[2], EVEN),
-        Hypothesis(
-            "operators_commute", commute(op1, op2), "induced operators commute"
-        ),
-    )
-    b = b_plus_invariant([op1, op2])
-    comp_fs = reports[2].fixed_set
-    if comp_fs.n_plus is not None:
-        index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
+    ]
+    index_twisted = None
+    if s.group == Z2:
+        theorem = Z2_THEOREM
+        hypotheses.append(_parity_hypothesis("generator_odd", reports[0], ODD))
+        b = _twisted_b_plus(s, (GEN1,))
+        k = k_odd(inv.signature)
+        hints = ()
     else:
-        index_twisted = None
-    # both lift signs are admissible, so the larger bound applies
-    effective_index = index_twisted if index_twisted is not None else Fraction(0)
-    k = max(k_klein(inv.signature, effective_index), k_klein(inv.signature, -effective_index))
+        theorem = KLEIN_THEOREM
+        hypotheses += [
+            _parity_hypothesis("generator1_odd", reports[0], ODD),
+            _parity_hypothesis("generator2_odd", reports[1], ODD),
+            _parity_hypothesis("composition_even", reports[2], EVEN),
+            Hypothesis(
+                "operators_commute", _generators_commute(s), "induced operators commute"
+            ),
+        ]
+        b = _twisted_b_plus(s, (GEN1, GEN2))
+        comp_fs = reports[2].fixed_set
+        if comp_fs.n_plus is not None:
+            index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
+        # both lift signs are admissible, so the larger bound applies
+        effective_index = index_twisted if index_twisted is not None else Fraction(0)
+        k = max(
+            k_klein(inv.signature, effective_index),
+            k_klein(inv.signature, -effective_index),
+        )
+        hint = _subgroup_hint(s)
+        hints = tuple((sub, hint) for sub in SUBGROUPS)
     trace, integral = _trace(b, k)
     verdict = (
         NONSMOOTHABLE
@@ -195,8 +176,8 @@ def check_z2xz2(s: ActionScenario) -> ObstructionReport:
         else None
     )
     return ObstructionReport(
-        theorem=KLEIN_THEOREM,
-        hypotheses=hypotheses,
+        theorem=theorem,
+        hypotheses=tuple(hypotheses),
         b=b,
         k=k,
         trace_value=trace,
@@ -206,11 +187,32 @@ def check_z2xz2(s: ActionScenario) -> ObstructionReport:
         index_data=index,
         b2=inv.b2,
         signature=inv.signature,
+        subgroup_hints=hints,
     )
 
 
+def _check_group(s: ActionScenario, group: str, name: str) -> ObstructionReport:
+    require_valid(s)
+    if s.group != group:
+        raise ValueError(f"{name} expects a {group} scenario")
+    return _check(s)
+
+
+def check_z2(s: ActionScenario) -> ObstructionReport:
+    """Certificate for the single-involution inequality b >= -signature/16."""
+    return _check_group(s, Z2, "check_z2")
+
+
+def check_z2xz2(s: ActionScenario) -> ObstructionReport:
+    """Certificate for the Klein four-group inequality
+    b >= -signature/32 + |twisted index|/8."""
+    return _check_group(s, Z2XZ2, "check_z2xz2")
+
+
 def check(s: ActionScenario) -> ObstructionReport:
-    return check_z2(s) if s.group == Z2 else check_z2xz2(s)
+    """Certificate for either group: one validation, then one pass."""
+    require_valid(s)
+    return _check(s)
 
 
 def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
@@ -226,6 +228,12 @@ def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
         raise ValueError("subgroup hints apply to Z2xZ2 scenarios")
     if subgroup not in SUBGROUPS:
         raise ValueError(f"unknown subgroup {subgroup!r}")
+    return _subgroup_hint(s)
+
+
+def _subgroup_hint(s: ActionScenario) -> str:
+    """The hint of a validated Klein scenario; it is the same for every
+    proper subgroup."""
     shape = recognize_klein_template(s)
     if shape is None:
         return UNKNOWN

@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from spinact import cli
 from spinact.equivariant_sum import parse_scenario, serialize_scenario
 from spinact.templates import klein_template, z2_template
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_main(argv):
@@ -293,3 +296,118 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: nonsmoothable" in proc.stdout
+
+
+def _golden_cases():
+    for name in ("z2_l3_k1", "klein_l3_l3_k1"):
+        for command in ("check", "invariants"):
+            argv = [command, "--input", str(SCENARIOS / f"{name}.json")]
+            yield f"{command}_{name}.txt", argv
+            yield f"{command}_{name}.json", argv + ["--format", "structured"]
+    yield "enumerate_z2_l3-9_k0-3.txt", [
+        "enumerate", "--template", "z2", "--sweep", "l=3..9,k=0..3"
+    ]
+    yield "enumerate_klein_l1-3-4_l2-3-4_k0-1.json", [
+        "enumerate", "--template", "klein", "--sweep", "l1=3..4,l2=3..4,k=0..1",
+        "--format", "structured",
+    ]
+
+
+@pytest.mark.parametrize("golden,argv", list(_golden_cases()))
+def test_stdout_matches_golden_file(golden, argv):
+    status, output = run_main(argv)
+    assert status == 0
+    assert output == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def _custom_doc(gram=None, override=None, summand_id="c0", label="rotate_both", pair=None):
+    """A Z2 scenario with one swapped pair of custom summands; each
+    argument replaces one field with a malformed value."""
+    gram = [[0, 1], [1, 0]] if gram is None else gram
+    local = {"s": label}
+    generator = {"permutation": [pair or [summand_id, "c1"]], "local": local}
+    if override is not None:
+        generator["overrides"] = {"s": override}
+    return {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [
+            {"id": summand_id, "kind": "custom", "gram": gram},
+            {"id": "c1", "kind": "custom", "gram": gram},
+            {"id": "s", "kind": "s2xs2"},
+        ],
+        "generator1": generator,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _custom_doc(gram=[[None]]),
+        _custom_doc(gram=[1]),
+        _custom_doc(override={"n_plus": None, "n_minus": 4}),
+        _custom_doc(gram=[[-2.9]]),
+        _custom_doc(gram=[[True, 1], [1, 0]]),
+        _custom_doc(summand_id=0),
+        _custom_doc(label=1),
+        _custom_doc(pair=["c0", 1]),
+    ],
+    ids=["null-entry", "row-not-list", "null-count", "float-entry", "bool-entry",
+         "int-id", "int-label", "int-pair-member"],
+)
+def test_malformed_values_exit_two_without_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    status, output = run_main(["check", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: malformed scenario")
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_well_formed_custom_doc_checks():
+    # the unmodified document of the test above is accepted
+    from spinact.equivariant_sum import parse_scenario, validate_scenario
+
+    assert validate_scenario(parse_scenario(json.dumps(_custom_doc()))) == []
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of `fn` at every spinact module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinact") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (["check", "--input", str(SCENARIOS / "klein_l3_l3_k1.json")], 1),
+        (["check", "--input", str(SCENARIOS / "z2_l3_k1.json")], 1),
+        (["invariants", "--input", str(SCENARIOS / "klein_l3_l3_k1.json")], 1),
+        (["enumerate", "--template", "klein", "--sweep", "l1=3..4,l2=3..3,k=0..1"], 4),
+    ],
+)
+def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, points):
+    from spinact import equivariant_sum, isometry
+
+    validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
+    dense = [
+        _count_calls(monkeypatch, fn)
+        for fn in (
+            isometry.invariant_sublattice,
+            isometry.verify_isometry,
+            equivariant_sum.scenario_lattice,
+        )
+    ]
+    status, _ = run_main(argv)
+    assert status == 0
+    assert len(validations) == points
+    assert dense == [[], [], []]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact._mat import identity, mat_mul, mat_neg
@@ -24,10 +24,11 @@ from spinact.equivariant_sum import (
     scenario_digest,
     serialize_scenario,
     total_invariants,
+    twisted_b_plus,
     validate_scenario,
 )
 from spinact.isometry import b_plus_invariant, commute, verify_isometry
-from spinact.lattice import direct_sum_all, make_standard
+from spinact.lattice import IntegerLattice, direct_sum_all, make_standard
 from spinact.templates import klein_template, z2_template
 
 
@@ -397,3 +398,75 @@ def test_random_scenarios_validate_round_trip_and_induce_isometries(s):
         total_points = sum(c for d, c in fst.components if d == 0)
         if fst.n_plus is not None:
             assert fst.n_plus + fst.n_minus == total_points
+
+
+def with_free_orbits(s, kinds):
+    """A Klein scenario plus one free orbit of four summands per kind, each
+    "k3" or "hyperbolic" (a custom hyperbolic plane)."""
+    summands, perm1, perm2 = list(s.summands), list(s.gen1.permutation), list(s.gen2.permutation)
+    for n, kind in enumerate(kinds):
+        ids = [f"o{n}_{j}" for j in range(4)]
+        if kind == "hyperbolic":
+            summands += [Summand(i, "custom", IntegerLattice(((0, 1), (1, 0)))) for i in ids]
+        else:
+            summands += [Summand(i, kind) for i in ids]
+        perm1 += [(ids[0], ids[1]), (ids[2], ids[3])]
+        perm2 += [(ids[0], ids[2]), (ids[1], ids[3])]
+    return ActionScenario(
+        s.group,
+        tuple(summands),
+        GeneratorAction(tuple(perm1), dict(s.gen1.local)),
+        GeneratorAction(tuple(perm2), dict(s.gen2.local)),
+    )
+
+
+@st.composite
+def klein_scenarios(draw):
+    """Random valid Klein scenarios: a relabelled, reordered template plus
+    free orbits of custom hyperbolic summands."""
+    base = klein_template(
+        draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    )
+    s = with_free_orbits(base, draw(st.lists(st.just("hyperbolic"), max_size=2)))
+    name = {sm.id: f"x{i}" for i, sm in enumerate(draw(st.permutations(s.summands)))}
+    gens = [
+        GeneratorAction(
+            tuple((name[a], name[b]) for a, b in gen.permutation),
+            {name[i]: lbl for i, lbl in gen.local.items()},
+        )
+        for gen in (s.gen1, s.gen2)
+    ]
+    summands = sorted(
+        (Summand(name[sm.id], sm.kind, sm.custom_form) for sm in s.summands),
+        key=lambda sm: sm.id,
+    )
+    return ActionScenario(s.group, tuple(summands), *gens)
+
+
+def _dense_b_plus(s, elements):
+    return b_plus_invariant([induced_cohomology_action(s, e) for e in elements])
+
+
+@given(z2_scenarios())
+@settings(max_examples=15, deadline=None)
+def test_twisted_b_plus_matches_dense_engine_z2(s):
+    assert twisted_b_plus(s, [GEN1]) == _dense_b_plus(s, [GEN1])
+
+
+@given(klein_scenarios())
+@example(with_free_orbits(klein_template(0, 0, 0), ["k3"]))
+@settings(max_examples=10, deadline=None)
+def test_twisted_b_plus_matches_dense_engine_klein(s):
+    assert validate_scenario(s) == []
+    # every subset the checker and the invariants report read
+    for elements in ([GEN1], [GEN2], [COMPOSITION], [GEN1, GEN2], [GEN1, GEN2, COMPOSITION]):
+        assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)
+
+
+def test_twisted_b_plus_rejects_identity_and_empty_sets():
+    s = klein_template(1, 1, 0)
+    for elements in ([], [IDENTITY_ELEMENT], [GEN1, IDENTITY_ELEMENT]):
+        with pytest.raises(ValueError):
+            twisted_b_plus(s, elements)
+    with pytest.raises(ValueError):
+        twisted_b_plus(z2_template(1, 0), [GEN2])
