@@ -17,10 +17,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int) -> IntMatrix:
-    return tuple(tuple(0 for _ in range(m)) for _ in range(n))
-
-
 def transpose(a: IntMatrix) -> IntMatrix:
     if not a:
         return ()

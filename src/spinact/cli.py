@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import equivariant_sum as eq
 from . import obstruction as ob
 from . import rep_ring as rr
-from .index_parity import IndeterminateParityError, classify_parity
 from .templates import klein_template, z2_template
 
 TEXT = "text"
@@ -118,26 +117,23 @@ def run_check(args, out) -> int:
 def run_invariants(args, out) -> int:
     s = _load_scenario(args.input)
     eq.require_valid(s)
-    inv = eq._total_invariants(s)
+    profiles = eq._summand_profiles(s)
+    inv = eq._total_invariants(s, profiles)
     elements = eq.elements_of(s.group)
     per_element = []
     for element in elements:
-        fs = eq._fixed_set_data(s, element)
-        try:
-            parity = classify_parity(fs).value
-        except IndeterminateParityError:
-            parity = "indeterminate"
+        report = ob._parity_report(s, element)
         per_element.append(
             {
                 "element": element,
-                "fixed_set": _fixed_set_doc(fs),
-                "parity": parity,
-                "b_plus_invariant": eq._twisted_b_plus(s, (element,)),
+                "fixed_set": _fixed_set_doc(report.fixed_set),
+                "parity": report.parity.value if report.parity else "indeterminate",
+                "b_plus_invariant": eq._twisted_b_plus(s, (element,), profiles),
             }
         )
     # taken over every non-identity element, so 0 on Klein scenarios: no
     # sign character is -1 on both generators and on their composition
-    joint = eq._twisted_b_plus(s, elements)
+    joint = eq._twisted_b_plus(s, elements, profiles)
     if args.format == STRUCTURED:
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,

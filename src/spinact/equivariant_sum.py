@@ -480,16 +480,6 @@ def _fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
             np_, nm = overrides.get(i, (2, 2))
             n_plus += np_
             n_minus += nm
-        elif label == IDENTITY_LABEL:
-            raise InvalidScenarioError(
-                [
-                    Violation(
-                        "trivial_action",
-                        f"element {element} acts trivially on summand {i!r}",
-                        i,
-                    )
-                ]
-            )
     components = []
     if points:
         components.append((0, points))
@@ -507,11 +497,10 @@ def total_invariants(s: ActionScenario) -> TotalInvariants:
     form is diagonalised once and the assembled lattice is never built.
     """
     require_valid(s)
-    return _total_invariants(s)
+    return _total_invariants(s, _summand_profiles(s))
 
 
-def _total_invariants(s: ActionScenario) -> TotalInvariants:
-    profiles = _summand_profiles(s)
+def _total_invariants(s: ActionScenario, profiles: dict) -> TotalInvariants:
     keys = [sm.kind_key() for sm in s.summands]
     return TotalInvariants(
         sum(profiles[key][1].rank for key in keys),
@@ -547,17 +536,16 @@ def twisted_b_plus(s: ActionScenario, elements) -> int:
     without building them.
     """
     require_valid(s)
-    return _twisted_b_plus(s, elements)
+    return _twisted_b_plus(s, elements, _summand_profiles(s))
 
 
-def _twisted_b_plus(s: ActionScenario, elements) -> int:
+def _twisted_b_plus(s: ActionScenario, elements, profiles: dict) -> int:
     elements = set(elements)
     if not elements or IDENTITY_ELEMENT in elements:
         raise ValueError("need one or more non-identity group elements")
     perms = [element_action(s, e)[0] for e in elements]
     if len(perms) == 3:
         return 0
-    profiles = _summand_profiles(s)
     seen: set[str] = set()
     b = 0
     for sm in s.summands:
@@ -642,6 +630,8 @@ def parse_scenario(text: str) -> ActionScenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"not valid JSON ({exc.msg})", "document") from exc
+    except RecursionError as exc:
+        raise ScenarioFormatError("JSON nested too deeply", "document") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError("document must be an object", "document")
     version = doc.get("schema_version")

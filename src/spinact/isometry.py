@@ -108,12 +108,12 @@ def invariant_sublattice(ops) -> InvariantSublattice:
                 tuple(op.matrix[i][j] - ident[i][j] for j in range(n))
             )
     basis = _integer_kernel(stacked, n)
+    # G v once per basis vector keeps the restricted form at O(r n^2)
+    gram_v = [
+        [sum(g * x for g, x in zip(row, v)) for row in ambient.gram] for v in basis
+    ]
     restricted = tuple(
-        tuple(
-            sum(u[i] * ambient.gram[i][j] * v[j] for i in range(n) for j in range(n))
-            for v in basis
-        )
-        for u in basis
+        tuple(sum(x * y for x, y in zip(u, gv)) for gv in gram_v) for u in basis
     )
     return InvariantSublattice(tuple(basis), IntegerLattice(restricted))
 

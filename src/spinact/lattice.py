@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 from ._mat import IntMatrix, freeze, is_symmetric
-
-STANDARD_KINDS = ("hyperbolic", "s2xs2", "minus_e8", "k3")
 
 # Dynkin graph of E8: a chain 1-3-4-5-6-7-8 with node 2 hanging off node 4.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -41,11 +40,13 @@ class IntegerLattice:
 
 @dataclass(frozen=True)
 class SignatureProfile:
-    """Counts of positive, negative and zero entries of any congruent diagonal form."""
+    """Counts of positive, negative and zero entries of any congruent diagonal
+    form, and the Gram determinant."""
 
     b_plus: int
     b_minus: int
     b_zero: int
+    determinant: int
 
     @property
     def signature(self) -> int:
@@ -111,7 +112,9 @@ def signature_profile(lat: IntegerLattice) -> SignatureProfile:
     Sylvester's law of inertia makes the counts independent of the
     elimination choices. When every remaining diagonal entry is zero but
     some off-diagonal entry is not (hyperbolic-block pivots), one row and
-    column is added into another to manufacture a nonzero pivot.
+    column is added into another to manufacture a nonzero pivot. Every
+    step is a congruence by a matrix of determinant +-1, so the product of
+    the final diagonal is the Gram determinant.
     """
     n = lat.rank
     a = [[Fraction(x) for x in row] for row in lat.gram]
@@ -157,7 +160,7 @@ def signature_profile(lat: IntegerLattice) -> SignatureProfile:
     diag = [a[i][i] for i in range(n)]
     b_plus = sum(1 for d in diag if d > 0)
     b_minus = sum(1 for d in diag if d < 0)
-    return SignatureProfile(b_plus, b_minus, n - b_plus - b_minus)
+    return SignatureProfile(b_plus, b_minus, n - b_plus - b_minus, int(prod(diag)))
 
 
 def is_even(lat: IntegerLattice) -> bool:

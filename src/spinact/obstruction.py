@@ -23,9 +23,9 @@ from .equivariant_sum import (
     Z2,
     Z2XZ2,
     _fixed_set_data,
+    _summand_profiles,
     _total_invariants,
     _twisted_b_plus,
-    element_action,
     elements_of,
     require_valid,
 )
@@ -116,20 +116,20 @@ def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
     return value, value.denominator == 1
 
 
-def _generators_commute(s: ActionScenario) -> bool:
-    """The twisted generator operators are minus block permutations, so they
-    commute exactly when the summand permutations do."""
-    p1, _ = element_action(s, GEN1)
-    p2, _ = element_action(s, GEN2)
-    return all(p1[p2[i]] == p2[p1[i]] for i in p1)
-
-
 def _check(s: ActionScenario) -> ObstructionReport:
     """Certificate of a validated scenario, decided from its orbit structure."""
-    inv = _total_invariants(s)
+    profiles = _summand_profiles(s)
+    inv = _total_invariants(s, profiles)
     reports = tuple(_parity_report(s, e) for e in elements_of(s.group))
+    # the total form is the orthogonal sum of the summand forms
+    unimodular = all(abs(p.determinant) == 1 for _, p in profiles.values())
     hypotheses = [
         Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
+        Hypothesis(
+            "intersection_form_unimodular",
+            unimodular,
+            "every summand form has determinant 1 or -1",
+        ),
         Hypothesis(
             "signature_nonpositive", inv.signature <= 0, f"signature {inv.signature}"
         ),
@@ -139,7 +139,7 @@ def _check(s: ActionScenario) -> ObstructionReport:
     if s.group == Z2:
         theorem = Z2_THEOREM
         hypotheses.append(_parity_hypothesis("generator_odd", reports[0], ODD))
-        b = _twisted_b_plus(s, (GEN1,))
+        b = _twisted_b_plus(s, (GEN1,), profiles)
         k = k_odd(inv.signature)
         hints = ()
     else:
@@ -148,11 +148,10 @@ def _check(s: ActionScenario) -> ObstructionReport:
             _parity_hypothesis("generator1_odd", reports[0], ODD),
             _parity_hypothesis("generator2_odd", reports[1], ODD),
             _parity_hypothesis("composition_even", reports[2], EVEN),
-            Hypothesis(
-                "operators_commute", _generators_commute(s), "induced operators commute"
-            ),
+            # minus block permutations; validation rejects noncommuting ones
+            Hypothesis("operators_commute", True, "induced operators commute"),
         ]
-        b = _twisted_b_plus(s, (GEN1, GEN2))
+        b = _twisted_b_plus(s, (GEN1, GEN2), profiles)
         comp_fs = reports[2].fixed_set
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)

@@ -97,6 +97,26 @@ def test_hypothesis_failure_exits_two(tmp_path):
     assert "verdict: no_obstruction" in output
 
 
+def test_non_unimodular_form_exits_two(tmp_path):
+    # signature -2: no closed spin 4-manifold has this form, so no certificate
+    doc = {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [
+            {"id": "s", "kind": "s2xs2"},
+            {"id": "c0", "kind": "custom", "gram": [[-2]]},
+            {"id": "c1", "kind": "custom", "gram": [[-2]]},
+        ],
+        "generator1": {"permutation": [["c0", "c1"]], "local": {"s": "rotate_first"}},
+    }
+    path = tmp_path / "det4.json"
+    path.write_text(json.dumps(doc))
+    status, output = run_main(["check", "--input", str(path)])
+    assert status == 2
+    assert "[FAIL] intersection_form_unimodular" in output
+    assert "verdict: no_obstruction" in output
+
+
 def test_validation_violation_exits_two(tmp_path):
     doc = {
         "schema_version": 1,
@@ -111,13 +131,22 @@ def test_validation_violation_exits_two(tmp_path):
     assert "fixed_non_sphere" in output
 
 
-def test_malformed_file_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ('{"schema_version": 1, "group": "Z9"}', "group"),
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    ],
+    ids=["unknown-group", "deep-nesting"],
+)
+def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
     path = tmp_path / "broken.json"
-    path.write_text('{"schema_version": 1, "group": "Z9"}')
+    path.write_text(text)
     status, _ = run_main(["check", "--input", str(path)])
     assert status == 2
     err = capsys.readouterr().err
-    assert "group" in err
+    assert err.startswith("error: malformed scenario")
+    assert fragment in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -293,6 +322,7 @@ def test_console_entry_point_runs():
          str(SCENARIOS / "z2_l3_k1.json")],
         capture_output=True,
         text=True,
+        cwd=REPO / "src",
     )
     assert proc.returncode == 0
     assert "verdict: nonsmoothable" in proc.stdout
@@ -396,9 +426,10 @@ def _count_calls(monkeypatch, fn):
     ],
 )
 def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, points):
-    from spinact import equivariant_sum, isometry
+    from spinact import equivariant_sum, isometry, lattice
 
     validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
+    profiles = _count_calls(monkeypatch, lattice.signature_profile)
     dense = [
         _count_calls(monkeypatch, fn)
         for fn in (
@@ -411,3 +442,6 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     assert status == 0
     assert len(validations) == points
     assert dense == [[], [], []]
+    # one signature profile per distinct summand form of each scenario
+    forms = [len({sm.kind_key() for sm in s.summands}) for (s,) in validations]
+    assert len(profiles) == sum(forms)

@@ -8,6 +8,7 @@ from spinact.equivariant_sum import (
     GEN1,
     GEN2,
     IDENTITY_ELEMENT,
+    IDENTITY_LABEL,
     ROTATE_BOTH,
     ROTATE_FIRST,
     ROTATE_SECOND,
@@ -17,6 +18,8 @@ from spinact.equivariant_sum import (
     ScenarioFormatError,
     Summand,
     compose_labels,
+    element_action,
+    elements_of,
     fixed_set_data,
     homeo_invariants_equal,
     induced_cohomology_action,
@@ -29,6 +32,7 @@ from spinact.equivariant_sum import (
 )
 from spinact.isometry import b_plus_invariant, commute, verify_isometry
 from spinact.lattice import IntegerLattice, direct_sum_all, make_standard
+from spinact.obstruction import check
 from spinact.templates import klein_template, z2_template
 
 
@@ -385,10 +389,27 @@ def z2_scenarios(draw):
     )
 
 
+def assert_checker_premises(s):
+    """What the checker reads off a valid scenario without re-deriving it:
+    no element carries the identity label, the generator permutations
+    commute, and an even form whose summand determinants are all 1 or -1
+    has signature divisible by 8 (Serre, A Course in Arithmetic, ch. V)."""
+    for element in elements_of(s.group):
+        assert IDENTITY_LABEL not in element_action(s, element)[1].values()
+    if s.gen2 is not None:
+        p1, p2 = element_action(s, GEN1)[0], element_action(s, GEN2)[0]
+        assert all(p1[p2[i]] == p2[p1[i]] for i in p1)
+    report = check(s)
+    passed = {h.name: h.passed for h in report.hypotheses}
+    if passed["intersection_form_even"] and passed["intersection_form_unimodular"]:
+        assert report.signature % 8 == 0
+
+
 @given(z2_scenarios())
 @settings(max_examples=40, deadline=None)
 def test_random_scenarios_validate_round_trip_and_induce_isometries(s):
     assert validate_scenario(s) == []
+    assert_checker_premises(s)
     assert parse_scenario(serialize_scenario(s)) == s
     op = induced_cohomology_action(s, GEN1)
     assert verify_isometry(op)
@@ -458,6 +479,7 @@ def test_twisted_b_plus_matches_dense_engine_z2(s):
 @settings(max_examples=10, deadline=None)
 def test_twisted_b_plus_matches_dense_engine_klein(s):
     assert validate_scenario(s) == []
+    assert_checker_premises(s)
     # every subset the checker and the invariants report read
     for elements in ([GEN1], [GEN2], [COMPOSITION], [GEN1, GEN2], [GEN1, GEN2, COMPOSITION]):
         assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)

@@ -1,4 +1,6 @@
 import random
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -56,20 +58,20 @@ def test_standard_kinds():
 def test_hyperbolic_signature():
     assert signature_profile(make_standard("hyperbolic")) .b_plus == 1
     p = signature_profile(make_standard("hyperbolic"))
-    assert (p.b_plus, p.b_minus, p.b_zero) == (1, 1, 0)
+    assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (1, 1, 0, -1)
 
 
 def test_minus_e8_signature():
     # frozen from the float eigenvalue oracle on the standard Gram matrix
     p = signature_profile(make_standard("minus_e8"))
-    assert (p.b_plus, p.b_minus, p.b_zero) == (0, 8, 0)
+    assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (0, 8, 0, 1)
     assert p.signature == -8
 
 
 def test_k3_profile():
     # additivity over 3 hyperbolic and 2 negative-E8 blocks
     p = signature_profile(make_standard("k3"))
-    assert (p.b_plus, p.b_minus, p.b_zero) == (3, 19, 0)
+    assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (3, 19, 0, -1)
     assert p.signature == -16
 
 
@@ -145,6 +147,21 @@ def test_profile_invariant_under_unimodular_change(lat, seed):
     g2 = matmul(ut, matmul([list(r) for r in lat.gram], u))
     assert signature_profile(IntegerLattice(tuple(tuple(r) for r in g2))) == \
         signature_profile(lat)
+
+
+def leibniz_determinant(gram) -> int:
+    n = len(gram)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(gram[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(symmetric_lattices(max_rank=5))
+@settings(max_examples=60)
+def test_profile_determinant_matches_leibniz_formula(lat):
+    assert signature_profile(lat).determinant == leibniz_determinant(lat.gram)
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=6))
