@@ -24,6 +24,7 @@ from typing import Optional, Union
 from ._mat import identity, mat_neg
 from .lattice import (
     IntegerLattice,
+    MalformedLatticeError,
     direct_sum_all,
     is_even,
     make_standard,
@@ -363,8 +364,10 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
+    rotated_both = set()
     for element in elements_of(s.group):
-        pmap, _ = element_action(s, element)
+        pmap, local = element_action(s, element)
+        rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
         for i in ids:
             if pmap[i] == i and by_id[i].kind != S2XS2:
                 v.append(
@@ -400,10 +403,7 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
                     i,
                 )
             )
-        targeted = any(
-            element_action(s, e)[1].get(i) == ROTATE_BOTH for e in elements_of(s.group)
-        )
-        if not targeted:
+        if i not in rotated_both:
             v.append(
                 Violation(
                     "stale_override",
@@ -670,7 +670,12 @@ def parse_scenario(text: str) -> ActionScenario:
                     f"custom summand {entry['id']!r} needs a gram matrix of integers",
                     "summands",
                 )
-            custom = IntegerLattice(tuple(tuple(row) for row in gram))
+            try:
+                custom = IntegerLattice(tuple(tuple(row) for row in gram))
+            except MalformedLatticeError as exc:
+                raise ScenarioFormatError(
+                    f"custom summand {entry['id']!r}: {exc}", "summands"
+                ) from exc
         summands.append(Summand(entry["id"], kind, custom))
     if "generator1" not in doc:
         raise ScenarioFormatError("missing generator1", "generator1")

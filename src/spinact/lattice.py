@@ -1,16 +1,15 @@
 """Integer lattices modelling intersection forms of simply connected 4-manifolds.
 
 A lattice is a symmetric integer Gram matrix. Signatures are computed by
-exact symmetric congruence diagonalization over the rationals, so every
-verdict downstream of this module is decided without floating point.
+exact symmetric congruence diagonalization in integer arithmetic
+(fraction-free elimination), so every verdict downstream of this module
+is decided without floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from math import prod
 
 from ._mat import IntMatrix, freeze, is_symmetric
 
@@ -107,60 +106,51 @@ def direct_sum_all(lattices) -> IntegerLattice:
 
 
 def signature_profile(lat: IntegerLattice) -> SignatureProfile:
-    """Diagonalize gram by symmetric congruence over Q and count diagonal signs.
+    """Diagonalize gram by symmetric fraction-free elimination and count signs.
+
+    Each step picks an index p of the trailing integer block with a nonzero
+    diagonal entry and replaces the block by
+    (pivot * a[j][t] - a[j][p] * a[p][t]) // prev over j, t != p (Bareiss).
+    The entries are minors bordered by the eliminated indices, so every
+    division is exact, and pivot / prev is the step's rational diagonal
+    entry. A zero diagonal is repaired by adding row and column q into p
+    for some a[p][q] != 0 (hyperbolic-block pivots), a congruence that
+    makes the pivot 2 * a[p][q] and acts on the bordered minors alike.
 
     Sylvester's law of inertia makes the counts independent of the
-    elimination choices. When every remaining diagonal entry is zero but
-    some off-diagonal entry is not (hyperbolic-block pivots), one row and
-    column is added into another to manufacture a nonzero pivot. Every
-    step is a congruence by a matrix of determinant +-1, so the product of
-    the final diagonal is the Gram determinant.
+    elimination choices. Every step is a congruence by a matrix of
+    determinant +-1, so the last pivot is the Gram determinant.
     """
-    n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
+    a = [list(row) for row in lat.gram]
+    prev, b_plus, b_minus = 1, 0, 0
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            pq = next(
+                ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                None,
+            )
+            if pq is None:
+                break  # remaining block is identically zero
+            p, q = pq
+            a[p] = [x + y for x, y in zip(a[p], a[q])]
+            for row in a:
+                row[p] += row[q]
+        pivot = a[p][p]
+        if (pivot > 0) == (prev > 0):
+            b_plus += 1
+        else:
+            b_minus += 1
+        prow = a.pop(p)
+        del prow[p]
+        block = []
         for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                swap(i, j)
-            else:
-                pq = next(
-                    (
-                        (p, q)
-                        for p in range(i, n)
-                        for q in range(p + 1, n)
-                        if a[p][q] != 0
-                    ),
-                    None,
-                )
-                if pq is None:
-                    break  # remaining block is identically zero
-                p, q = pq
-                for t in range(n):
-                    a[p][t] += a[q][t]
-                for t in range(n):
-                    a[t][p] += a[t][q]
-                if p != i:
-                    swap(i, p)
-        pivot = a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                f = a[j][i] / pivot
-                for t in range(n):
-                    a[j][t] -= f * a[i][t]
-                for t in range(n):
-                    a[t][j] -= f * a[t][i]
-
-    diag = [a[i][i] for i in range(n)]
-    b_plus = sum(1 for d in diag if d > 0)
-    b_minus = sum(1 for d in diag if d < 0)
-    return SignatureProfile(b_plus, b_minus, n - b_plus - b_minus, int(prod(diag)))
+            f = row.pop(p)
+            block.append([(pivot * x - f * y) // prev for x, y in zip(row, prow)])
+        a, prev = block, pivot
+    return SignatureProfile(
+        b_plus, b_minus, lat.rank - b_plus - b_minus, 0 if a else prev
+    )
 
 
 def is_even(lat: IntegerLattice) -> bool:

@@ -41,6 +41,7 @@ from .index_parity import (
     lefschetz_index,
     real_index_from_signature,
 )
+from .rep_ring import bk_trace_and_integrality
 from .templates import recognize_klein_template
 
 Z2_THEOREM = "z2_odd_involution"
@@ -112,8 +113,7 @@ def _parity_hypothesis(name: str, report: ElementReport, want: str) -> Hypothesi
 def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
     if k.denominator != 1:
         return None, None
-    value = Fraction(2) ** (b - int(k))
-    return value, value.denominator == 1
+    return bk_trace_and_integrality(b, int(k))
 
 
 def _check(s: ActionScenario) -> ObstructionReport:

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinact import cli
 from spinact.equivariant_sum import parse_scenario, serialize_scenario
@@ -60,6 +64,14 @@ def test_bundled_scenarios_match_templates():
     assert serialize_scenario(parse_scenario(text)) == text
     text = (SCENARIOS / "klein_l3_l3_k1.json").read_text()
     assert parse_scenario(text) == klein_template(3, 3, 1)
+
+
+def test_bundled_scenario_files_match_their_generator():
+    script = runpy.run_path(str(REPO / "scripts" / "write_bundled_scenarios.py"))
+    bundled = script["BUNDLED"]
+    assert sorted(bundled) == sorted(p.name for p in SCENARIOS.glob("*.json"))
+    for name, scenario in bundled.items():
+        assert serialize_scenario(scenario) == (SCENARIOS / name).read_text()
 
 
 def test_check_is_deterministic(tmp_path):
@@ -381,9 +393,11 @@ def _custom_doc(gram=None, override=None, summand_id="c0", label="rotate_both", 
         _custom_doc(summand_id=0),
         _custom_doc(label=1),
         _custom_doc(pair=["c0", 1]),
+        _custom_doc(gram=[[0, 1], [1]]),
+        _custom_doc(gram=[[0, 1], [2, 0]]),
     ],
     ids=["null-entry", "row-not-list", "null-count", "float-entry", "bool-entry",
-         "int-id", "int-label", "int-pair-member"],
+         "int-id", "int-label", "int-pair-member", "non-square", "asymmetric"],
 )
 def test_malformed_values_exit_two_without_traceback(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -445,3 +459,83 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     # one signature profile per distinct summand form of each scenario
     forms = [len({sm.kind_key() for sm in s.summands}) for (s,) in validations]
     assert len(profiles) == sum(forms)
+
+
+def test_validation_builds_each_element_action_once(monkeypatch):
+    from spinact import equivariant_sum
+
+    ids = [f"s{i}" for i in range(50)]
+    doc = {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [{"id": i, "kind": "s2xs2"} for i in ids],
+        "generator1": {
+            "local": {i: "rotate_both" for i in ids},
+            "overrides": {i: {"n_plus": 1, "n_minus": 3} for i in ids},
+        },
+    }
+    s = parse_scenario(json.dumps(doc))
+    calls = _count_calls(monkeypatch, equivariant_sum.element_action)
+    assert equivariant_sum.validate_scenario(s) == []
+    assert len(calls) == len(equivariant_sum.elements_of(s.group))
+
+
+_FUZZ_KEYS = (
+    "schema_version", "group", "summands", "generator1", "generator2", "id",
+    "kind", "gram", "permutation", "local", "overrides", "n_plus", "n_minus",
+    "s0", "w0",
+)
+_FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(
+        ("", "s0", "w0", "rotate_both", "identity", "custom", "k3", "Z2", "Z2xZ2")
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_bundled_documents(draw):
+    """A bundled scenario document with one to three values replaced,
+    dropped or added at random paths."""
+    name = draw(st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.json"))))
+    doc = json.loads((SCENARIOS / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            inner = [k for k in keys if isinstance(node[k], (dict, list))]
+            if not inner or draw(st.booleans()):
+                break
+            node = node[draw(st.sampled_from(inner))]
+        action = draw(st.sampled_from(("replace", "drop", "add")))
+        if action == "add" or not keys:
+            value = draw(_FUZZ_VALUES)
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(_FUZZ_KEYS))] = value
+            else:
+                node.insert(draw(st.integers(0, len(node))), value)
+        elif action == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(_FUZZ_VALUES)
+    return doc
+
+
+@given(doc=mutated_bundled_documents())
+@settings(max_examples=200, deadline=None)
+def test_mutated_bundled_documents_exit_zero_or_two(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "invariants"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status, _ = run_main([command, "--input", str(path)])
+        assert status in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()

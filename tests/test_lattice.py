@@ -29,16 +29,21 @@ def diag(*entries):
 
 @st.composite
 def symmetric_lattices(draw, max_rank=6, bound=6):
+    """Random symmetric forms; half of them have a zero diagonal, which
+    forces the elimination's row-and-column pivot repair."""
     n = draw(st.integers(0, max_rank))
     entries = draw(
         st.lists(st.integers(-bound, bound), min_size=n * (n + 1) // 2,
                  max_size=n * (n + 1) // 2)
     )
+    zero_diagonal = draw(st.booleans())
     a = [[0] * n for _ in range(n)]
     it = iter(entries)
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = next(it)
+        if zero_diagonal:
+            a[i][i] = 0
     return IntegerLattice(tuple(tuple(row) for row in a))
 
 
@@ -94,8 +99,16 @@ def test_direct_sum_examples():
 
 
 def test_signature_profile_examples():
-    p = signature_profile(diag(2, -3, 0))
-    assert (p.b_plus, p.b_minus, p.b_zero) == (1, 1, 1)
+    h = make_standard("hyperbolic")
+    cases = [
+        ([diag(2, -3, 0)], (1, 1, 1, 0)),
+        # a non-unit pivot, then zero-diagonal repair on the rescaled block
+        ([diag(2), h], (2, 1, 0, -2)),
+        ([diag(-3), h, h], (2, 3, 0, -3)),
+    ]
+    for blocks, expected in cases:
+        p = signature_profile(direct_sum_all(blocks))
+        assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == expected
 
 
 def test_malformed_gram_rejected():
@@ -147,6 +160,23 @@ def test_profile_invariant_under_unimodular_change(lat, seed):
     g2 = matmul(ut, matmul([list(r) for r in lat.gram], u))
     assert signature_profile(IntegerLattice(tuple(tuple(r) for r in g2))) == \
         signature_profile(lat)
+
+
+@pytest.mark.parametrize("a,h,seed", [(2, 1, 1), (1, 5, 2), (0, 9, 3), (2, 3, 4),
+                                      (3, 0, 5), (3, 1, 6)])
+def test_profile_of_scrambled_unimodular_forms(a, h, seed):
+    # a copies of -E8 and h hyperbolic planes in a dense basis with entries
+    # of absolute value 100 and more, as in custom scenario summands
+    blocks = [make_standard("minus_e8")] * a + [make_standard("hyperbolic")] * h
+    gram = [list(row) for row in direct_sum_all(blocks).gram]
+    n = len(gram)
+    u, _ = random_unimodular(random.Random(seed), n, steps=4 * n)
+    g = matmul([list(col) for col in zip(*u)], matmul(gram, u))
+    assert 18 <= n <= 26 and max(abs(x) for row in g for x in row) >= 100
+    p = signature_profile(IntegerLattice(tuple(map(tuple, g))))
+    assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (
+        h, 8 * a + h, 0, (-1) ** h
+    )
 
 
 def leibniz_determinant(gram) -> int:
