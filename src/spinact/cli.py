@@ -10,7 +10,9 @@ identical input and flags give byte-identical output. `enumerate` accepts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,6 +25,15 @@ TEXT = "text"
 STRUCTURED = "structured"
 
 REPORT_SCHEMA_VERSION = 1
+
+# summands of one template point: a constant plus a coefficient per sweep
+# parameter (z2: l + 2k; klein: 1 + 2 l1 + 2 l2 + 4k)
+_TEMPLATE_SUMMANDS = {
+    "z2": (0, {"l": 1, "k": 2}),
+    "klein": (1, {"l1": 2, "l2": 2, "k": 4}),
+}
+# grid points plus the summands their templates build, per sweep
+SWEEP_BUDGET = 10**6
 
 
 def _frac(x) -> str:
@@ -197,11 +208,31 @@ def _sweep_points(
     return points
 
 
+def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:
+    """Grid points of the full range box plus the summands their templates
+    would build, counting negative parameters as 0; an upper bound on what
+    `_sweep_points` does, from the ranges alone."""
+    const, coeffs = _TEMPLATE_SUMMANDS[template]
+    sizes = {name: max(0, hi - lo + 1) for name, (lo, hi) in r.items()}
+    work = (1 + const) * math.prod(sizes.values())
+    for name, coeff in coeffs.items():
+        lo, hi = max(r[name][0], 0), r[name][1]
+        total = (lo + hi) * (hi - lo + 1) // 2 if hi >= lo else 0
+        work += coeff * total * math.prod(n for m, n in sizes.items() if m != name)
+    return work
+
+
 def run_enumerate(args, out) -> int:
     sweep = _parse_sweep(args.sweep)
-    needed = {"z2": {"l", "k"}, "klein": {"l1", "l2", "k"}}[args.template]
+    needed = set(_TEMPLATE_SUMMANDS[args.template][1])
     if set(sweep) != needed:
         raise ValueError(f"--sweep for {args.template} needs exactly {sorted(needed)}")
+    work = _sweep_work(args.template, sweep)
+    if work > SWEEP_BUDGET:
+        raise ValueError(
+            f"--sweep grid too large: {work} grid points and summands"
+            f" exceed the budget of {SWEEP_BUDGET}"
+        )
     # points come out of the grid in sorted order
     results = [
         (params, ob.check(scenario))
@@ -304,8 +335,11 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
         if "=" not in part or ".." not in part:
             raise ValueError(f"bad sweep component {part!r}; expected name=a..b")
         name, span = part.split("=", 1)
+        name = name.strip()
+        if name in ranges:
+            raise ValueError(f"--sweep gives {name!r} more than once")
         lo, hi = span.split("..", 1)
-        ranges[name.strip()] = (int(lo), int(hi))
+        ranges[name] = (int(lo), int(hi))
     return ranges
 
 
@@ -330,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--w-perp", help="target multiplicities m0,m1,m2,m3")
     p_rep.add_argument("--v-perp", help="domain multiplicities m0,m1,m2,m3")
     p_rep.add_argument("--degree", type=int, default=1, help="fixed-part degree")
-    p_rep.add_argument("--element", type=int, default=1, help="group element 0..3")
+    p_rep.add_argument(
+        "--element", type=int, choices=range(4), default=1, help="group element 0..3"
+    )
     p_rep.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
 
     p_enum = sub.add_parser("enumerate", help="sweep a template parameter grid")
@@ -346,10 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     runners = {
         "check": run_check,
         "invariants": run_invariants,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from ._mat import identity, mat_neg
@@ -703,6 +704,30 @@ def _generator_doc(gen: GeneratorAction) -> dict:
     return doc
 
 
+def _emit(x, pad: str = "") -> str:
+    """The text of json.dumps(x, sort_keys=True, indent=2) for nested dicts
+    with string keys, lists, strings and ints; json renders indented
+    documents in pure Python, this in a few joins."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_emit(x[k], inner)}" for k in sorted(x)
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if all(type(v) is int for v in x):
+        body = sep.join(map(int.__repr__, x))
+    else:
+        body = sep.join(_emit(v, inner) for v in x)
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def serialize_scenario(s: ActionScenario) -> str:
     """Canonical JSON text; parse(serialize(s)) equals s up to pair ordering."""
     doc: dict = {
@@ -717,7 +742,7 @@ def serialize_scenario(s: ActionScenario) -> str:
     }
     if s.gen2 is not None:
         doc["generator2"] = _generator_doc(s.gen2)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _emit(doc) + "\n"
 
 
 def scenario_digest(s: ActionScenario) -> str:

@@ -9,7 +9,7 @@ is decided without floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 from ._mat import IntMatrix, freeze, is_symmetric
 
@@ -73,19 +73,22 @@ def _minus_e8_gram() -> IntMatrix:
     return freeze(g)
 
 
+@cache
 def make_standard(kind: str) -> IntegerLattice:
-    """Build one of the standard forms: hyperbolic/s2xs2, minus_e8, or k3.
+    """One of the standard forms: hyperbolic/s2xs2, minus_e8, or k3.
 
     k3 is the rank-22 direct sum of three hyperbolic planes and two copies
-    of the negative E8 form.
+    of the negative E8 form. Each form is built once per process and
+    shared; lattices are immutable, and s2xs2 is the hyperbolic object.
     """
-    if kind in ("hyperbolic", "s2xs2"):
+    if kind == "s2xs2":
+        return make_standard("hyperbolic")
+    if kind == "hyperbolic":
         return IntegerLattice(_hyperbolic_gram())
     if kind == "minus_e8":
         return IntegerLattice(_minus_e8_gram())
     if kind == "k3":
-        h = IntegerLattice(_hyperbolic_gram())
-        e = IntegerLattice(_minus_e8_gram())
+        h, e = make_standard("hyperbolic"), make_standard("minus_e8")
         return direct_sum_all([h, h, h, e, e])
     raise ValueError(f"unknown standard lattice kind: {kind!r}")
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import runpy
 import subprocess
@@ -288,6 +289,41 @@ def test_enumerate_rejects_wrong_sweep_keys(capsys):
     assert status == 2
 
 
+def test_enumerate_rejects_a_repeated_sweep_name(capsys):
+    status, output = run_main(
+        ["enumerate", "--template", "z2", "--sweep", "l=1..2,l=3..3,k=0..0"]
+    )
+    assert status == 2 and output == ""
+    assert "'l' more than once" in capsys.readouterr().err
+
+
+def test_enumerate_rejects_a_grid_over_budget_before_building_it(monkeypatch, capsys):
+    def unbudgeted(*_args):
+        raise AssertionError("templates built before the budget check")
+
+    monkeypatch.setattr(cli, "_sweep_points", unbudgeted)
+    status, _ = run_main(
+        ["enumerate", "--template", "z2", "--sweep", "l=0..1000000000,k=0..0"]
+    )
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "exceed the budget of 1000000" in err and "internal error" not in err
+
+
+_RANGE = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
+
+
+@given(template=st.sampled_from(("z2", "klein")), spans=st.lists(_RANGE, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_sweep_work_counts_grid_points_and_template_summands(template, spans):
+    names = ("l", "k") if template == "z2" else ("l1", "l2", "k")
+    ranges = dict(zip(names, spans))
+    build = z2_template if template == "z2" else klein_template
+    grid = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges.values()))
+    expected = sum(1 + len(build(*(max(v, 0) for v in point)).summands) for point in grid)
+    assert cli._sweep_work(template, ranges) == expected
+
+
 def test_repring_character_and_lambda():
     status, output = run_main(["repring", "--rep", "0,1,0,1", "--element", "1"])
     assert status == 0
@@ -321,6 +357,14 @@ def test_repring_structured():
     doc = json.loads(output)
     assert doc["trace"] == "1/2"
     assert doc["is_algebraic_integer"] is False
+
+
+@pytest.mark.parametrize("element", ["-1", "4", "7"])
+def test_repring_rejects_an_element_outside_zero_to_three(capsys, element):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["repring", "--rep", "0,1,0,1", "--element", element])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_repring_fixed_vector_error(capsys):
@@ -461,6 +505,20 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     assert len(profiles) == sum(forms)
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    builds = _count_calls(monkeypatch, cli.build_parser)
+    argv = ["check", "--input", str(SCENARIOS / "klein_l3_l3_k1.json")]
+    first = run_main(argv)
+    with pytest.raises(SystemExit) as exc:
+        run_main(["check", "--format", "structured"])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    assert run_main(argv) == first
+    assert first[0] == 0
+    assert len(builds) == 1
+
+
 def test_validation_builds_each_element_action_once(monkeypatch):
     from spinact import equivariant_sum
 
@@ -527,10 +585,7 @@ def mutated_bundled_documents(draw):
     return doc
 
 
-@given(doc=mutated_bundled_documents())
-@settings(max_examples=200, deadline=None)
-def test_mutated_bundled_documents_exit_zero_or_two(tmp_path_factory, doc):
-    path = tmp_path_factory.getbasetemp() / "mutated.json"
+def assert_exits_zero_or_two(path, doc):
     path.write_text(json.dumps(doc))
     for command in ("check", "invariants"):
         err = io.StringIO()
@@ -539,3 +594,44 @@ def test_mutated_bundled_documents_exit_zero_or_two(tmp_path_factory, doc):
         assert status in (0, 2)
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
+
+
+@given(doc=mutated_bundled_documents())
+@settings(max_examples=200, deadline=None)
+def test_mutated_bundled_documents_exit_zero_or_two(tmp_path_factory, doc):
+    assert_exits_zero_or_two(tmp_path_factory.getbasetemp() / "mutated.json", doc)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.sampled_from(_FUZZ_KEYS + ("custom", "k3", "rotate_both", "Z2", "Z2xZ2"))
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def arbitrary_documents(draw):
+    """Any JSON value, or a document with a valid schema_version and group
+    whose summands and generators are any JSON values."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    doc = {"schema_version": 1, "group": draw(st.sampled_from(("Z2", "Z2xZ2")))}
+    for key in ("summands", "generator1", "generator2"):
+        if draw(st.booleans()):
+            doc[key] = draw(_JSON)
+    return doc
+
+
+@given(doc=arbitrary_documents())
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_json_documents_exit_zero_or_two(tmp_path_factory, doc):
+    assert_exits_zero_or_two(tmp_path_factory.getbasetemp() / "arbitrary.json", doc)

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact._mat import identity, mat_mul, mat_neg
 from spinact.equivariant_sum import (
+    CUSTOM,
     COMPOSITION,
     GEN1,
     GEN2,
@@ -14,6 +17,8 @@ from spinact.equivariant_sum import (
     ROTATE_SECOND,
     ActionScenario,
     GeneratorAction,
+    KINDS,
+    LABELS,
     InvalidScenarioError,
     ScenarioFormatError,
     Summand,
@@ -492,3 +497,77 @@ def test_twisted_b_plus_rejects_identity_and_empty_sets():
             twisted_b_plus(s, elements)
     with pytest.raises(ValueError):
         twisted_b_plus(z2_template(1, 0), [GEN2])
+
+
+# ids and labels that exercise every escape of the canonical text: quotes,
+# backslashes, control characters, non-ASCII and astral-plane characters
+_ODD_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=6
+)
+_BIG = st.integers(-(10**40), 10**6)
+
+
+@st.composite
+def custom_forms(draw):
+    n = draw(st.integers(0, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(_BIG)
+    return IntegerLattice(tuple(map(tuple, g)))
+
+
+@st.composite
+def odd_generators(draw, ids):
+    any_id = st.sampled_from(ids) | _ODD_TEXT if ids else _ODD_TEXT
+    return GeneratorAction(
+        tuple(draw(st.lists(st.tuples(any_id, any_id), max_size=3))),
+        draw(st.dictionaries(any_id, st.sampled_from(LABELS) | _ODD_TEXT, max_size=3)),
+        draw(st.dictionaries(any_id, st.tuples(_BIG, _BIG), max_size=2)),
+    )
+
+
+@st.composite
+def odd_scenarios(draw):
+    """Scenarios that need not validate: any ids, kinds, custom grams with
+    large negative entries, overrides, and empty maps and pair lists."""
+    ids = draw(st.lists(_ODD_TEXT, unique=True, max_size=5))
+    summands = []
+    for sid in ids:
+        kind = draw(st.sampled_from(KINDS))
+        summands.append(Summand(sid, kind, draw(custom_forms()) if kind == CUSTOM else None))
+    group = draw(st.sampled_from(("Z2", "Z2xZ2")))
+    gen2 = draw(odd_generators(ids)) if group == "Z2xZ2" else None
+    return ActionScenario(group, tuple(summands), draw(odd_generators(ids)), gen2)
+
+
+def _canonical_doc(s):
+    def generator_doc(gen):
+        doc = {"permutation": [list(pair) for pair in gen.permutation], "local": gen.local}
+        if gen.overrides:
+            doc["overrides"] = {
+                k: {"n_plus": p, "n_minus": m} for k, (p, m) in gen.overrides.items()
+            }
+        return doc
+
+    doc = {
+        "schema_version": 1,
+        "group": s.group,
+        "summands": [
+            {"id": sm.id, "kind": sm.kind}
+            | ({"gram": [list(row) for row in sm.custom_form.gram]} if sm.custom_form else {})
+            for sm in s.summands
+        ],
+        "generator1": generator_doc(s.gen1),
+    }
+    if s.gen2 is not None:
+        doc["generator2"] = generator_doc(s.gen2)
+    return doc
+
+
+@given(st.one_of(z2_scenarios(), klein_scenarios(), odd_scenarios()))
+@settings(max_examples=150, deadline=None)
+def test_serialization_is_json_dumps_text(s):
+    text = serialize_scenario(s)
+    assert text == json.dumps(_canonical_doc(s), sort_keys=True, indent=2) + "\n"
+    assert parse_scenario(text) == s

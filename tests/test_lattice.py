@@ -60,6 +60,16 @@ def test_standard_kinds():
         make_standard("nope")
 
 
+def test_standard_forms_are_built_once():
+    for kind in ("hyperbolic", "minus_e8", "k3"):
+        assert make_standard(kind) is make_standard(kind)
+    assert make_standard("s2xs2") is make_standard("hyperbolic")
+    # a failed build caches nothing
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make_standard("nope")
+
+
 def test_hyperbolic_signature():
     assert signature_profile(make_standard("hyperbolic")) .b_plus == 1
     p = signature_profile(make_standard("hyperbolic"))
