@@ -19,20 +19,19 @@ from fractions import Fraction
 from . import equivariant_sum as eq
 from . import obstruction as ob
 from . import rep_ring as rr
-from .templates import klein_template, z2_template
+from .templates import (
+    TEMPLATE_SUMMANDS,
+    klein_template,
+    template_summands,
+    z2_template,
+)
 
 TEXT = "text"
 STRUCTURED = "structured"
 
 REPORT_SCHEMA_VERSION = 1
 
-# summands of one template point: a constant plus a coefficient per sweep
-# parameter (z2: l + 2k; klein: 1 + 2 l1 + 2 l2 + 4k)
-_TEMPLATE_SUMMANDS = {
-    "z2": (0, {"l": 1, "k": 2}),
-    "klein": (1, {"l1": 2, "l2": 2, "k": 4}),
-}
-# grid points plus the summands their templates build, per sweep
+# bound on grid points plus the summands their templates build, per sweep
 SWEEP_BUDGET = 10**6
 
 
@@ -209,24 +208,19 @@ def _sweep_points(
 
 
 def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:
-    """Grid points of the full range box plus the summands their templates
-    would build, counting negative parameters as 0; an upper bound on what
-    `_sweep_points` does, from the ranges alone."""
-    const, coeffs = _TEMPLATE_SUMMANDS[template]
-    sizes = {name: max(0, hi - lo + 1) for name, (lo, hi) in r.items()}
-    work = (1 + const) * math.prod(sizes.values())
-    for name, coeff in coeffs.items():
-        lo, hi = max(r[name][0], 0), r[name][1]
-        total = (lo + hi) * (hi - lo + 1) // 2 if hi >= lo else 0
-        work += coeff * total * math.prod(n for m, n in sizes.items() if m != name)
-    return work
+    """An upper bound on the grid points plus the summands their templates
+    would build, from the ranges alone: every point of the range box at
+    the size of its upper corner."""
+    corner = {name: max(hi, 0) for name, (_, hi) in r.items()}
+    points = math.prod(max(0, hi - lo + 1) for lo, hi in r.values())
+    return points * (1 + template_summands(template, corner))
 
 
 def run_enumerate(args, out) -> int:
     sweep = _parse_sweep(args.sweep)
-    needed = set(_TEMPLATE_SUMMANDS[args.template][1])
-    if set(sweep) != needed:
-        raise ValueError(f"--sweep for {args.template} needs exactly {sorted(needed)}")
+    names = tuple(TEMPLATE_SUMMANDS[args.template][1])
+    if set(sweep) != set(names):
+        raise ValueError(f"--sweep for {args.template} needs exactly {sorted(names)}")
     work = _sweep_work(args.template, sweep)
     if work > SWEEP_BUDGET:
         raise ValueError(
@@ -239,7 +233,6 @@ def run_enumerate(args, out) -> int:
         for params, scenario in _sweep_points(args.template, sweep)
     ]
 
-    names = ("l", "k") if args.template == "z2" else ("l1", "l2", "k")
     counts: dict[str, int] = {}
     if args.format == STRUCTURED:
         rows = []
@@ -385,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # parse_args leaves the parser as it was, so one serves every main call
+    # of a process; a one-shot `spinact` command builds it once either way
     return build_parser()
 
 

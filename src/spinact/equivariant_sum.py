@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
 from ._mat import identity, mat_neg
@@ -707,25 +707,29 @@ def _generator_doc(gen: GeneratorAction) -> dict:
 def _emit(x, pad: str = "") -> str:
     """The text of json.dumps(x, sort_keys=True, indent=2) for nested dicts
     with string keys, lists, strings and ints; json renders indented
-    documents in pure Python, this in a few joins."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if not x:
-        return "{}" if isinstance(x, dict) else "[]"
+    documents in pure Python, this in a few joins. String leaves are
+    encoded in place rather than by a call per leaf."""
     inner = pad + "  "
     sep = ",\n" + inner
-    if isinstance(x, dict):
+    if type(x) is dict:
+        if not x:
+            return "{}"
         body = sep.join(
-            f"{encode_basestring_ascii(k)}: {_emit(x[k], inner)}" for k in sorted(x)
+            f"{_enc(k)}: {_enc(v) if type(v) is str else _emit(v, inner)}"
+            for k, v in sorted(x.items())
         )
         return f"{{\n{inner}{body}\n{pad}}}"
-    if all(type(v) is int for v in x):
-        body = sep.join(map(int.__repr__, x))
-    else:
-        body = sep.join(_emit(v, inner) for v in x)
-    return f"[\n{inner}{body}\n{pad}]"
+    if type(x) is list:
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join(_enc(v) if type(v) is str else _emit(v, inner) for v in x)
+        return f"[\n{inner}{body}\n{pad}]"
+    if type(x) is str:
+        return _enc(x)
+    return int.__repr__(x)
 
 
 def serialize_scenario(s: ActionScenario) -> str:

