@@ -33,6 +33,12 @@ REPORT_SCHEMA_VERSION = 1
 
 # bound on grid points plus the summands their templates build, per sweep
 SWEEP_BUDGET = 10**6
+# bounds on one scenario file: its summands, and the elimination work of
+# its custom forms, rank^3 summed over the distinct ones (signature_profile
+# runs once per distinct form; a dense rank-126 form with entries in the
+# hundreds takes about 0.3 s)
+SUMMAND_BUDGET = 10**5
+BAREISS_BUDGET = 2 * 10**6
 
 
 def _frac(x) -> str:
@@ -41,7 +47,20 @@ def _frac(x) -> str:
 
 def _load_scenario(path: str) -> eq.ActionScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return eq.parse_scenario(fh.read())
+        s = eq.parse_scenario(fh.read())
+    if len(s.summands) > SUMMAND_BUDGET:
+        raise ValueError(
+            f"scenario too large: {len(s.summands)} summands"
+            f" exceed the budget of {SUMMAND_BUDGET}"
+        )
+    grams = {sm.custom_form.gram for sm in s.summands if sm.custom_form is not None}
+    work = sum(len(gram) ** 3 for gram in grams)
+    if work > BAREISS_BUDGET:
+        raise ValueError(
+            f"scenario too large: its custom forms need {work} elimination steps"
+            f" (rank^3 per distinct form), over the budget of {BAREISS_BUDGET}"
+        )
+    return s
 
 
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
@@ -331,8 +350,12 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
         name = name.strip()
         if name in ranges:
             raise ValueError(f"--sweep gives {name!r} more than once")
-        lo, hi = span.split("..", 1)
-        ranges[name] = (int(lo), int(hi))
+        lo, hi = (int(bound) for bound in span.split("..", 1))
+        if min(lo, hi) < 0:
+            raise ValueError(f"--sweep {name!r} has a negative bound in {lo}..{hi}")
+        if lo > hi:
+            raise ValueError(f"--sweep {name!r} range {lo}..{hi} is reversed")
+        ranges[name] = (lo, hi)
     return ranges
 
 

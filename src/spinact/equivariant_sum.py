@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
 from ._mat import identity, mat_neg
+from ._record import factory, frozen
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -85,14 +85,14 @@ class InvalidScenarioError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     code: str
     message: str
     subject: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Summand:
     id: str
     kind: str
@@ -109,13 +109,13 @@ class Summand:
         return (self.kind, self.custom_form.gram if self.custom_form else None)
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneratorAction:
     """Involutive permutation of summand ids plus local labels on fixed ones."""
 
     permutation: tuple[tuple[str, str], ...] = ()
-    local: dict[str, str] = field(default_factory=dict)
-    overrides: dict[str, tuple[int, int]] = field(default_factory=dict)
+    local: dict[str, str] = factory(dict)
+    overrides: dict[str, tuple[int, int]] = factory(dict)
 
     def __post_init__(self):
         # canonical pair order so serialization round-trips exactly
@@ -130,7 +130,7 @@ class GeneratorAction:
         return mapping
 
 
-@dataclass(frozen=True)
+@frozen
 class ActionScenario:
     group: str
     summands: tuple[Summand, ...]
@@ -138,7 +138,7 @@ class ActionScenario:
     gen2: Optional[GeneratorAction] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class FixedSetData:
     """Aggregated fixed-set contributions of one group element.
 
@@ -154,7 +154,7 @@ class FixedSetData:
     n_minus: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class TotalInvariants:
     b2: int
     signature: int

@@ -8,8 +8,9 @@ exact rationals because half-integers must survive untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import frozen
 
 ODD = "odd"
 EVEN = "even"
@@ -23,13 +24,13 @@ class PositiveSignatureError(ValueError):
     """Positive-signature inputs are outside the obstruction's standing assumption."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ParityClass:
     value: str
     mixed: bool = False  # both dimensions present; dimension-2 clause wins
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexData:
     """Real Dirac index and the twisted index of the composed involution."""
 

@@ -8,9 +8,8 @@ positive index the obstruction inequalities consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._mat import IntMatrix, freeze, identity, is_square, mat_mul, transpose, xgcd
+from ._record import frozen
 from .lattice import IntegerLattice, SignatureProfile, signature_profile
 
 
@@ -18,7 +17,7 @@ class MalformedOperatorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeIsometry:
     """Integer matrix acting on a lattice; expected to preserve its Gram form."""
 
@@ -33,7 +32,7 @@ class LatticeIsometry:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantSublattice:
     """Primitive basis of a joint fixed sublattice plus the restricted form.
 

@@ -8,10 +8,10 @@ is decided without floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 from ._mat import IntMatrix, freeze, is_symmetric
+from ._record import frozen
 
 # Dynkin graph of E8: a chain 1-3-4-5-6-7-8 with node 2 hanging off node 4.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -21,7 +21,7 @@ class MalformedLatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerLattice:
     """Symmetric integer Gram matrix; rank is the matrix dimension."""
 
@@ -37,7 +37,7 @@ class IntegerLattice:
         return len(self.gram)
 
 
-@dataclass(frozen=True)
+@frozen
 class SignatureProfile:
     """Counts of positive, negative and zero entries of any congruent diagonal
     form, and the Gram determinant."""

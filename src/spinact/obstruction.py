@@ -11,10 +11,10 @@ exploring scenarios can see which hypothesis broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import frozen
 from .equivariant_sum import (
     GEN1,
     GEN2,
@@ -55,21 +55,21 @@ UNKNOWN = "unknown"
 SUBGROUPS = (GEN1, GEN2, "diagonal")
 
 
-@dataclass(frozen=True)
+@frozen
 class Hypothesis:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class ElementReport:
     element: str
     fixed_set: FixedSetData
     parity: Optional[ParityClass]
 
 
-@dataclass(frozen=True)
+@frozen
 class ObstructionReport:
     theorem: str
     hypotheses: tuple[Hypothesis, ...]

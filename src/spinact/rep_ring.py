@@ -9,8 +9,9 @@ decision and not a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import frozen
 
 
 class FixedVectorError(ValueError):
@@ -21,7 +22,7 @@ class FixedVectorError(ValueError):
 _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@dataclass(frozen=True)
+@frozen
 class GaussianValue:
     """Gaussian rational re + im*i with exact Fraction components."""
 
@@ -82,7 +83,7 @@ def gaussian(re, im=0) -> GaussianValue:
     return GaussianValue(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True)
+@frozen
 class VirtualRepZ4:
     """Multiplicity vector (m0, m1, m2, m3); negative entries are virtual."""
 

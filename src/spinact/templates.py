@@ -9,8 +9,7 @@ the whole group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import frozen
 from .equivariant_sum import (
     ActionScenario,
     GeneratorAction,
@@ -87,7 +86,7 @@ def klein_template(l1: int, l2: int, k: int) -> ActionScenario:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class KleinShape:
     l1: int
     l2: int
@@ -146,7 +145,7 @@ def advertised_headline_lattice(l1: int, l2: int, k: int):
     return direct_sum_all(pieces)
 
 
-@dataclass(frozen=True)
+@frozen
 class FamilyComparison:
     constructed: TotalInvariants
     advertised: TotalInvariants

@@ -231,12 +231,31 @@ def test_enumerate_klein_grid_with_hints():
     assert doc["summary"] == {"nonsmoothable": 2}
 
 
-def test_enumerate_empty_range():
+def test_enumerate_grid_without_a_smoothable_total_is_empty():
+    # l < 3k at every point: no total of the grid has a smooth structure
     status, output = run_main(
-        ["enumerate", "--template", "z2", "--sweep", "l=5..4,k=0..0"]
+        ["enumerate", "--template", "z2", "--sweep", "l=0..2,k=1..1"]
     )
     assert status == 0
-    assert "summary: total=0" in output
+    assert output == "summary: total=0 empty\n"
+
+
+@pytest.mark.parametrize(
+    "template,sweep,name",
+    [
+        ("z2", "l=-3..-1,k=0..0", "l"),
+        ("z2", "l=3..3,k=-1..-1", "k"),
+        ("z2", "l=3..-1,k=0..0", "l"),
+        ("z2", "l=3..1,k=0..0", "l"),
+        ("z2", "l=5..4,k=0..0", "l"),
+        ("klein", "l1=3..3,l2=4..2,k=0..0", "l2"),
+    ],
+)
+def test_enumerate_rejects_a_negative_or_reversed_bound(capsys, template, sweep, name):
+    status, output = run_main(["enumerate", "--template", template, "--sweep", sweep])
+    assert status == 2 and output == ""
+    err = capsys.readouterr().err
+    assert f"--sweep {name!r}" in err and "internal error" not in err
 
 
 def test_enumerate_deterministic_across_jobs():
@@ -308,6 +327,74 @@ def test_enumerate_rejects_a_grid_over_budget_before_building_it(monkeypatch, ca
     assert status == 2
     err = capsys.readouterr().err
     assert "exceed the budget of 1000000" in err and "internal error" not in err
+
+
+def _forbid_elimination(monkeypatch):
+    from spinact.lattice import signature_profile
+
+    def unbudgeted(*_args):
+        raise AssertionError("signature_profile ran before the size budget check")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinact") and (
+            getattr(module, "signature_profile", None) is signature_profile
+        ):
+            monkeypatch.setattr(module, "signature_profile", unbudgeted)
+
+
+def _custom_forms_doc(gram, copies) -> dict:
+    """A Z2 scenario of copies of one custom form, swapped in pairs."""
+    ids = [f"c{i}" for i in range(copies)]
+    return {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [{"id": i, "kind": "custom", "gram": gram} for i in ids],
+        "generator1": {
+            "permutation": [ids[i : i + 2] for i in range(0, copies, 2)],
+            "local": {},
+        },
+    }
+
+
+def _hyperbolic_sum(rank):
+    return [[1 if i ^ 1 == j else 0 for j in range(rank)] for i in range(rank)]
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_scenario_over_the_elimination_budget_exits_two_before_eliminating(
+    monkeypatch, capsys, tmp_path, command
+):
+    assert 126**3 > cli.BAREISS_BUDGET >= 125**3
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_custom_forms_doc(_hyperbolic_sum(126), 2)))
+    _forbid_elimination(monkeypatch)
+    status, output = run_main([command, "--input", str(path)])
+    assert status == 2 and output == ""
+    err = capsys.readouterr().err
+    assert "2000376 elimination steps" in err and "budget of 2000000" in err
+
+
+def test_elimination_budget_counts_each_distinct_form_once(tmp_path):
+    # four copies of one rank-100 form: 10^6 steps, not 4 * 10^6
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps(_custom_forms_doc(_hyperbolic_sum(100), 4)))
+    status, output = run_main(["invariants", "--input", str(path)])
+    assert status == 0
+    assert "b2: 400   signature: 0   even: true" in output
+
+
+def test_scenario_over_the_summand_budget_exits_two_before_eliminating(
+    monkeypatch, capsys
+):
+    path = SCENARIOS / "z2_l3_k1.json"
+    summands = len(parse_scenario(path.read_text()).summands)
+    monkeypatch.setattr(cli, "SUMMAND_BUDGET", summands)
+    assert run_main(["check", "--input", str(path)])[0] == 0
+    monkeypatch.setattr(cli, "SUMMAND_BUDGET", summands - 1)
+    _forbid_elimination(monkeypatch)
+    status, output = run_main(["check", "--input", str(path)])
+    assert status == 2 and output == ""
+    assert f"{summands} summands exceed the budget" in capsys.readouterr().err
 
 
 _RANGE = st.tuples(st.integers(-3, 5), st.integers(-3, 5))
