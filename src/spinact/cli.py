@@ -39,6 +39,9 @@ SWEEP_BUDGET = 10**6
 # hundreds takes about 0.3 s)
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
+# bound on the sum of |multiplicities| of one repring flag: the lambda_-1
+# trace takes one exact product per unit (10^4 of them about 0.2 s)
+REP_BUDGET = 10**4
 
 
 def _frac(x) -> str:
@@ -145,24 +148,23 @@ def run_check(args, out) -> int:
 
 def run_invariants(args, out) -> int:
     s = _load_scenario(args.input)
-    eq.require_valid(s)
+    table = eq.require_valid(s)
     profiles = eq._summand_profiles(s)
-    inv = eq._total_invariants(s, profiles)
-    elements = eq.elements_of(s.group)
+    inv = eq._total_invariants(profiles)
     per_element = []
-    for element in elements:
-        report = ob._parity_report(s, element)
+    for element, (perm, local) in table.items():
+        report = ob._parity_report(s, element, local)
         per_element.append(
             {
                 "element": element,
                 "fixed_set": _fixed_set_doc(report.fixed_set),
                 "parity": report.parity.value if report.parity else "indeterminate",
-                "b_plus_invariant": eq._twisted_b_plus(s, (element,), profiles),
+                "b_plus_invariant": eq._twisted_b_plus(s, [perm], profiles),
             }
         )
     # taken over every non-identity element, so 0 on Klein scenarios: no
     # sign character is -1 on both generators and on their composition
-    joint = eq._twisted_b_plus(s, elements, profiles)
+    joint = eq._twisted_b_plus(s, [perm for perm, _ in table.values()], profiles)
     if args.format == STRUCTURED:
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -294,7 +296,14 @@ def _parse_mult(text: str, flag: str) -> rr.VirtualRepZ4:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"{flag} needs four comma-separated multiplicities")
-    return rr.VirtualRepZ4(tuple(int(p) for p in parts))
+    mult = tuple(int(p) for p in parts)
+    size = sum(map(abs, mult))
+    if size > REP_BUDGET:
+        raise ValueError(
+            f"{flag} too large: its multiplicities sum to {size} in absolute"
+            f" value, over the budget of {REP_BUDGET}"
+        )
+    return rr.VirtualRepZ4(mult)
 
 
 def run_repring(args, out) -> int:

@@ -30,6 +30,7 @@ from .lattice import (
     is_even,
     make_standard,
     signature_profile,
+    standard_profile,
 )
 from .isometry import LatticeIsometry
 
@@ -178,7 +179,7 @@ def _ids(s: ActionScenario) -> list[str]:
 
 
 def element_action(
-    s: ActionScenario, element: str
+    s: ActionScenario, element: str, gen_maps=None
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Effective (permutation map, local labels on fixed summands) of an element.
 
@@ -186,33 +187,38 @@ def element_action(
     the product of the generator permutations and labels on jointly fixed
     summands compose through the label group. (Validation rejects a
     summand that both generators swap along the same pair, so the
-    composition fixes exactly the jointly fixed summands.)
+    composition fixes exactly the jointly fixed summands.) `gen_maps`, the
+    generators' permutation maps if the caller has built them, spares the
+    composition building them again.
     """
     ids = _ids(s)
     if element == IDENTITY_ELEMENT:
         return {i: i for i in ids}, {}
     if element == GEN1:
         return s.gen1.perm_map(ids), dict(s.gen1.local)
+    if element not in (GEN2, COMPOSITION):
+        raise ValueError(f"unknown group element {element!r}")
+    if s.gen2 is None:
+        raise ValueError("scenario has no second generator")
     if element == GEN2:
-        if s.gen2 is None:
-            raise ValueError("scenario has no second generator")
         return s.gen2.perm_map(ids), dict(s.gen2.local)
-    if element == COMPOSITION:
-        if s.gen2 is None:
-            raise ValueError("scenario has no second generator")
-        p1 = s.gen1.perm_map(ids)
-        p2 = s.gen2.perm_map(ids)
-        comp = {i: p1[p2[i]] for i in ids}
-        local = {
-            i: compose_labels(
-                s.gen1.local.get(i, IDENTITY_LABEL),
-                s.gen2.local.get(i, IDENTITY_LABEL),
-            )
-            for i in ids
-            if p1[i] == i and p2[i] == i
-        }
-        return comp, local
-    raise ValueError(f"unknown group element {element!r}")
+    p1, p2 = gen_maps or (s.gen1.perm_map(ids), s.gen2.perm_map(ids))
+    comp = {i: p1[p2[i]] for i in ids}
+    local = {
+        i: compose_labels(
+            s.gen1.local.get(i, IDENTITY_LABEL),
+            s.gen2.local.get(i, IDENTITY_LABEL),
+        )
+        for i in ids
+        if p1[i] == i and p2[i] == i
+    }
+    return comp, local
+
+
+def _action(s: ActionScenario, table: dict, element: str):
+    """The table's (permutation map, local labels) of a non-identity
+    element; element_action raises for one the scenario lacks."""
+    return table[element] if element in table else element_action(s, element)
 
 
 def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
@@ -222,9 +228,15 @@ def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
     return merged
 
 
-def validate_scenario(s: ActionScenario) -> list[Violation]:
-    """Check scenario invariants; an empty list means the scenario is valid."""
+def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
+    """Check scenario invariants; an empty list means the scenario is valid.
+
+    The pass builds the action of every non-identity element once. A
+    `table` dict passed in receives them, {element: (permutation map,
+    local labels)} in group order; it is complete when the list is empty.
+    """
     v: list[Violation] = []
+    table = {} if table is None else table
     ids = _ids(s)
     by_id = {}
     for sm in s.summands:
@@ -285,7 +297,7 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
                         f"{name}: swapped summands {pair[0]!r}, {pair[1]!r} differ in kind",
                     )
                 )
-        pmap = gen.perm_map(ids)
+        pmap, _ = table[name] = element_action(s, name)
         for i, label in gen.local.items():
             if i not in by_id:
                 v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))
@@ -332,8 +344,7 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
         return v
 
     if s.group == Z2XZ2:
-        p1 = s.gen1.perm_map(ids)
-        p2 = s.gen2.perm_map(ids)
+        p1, p2 = table[GEN1][0], table[GEN2][0]
         if any(p1[p2[i]] != p2[p1[i]] for i in ids):
             v.append(
                 Violation("noncommuting", "generator permutations do not commute")
@@ -362,12 +373,13 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
                     )
     if v:
         return v
+    if s.group == Z2XZ2:
+        table[COMPOSITION] = element_action(s, COMPOSITION, (p1, p2))
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
     rotated_both = set()
-    for element in elements_of(s.group):
-        pmap, local = element_action(s, element)
+    for element, (pmap, local) in table.items():
         rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
         for i in ids:
             if pmap[i] == i and by_id[i].kind != S2XS2:
@@ -416,10 +428,14 @@ def validate_scenario(s: ActionScenario) -> list[Violation]:
     return v
 
 
-def require_valid(s: ActionScenario) -> None:
-    violations = validate_scenario(s)
+def require_valid(s: ActionScenario) -> dict:
+    """Validate once; return the element table the certificate reads,
+    {element: (permutation map, local labels)} per non-identity element."""
+    table: dict = {}
+    violations = validate_scenario(s, table=table)
     if violations:
         raise InvalidScenarioError(violations)
+    return table
 
 
 def scenario_lattice(s: ActionScenario) -> IntegerLattice:
@@ -434,12 +450,12 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
     its negation. The identity element gets the identity operator, since
     invariance computations only quantify over non-identity elements.
     """
-    require_valid(s)
+    table = require_valid(s)
     total = scenario_lattice(s)
     n = total.rank
     if element == IDENTITY_ELEMENT:
         return LatticeIsometry(total, identity(n))
-    pmap, _ = element_action(s, element)
+    pmap, _ = _action(s, table, element)
     offsets = {}
     pos = 0
     for sm in s.summands:
@@ -461,14 +477,14 @@ def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
     each; rotate_both contributes four isolated points split evenly into
     positive and negative unless the scenario overrides the split.
     """
-    require_valid(s)
-    return _fixed_set_data(s, element)
-
-
-def _fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
+    table = require_valid(s)
     if element == IDENTITY_ELEMENT:
         raise ValueError("the identity element fixes everything")
-    _, local = element_action(s, element)
+    return _fixed_set_data(s, element, _action(s, table, element)[1])
+
+
+def _fixed_set_data(s: ActionScenario, element: str, local: dict) -> FixedSetData:
+    """Fixed set of `element` from its local labels in the element table."""
     overrides = _merged_overrides(s)
     two_dim = 0
     points = 0
@@ -498,27 +514,38 @@ def total_invariants(s: ActionScenario) -> TotalInvariants:
     form is diagonalised once and the assembled lattice is never built.
     """
     require_valid(s)
-    return _total_invariants(s, _summand_profiles(s))
+    return _total_invariants(_summand_profiles(s))
 
 
-def _total_invariants(s: ActionScenario, profiles: dict) -> TotalInvariants:
-    keys = [sm.kind_key() for sm in s.summands]
+def _total_invariants(profiles: dict) -> TotalInvariants:
+    entries = profiles.values()
     return TotalInvariants(
-        sum(profiles[key][1].rank for key in keys),
-        sum(profiles[key][1].signature for key in keys),
-        all(is_even(form) for form, _ in profiles.values()),
+        sum(count * p.rank for _, p, count in entries),
+        sum(count * p.signature for _, p, count in entries),
+        all(is_even(form) for form, _, _ in entries),
     )
 
 
 def _summand_profiles(s: ActionScenario) -> dict:
-    """kind_key -> (form, signature profile), one entry per distinct form."""
-    profiles = {}
+    """kind_key -> (form, signature profile, number of summands), one entry
+    per distinct form. A custom form is diagonalised here, once per call;
+    a standard one has its profile from standard_profile, once per process."""
+    first: dict = {}
+    counts: dict = {}
     for sm in s.summands:
         key = sm.kind_key()
-        if key not in profiles:
-            form = sm.form()
-            profiles[key] = (form, signature_profile(form))
-    return profiles
+        first.setdefault(key, sm)
+        counts[key] = counts.get(key, 0) + 1
+    return {
+        key: (
+            sm.form(),
+            signature_profile(sm.custom_form)
+            if sm.kind == CUSTOM
+            else standard_profile(sm.kind),
+            counts[key],
+        )
+        for key, sm in first.items()
+    }
 
 
 def twisted_b_plus(s: ActionScenario, elements) -> int:
@@ -536,27 +563,30 @@ def twisted_b_plus(s: ActionScenario, elements) -> int:
     Equals b_plus_invariant of the induced_cohomology_action operators,
     without building them.
     """
-    require_valid(s)
-    return _twisted_b_plus(s, elements, _summand_profiles(s))
-
-
-def _twisted_b_plus(s: ActionScenario, elements, profiles: dict) -> int:
+    table = require_valid(s)
     elements = set(elements)
     if not elements or IDENTITY_ELEMENT in elements:
         raise ValueError("need one or more non-identity group elements")
-    perms = [element_action(s, e)[0] for e in elements]
+    perms = [_action(s, table, e)[0] for e in elements]
+    return _twisted_b_plus(s, perms, _summand_profiles(s))
+
+
+def _twisted_b_plus(s: ActionScenario, perms, profiles: dict) -> int:
+    """twisted_b_plus from the permutation maps of distinct non-identity
+    elements. Whether an element fixes a summand is constant on its orbit
+    (the group is abelian), and each orbit counts once, at its least id."""
     if len(perms) == 3:
         return 0
-    seen: set[str] = set()
     b = 0
     for sm in s.summands:
-        if sm.id in seen:
-            continue
-        orbit = {sm.id}
-        for p in perms:
-            orbit |= {p[i] for i in orbit}
-        seen |= orbit
-        if all(p[sm.id] != sm.id for p in perms):
+        i = sm.id
+        images = [p[i] for p in perms]
+        if i in images:
+            continue  # a given element fixes the orbit
+        if len(images) == 2:
+            # the product of the two may fix i, leaving an orbit of two ids
+            images.append(perms[0][images[1]])
+        if i <= min(images):
             b += profiles[sm.kind_key()][1].b_plus
     return b
 

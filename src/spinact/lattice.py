@@ -95,6 +95,16 @@ def _standard(kind: str) -> IntegerLattice:
     raise ValueError(f"unknown standard lattice kind: {kind!r}")
 
 
+@cache
+def standard_profile(kind: str) -> SignatureProfile:
+    """signature_profile(make_standard(kind)), computed once per process.
+
+    The key is a kind name, never a gram, so at most one entry per
+    standard form is kept; an unknown kind raises and caches nothing.
+    """
+    return signature_profile(make_standard(kind))
+
+
 def direct_sum(a: IntegerLattice, b: IntegerLattice) -> IntegerLattice:
     """Block-diagonal sum; ranks and signatures add."""
     n, m = a.rank, b.rank

@@ -26,7 +26,6 @@ from .equivariant_sum import (
     _summand_profiles,
     _total_invariants,
     _twisted_b_plus,
-    elements_of,
     require_valid,
 )
 from .index_parity import (
@@ -90,8 +89,8 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def _parity_report(s: ActionScenario, element: str) -> ElementReport:
-    fs = _fixed_set_data(s, element)
+def _parity_report(s: ActionScenario, element: str, local: dict) -> ElementReport:
+    fs = _fixed_set_data(s, element, local)
     try:
         parity = classify_parity(fs)
     except IndeterminateParityError:
@@ -116,13 +115,14 @@ def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
     return bk_trace_and_integrality(b, int(k))
 
 
-def _check(s: ActionScenario) -> ObstructionReport:
-    """Certificate of a validated scenario, decided from its orbit structure."""
+def _check(s: ActionScenario, table: dict) -> ObstructionReport:
+    """Certificate of a validated scenario, decided from its orbit structure
+    and the element table its validation built."""
     profiles = _summand_profiles(s)
-    inv = _total_invariants(s, profiles)
-    reports = tuple(_parity_report(s, e) for e in elements_of(s.group))
+    inv = _total_invariants(profiles)
+    reports = tuple(_parity_report(s, e, local) for e, (_, local) in table.items())
     # the total form is the orthogonal sum of the summand forms
-    unimodular = all(abs(p.determinant) == 1 for _, p in profiles.values())
+    unimodular = all(abs(p.determinant) == 1 for _, p, _ in profiles.values())
     hypotheses = [
         Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
         Hypothesis(
@@ -139,7 +139,7 @@ def _check(s: ActionScenario) -> ObstructionReport:
     if s.group == Z2:
         theorem = Z2_THEOREM
         hypotheses.append(_parity_hypothesis("generator_odd", reports[0], ODD))
-        b = _twisted_b_plus(s, (GEN1,), profiles)
+        b = _twisted_b_plus(s, [table[GEN1][0]], profiles)
         k = k_odd(inv.signature)
         hints = ()
     else:
@@ -151,7 +151,8 @@ def _check(s: ActionScenario) -> ObstructionReport:
             # minus block permutations; validation rejects noncommuting ones
             Hypothesis("operators_commute", True, "induced operators commute"),
         ]
-        b = _twisted_b_plus(s, (GEN1, GEN2), profiles)
+        p1, p2 = table[GEN1][0], table[GEN2][0]
+        b = _twisted_b_plus(s, [p1, p2], profiles)
         comp_fs = reports[2].fixed_set
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
@@ -161,7 +162,7 @@ def _check(s: ActionScenario) -> ObstructionReport:
             k_klein(inv.signature, effective_index),
             k_klein(inv.signature, -effective_index),
         )
-        hint = _subgroup_hint(s)
+        hint = _subgroup_hint(s, p1, p2)
         hints = tuple((sub, hint) for sub in SUBGROUPS)
     trace, integral = _trace(b, k)
     verdict = (
@@ -191,10 +192,10 @@ def _check(s: ActionScenario) -> ObstructionReport:
 
 
 def _check_group(s: ActionScenario, group: str, name: str) -> ObstructionReport:
-    require_valid(s)
+    table = require_valid(s)
     if s.group != group:
         raise ValueError(f"{name} expects a {group} scenario")
-    return _check(s)
+    return _check(s, table)
 
 
 def check_z2(s: ActionScenario) -> ObstructionReport:
@@ -210,8 +211,7 @@ def check_z2xz2(s: ActionScenario) -> ObstructionReport:
 
 def check(s: ActionScenario) -> ObstructionReport:
     """Certificate for either group: one validation, then one pass."""
-    require_valid(s)
-    return _check(s)
+    return _check(s, require_valid(s))
 
 
 def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
@@ -222,18 +222,18 @@ def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
     content (both chains at least three times the cluster size);
     everything else is unknown, never a claim.
     """
-    require_valid(s)
+    table = require_valid(s)
     if s.group != Z2XZ2:
         raise ValueError("subgroup hints apply to Z2xZ2 scenarios")
     if subgroup not in SUBGROUPS:
         raise ValueError(f"unknown subgroup {subgroup!r}")
-    return _subgroup_hint(s)
+    return _subgroup_hint(s, table[GEN1][0], table[GEN2][0])
 
 
-def _subgroup_hint(s: ActionScenario) -> str:
-    """The hint of a validated Klein scenario; it is the same for every
-    proper subgroup."""
-    shape = recognize_klein_template(s)
+def _subgroup_hint(s: ActionScenario, p1: dict, p2: dict) -> str:
+    """The hint of a validated Klein scenario with generator permutation
+    maps p1, p2; it is the same for every proper subgroup."""
+    shape = recognize_klein_template(s, (p1, p2))
     if shape is None:
         return UNKNOWN
     if shape.l1 >= 3 * shape.k and shape.l2 >= 3 * shape.k:

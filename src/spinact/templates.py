@@ -93,13 +93,15 @@ class KleinShape:
     k: int
 
 
-def recognize_klein_template(s: ActionScenario) -> KleinShape | None:
+def recognize_klein_template(s: ActionScenario, gen_maps=None) -> KleinShape | None:
     """Match a scenario against the Klein family shape, up to summand names.
 
     Returns the parameters when the scenario is (a relabelling of) the
     template: one jointly rotated core, one chain per generator swapped
     pairwise by the other, and negative-E8 summands in free four-element
     orbits split evenly by both generators. Anything else returns None.
+    `gen_maps`, the generators' permutation maps if the caller has built
+    them, spares building them again.
     """
     if s.group != Z2XZ2 or s.gen2 is None:
         return None
@@ -107,8 +109,7 @@ def recognize_klein_template(s: ActionScenario) -> KleinShape | None:
     kinds = {sm.id: sm.kind for sm in s.summands}
     if any(kind not in (S2XS2, MINUS_E8) for kind in kinds.values()):
         return None
-    p1 = s.gen1.perm_map(ids)
-    p2 = s.gen2.perm_map(ids)
+    p1, p2 = gen_maps or (s.gen1.perm_map(ids), s.gen2.perm_map(ids))
     core = chain1 = chain2 = e8 = 0
     for i in ids:
         fixed1, fixed2 = p1[i] == i, p2[i] == i

@@ -456,6 +456,41 @@ def test_repring_rejects_an_element_outside_zero_to_three(capsys, element):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rep", "{}", "--element", "1"],
+        ["--w-perp", "{}", "--v-perp", "0,0,0,0"],
+        ["--w-perp", "0,0,0,0", "--v-perp", "{}"],
+    ],
+    ids=["rep", "w-perp", "v-perp"],
+)
+def test_repring_bounds_the_multiplicities_before_multiplying(
+    monkeypatch, capsys, flags
+):
+    def argv(mult):
+        return ["repring"] + [mult if f == "{}" else f for f in flags]
+
+    flag = flags[flags.index("{}") - 1]
+    assert cli.REP_BUDGET == 10**4
+    with monkeypatch.context() as m:
+        m.setattr(cli, "REP_BUDGET", 3)
+        status, output = run_main(argv("0,1,0,-2"))
+        assert status == 0 and "trace" in output
+
+    def unbudgeted(*_args):
+        raise AssertionError("lambda_minus_one_trace ran before the size budget check")
+
+    # a check made after the product would exit 1 here instead of hanging
+    monkeypatch.setattr(cli.rr, "lambda_minus_one_trace", unbudgeted)
+    for budget, mult in ((10**4, "1,1,1,1000000000"), (3, "0,1,0,-3")):
+        monkeypatch.setattr(cli, "REP_BUDGET", budget)
+        status, output = run_main(argv(mult))
+        assert status == 2 and output == ""
+        err = capsys.readouterr().err
+        assert f"error: {flag} too large" in err and f"budget of {budget}" in err
+
+
 def test_repring_fixed_vector_error(capsys):
     status, _ = run_main(["repring", "--w-perp", "0,0,0,0", "--v-perp", "1,0,0,0"])
     assert status == 2
@@ -563,6 +598,20 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _count_perm_maps(monkeypatch):
+    from spinact.equivariant_sum import GeneratorAction
+
+    calls = []
+    perm_map = GeneratorAction.perm_map
+
+    def counted(self, ids):
+        calls.append(self)
+        return perm_map(self, ids)
+
+    monkeypatch.setattr(GeneratorAction, "perm_map", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv,points",
     [
@@ -575,8 +624,10 @@ def _count_calls(monkeypatch, fn):
 def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, points):
     from spinact import equivariant_sum, isometry, lattice
 
+    lattice.standard_profile.cache_clear()
     validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
+    perm_maps = _count_perm_maps(monkeypatch)
     dense = [
         _count_calls(monkeypatch, fn)
         for fn in (
@@ -589,9 +640,45 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     assert status == 0
     assert len(validations) == points
     assert dense == [[], [], []]
-    # one signature profile per distinct summand form of each scenario
-    forms = [len({sm.kind_key() for sm in s.summands}) for (s,) in validations]
-    assert len(profiles) == sum(forms)
+    # each generator's permutation map is built once, by the validation
+    # pass, and every core reads the element table it hands back
+    scenarios = [s for (s,) in validations]
+    assert len(perm_maps) == sum(1 + (s.gen2 is not None) for s in scenarios)
+    # a standard form is diagonalised once per process, not per point
+    kinds = {sm.kind for s in scenarios for sm in s.summands}
+    assert "custom" not in kinds
+    assert len(profiles) == len(kinds)
+
+
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_custom_forms_are_diagonalised_once_per_command(monkeypatch, tmp_path, command):
+    from spinact import lattice
+
+    # two distinct custom forms, each on a swapped pair, beside standard ones
+    doc = _custom_forms_doc(_hyperbolic_sum(4), 2)
+    doc["summands"] += [
+        {"id": "d0", "kind": "custom", "gram": _hyperbolic_sum(2)},
+        {"id": "d1", "kind": "custom", "gram": _hyperbolic_sum(2)},
+        {"id": "s0", "kind": "s2xs2"},
+        {"id": "w0", "kind": "minus_e8"},
+        {"id": "w1", "kind": "minus_e8"},
+    ]
+    doc["generator1"]["permutation"] += [["d0", "d1"], ["w0", "w1"]]
+    doc["generator1"]["local"] = {"s0": "rotate_first"}
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(doc))
+    lattice.standard_profile.cache_clear()
+    profiles = _count_calls(monkeypatch, lattice.signature_profile)
+    perm_maps = _count_perm_maps(monkeypatch)
+    first = run_main([command, "--input", str(path)])
+    # nothing derived from the input outlives its command
+    assert run_main([command, "--input", str(path)]) == first
+    assert first[0] == 0
+    assert len(perm_maps) == 2
+    # two custom forms per command, the two standard kinds once per process
+    grams = [lat.gram for (lat,) in profiles]
+    assert len(grams) == 2 + 2 + 2
+    assert sorted(map(len, grams)) == [2, 2, 2, 4, 4, 8]
 
 
 def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):

@@ -29,6 +29,7 @@ from spinact.equivariant_sum import (
     homeo_invariants_equal,
     induced_cohomology_action,
     parse_scenario,
+    require_valid,
     scenario_digest,
     serialize_scenario,
     total_invariants,
@@ -488,6 +489,26 @@ def test_twisted_b_plus_matches_dense_engine_klein(s):
     # every subset the checker and the invariants report read
     for elements in ([GEN1], [GEN2], [COMPOSITION], [GEN1, GEN2], [GEN1, GEN2, COMPOSITION]):
         assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)
+
+
+@given(st.one_of(z2_scenarios(), klein_scenarios()))
+@example(with_free_orbits(klein_template(1, 0, 1), ["k3", "hyperbolic"]))
+@settings(max_examples=20, deadline=None)
+def test_element_table_matches_element_action_and_the_dense_oracle(s):
+    table = require_valid(s)
+    assert list(table) == list(elements_of(s.group))
+    for element in elements_of(s.group):
+        assert table[element] == element_action(s, element)
+    report = check(s)
+    generators = [GEN1] if s.gen2 is None else [GEN1, GEN2]
+    assert report.b == _dense_b_plus(s, generators)
+    if s.gen2 is not None:
+        # pairs whose product may fix an orbit, which then has two ids
+        for elements in ([GEN1, COMPOSITION], [GEN2, COMPOSITION]):
+            assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)
+    assert [er.element for er in report.elements] == list(table)
+    for er in report.elements:
+        assert er.fixed_set == fixed_set_data(s, er.element)
 
 
 def test_twisted_b_plus_rejects_identity_and_empty_sets():

@@ -15,6 +15,7 @@ from spinact.lattice import (
     is_even,
     make_standard,
     signature_profile,
+    standard_profile,
 )
 
 from oracles import eigen_sign_profile, matmul, random_unimodular
@@ -68,6 +69,19 @@ def test_standard_forms_are_built_once():
     for _ in range(2):
         with pytest.raises(ValueError):
             make_standard("nope")
+
+
+def test_standard_profiles_are_computed_once():
+    for kind in ("hyperbolic", "s2xs2", "minus_e8", "k3"):
+        assert standard_profile(kind) == signature_profile(make_standard(kind))
+        assert standard_profile(kind) is standard_profile(kind)
+    cached = standard_profile.cache_info().currsize
+    assert cached <= 4
+    # a failed computation caches nothing
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            standard_profile("nope")
+    assert standard_profile.cache_info().currsize == cached
 
 
 def test_hyperbolic_signature():
