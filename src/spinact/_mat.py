@@ -10,7 +10,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity(n: int) -> IntMatrix:
@@ -37,14 +37,11 @@ def mat_neg(a: IntMatrix) -> IntMatrix:
 
 
 def is_square(a: IntMatrix) -> bool:
-    return all(len(row) == len(a) for row in a)
+    return {len(a)}.issuperset(map(len, a))
 
 
 def is_symmetric(a: IntMatrix) -> bool:
-    n = len(a)
-    return is_square(a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    return is_square(a) and a == tuple(zip(*a))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

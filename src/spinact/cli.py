@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -34,9 +35,13 @@ REPORT_SCHEMA_VERSION = 1
 # bound on grid points plus the summands their templates build, per sweep
 SWEEP_BUDGET = 10**6
 # bounds on one scenario file: its summands, and the elimination work of
-# its custom forms, rank^3 summed over the distinct ones (signature_profile
-# runs once per distinct form; a dense rank-126 form with entries in the
-# hundreds takes about 0.3 s)
+# its custom forms, summed over the distinct ones (signature_profile runs
+# once per distinct form). A form costs rank^3 steps, each weighted by
+# ceil(max entry bits / 64)^2, the cost of one product of its entries in
+# 64-bit words, so a form whose entries fit in 64 bits costs rank^3. The
+# largest admitted dense forms with random entries take about 0.8 s with
+# 9-bit entries (rank 125), 17 s with 62-bit ones (rank 125), 8 s with
+# 128-bit ones (rank 79) and 0.4 s with 1024-bit ones (rank 19).
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
 # bound on the sum of |multiplicities| of one repring flag: the lambda_-1
@@ -57,13 +62,19 @@ def _load_scenario(path: str) -> eq.ActionScenario:
             f" exceed the budget of {SUMMAND_BUDGET}"
         )
     grams = {sm.custom_form.gram for sm in s.summands if sm.custom_form is not None}
-    work = sum(len(gram) ** 3 for gram in grams)
+    work = sum(len(gram) ** 3 * _word_weight(gram) for gram in grams)
     if work > BAREISS_BUDGET:
         raise ValueError(
             f"scenario too large: its custom forms need {work} elimination steps"
-            f" (rank^3 per distinct form), over the budget of {BAREISS_BUDGET}"
+            f" (rank^3 per distinct form, times ceil(max entry bits / 64)^2),"
+            f" over the budget of {BAREISS_BUDGET}"
         )
     return s
+
+
+def _word_weight(gram) -> int:
+    bits = max(map(int.bit_length, itertools.chain.from_iterable(gram)), default=0)
+    return max(1, -(-bits // 64)) ** 2
 
 
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
@@ -151,9 +162,10 @@ def run_invariants(args, out) -> int:
     table = eq.require_valid(s)
     profiles = eq._summand_profiles(s)
     inv = eq._total_invariants(profiles)
+    overrides = eq._merged_overrides(s)
     per_element = []
     for element, (perm, local) in table.items():
-        report = ob._parity_report(s, element, local)
+        report = ob._parity_report(element, local, overrides)
         per_element.append(
             {
                 "element": element,

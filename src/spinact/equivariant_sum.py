@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
@@ -179,7 +181,7 @@ def _ids(s: ActionScenario) -> list[str]:
 
 
 def element_action(
-    s: ActionScenario, element: str, gen_maps=None
+    s: ActionScenario, element: str, gen_maps=None, ids=None
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Effective (permutation map, local labels on fixed summands) of an element.
 
@@ -188,10 +190,10 @@ def element_action(
     summands compose through the label group. (Validation rejects a
     summand that both generators swap along the same pair, so the
     composition fixes exactly the jointly fixed summands.) `gen_maps`, the
-    generators' permutation maps if the caller has built them, spares the
-    composition building them again.
+    generators' permutation maps, and `ids`, the summand ids in order, are
+    passed by a caller that has built them already.
     """
-    ids = _ids(s)
+    ids = _ids(s) if ids is None else ids
     if element == IDENTITY_ELEMENT:
         return {i: i for i in ids}, {}
     if element == GEN1:
@@ -297,7 +299,7 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                         f"{name}: swapped summands {pair[0]!r}, {pair[1]!r} differ in kind",
                     )
                 )
-        pmap, _ = table[name] = element_action(s, name)
+        pmap, _ = table[name] = element_action(s, name, ids=ids)
         for i, label in gen.local.items():
             if i not in by_id:
                 v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))
@@ -374,7 +376,7 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
     if v:
         return v
     if s.group == Z2XZ2:
-        table[COMPOSITION] = element_action(s, COMPOSITION, (p1, p2))
+        table[COMPOSITION] = element_action(s, COMPOSITION, (p1, p2), ids)
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
@@ -480,12 +482,13 @@ def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
     table = require_valid(s)
     if element == IDENTITY_ELEMENT:
         raise ValueError("the identity element fixes everything")
-    return _fixed_set_data(s, element, _action(s, table, element)[1])
+    local = _action(s, table, element)[1]
+    return _fixed_set_data(element, local, _merged_overrides(s))
 
 
-def _fixed_set_data(s: ActionScenario, element: str, local: dict) -> FixedSetData:
-    """Fixed set of `element` from its local labels in the element table."""
-    overrides = _merged_overrides(s)
+def _fixed_set_data(element: str, local: dict, overrides: dict) -> FixedSetData:
+    """Fixed set of `element` from its local labels in the element table and
+    the scenario's merged sign overrides."""
     two_dim = 0
     points = 0
     n_plus = n_minus = 0
@@ -611,10 +614,6 @@ def homeo_invariants_equal(
 # ---------------------------------------------------------------------------
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_generator(doc, field_name: str) -> GeneratorAction:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("generator must be an object", field_name)
@@ -645,8 +644,8 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
     for k, ov in overrides_doc.items():
         if not (
             isinstance(ov, dict)
-            and _is_int(ov.get("n_plus"))
-            and _is_int(ov.get("n_minus"))
+            and type(ov.get("n_plus")) is int
+            and type(ov.get("n_minus")) is int
         ):
             raise ScenarioFormatError(
                 f"override for {k!r} needs integer n_plus and n_minus", field_name
@@ -663,6 +662,12 @@ def parse_scenario(text: str) -> ActionScenario:
         raise ScenarioFormatError(f"not valid JSON ({exc.msg})", "document") from exc
     except RecursionError as exc:
         raise ScenarioFormatError("JSON nested too deeply", "document") from exc
+    except ValueError as exc:
+        # the interpreter's cap on the digits of an integer literal
+        raise ScenarioFormatError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits",
+            "document",
+        ) from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError("document must be an object", "document")
     version = doc.get("schema_version")
@@ -677,6 +682,8 @@ def parse_scenario(text: str) -> ActionScenario:
     if not isinstance(summands_doc, list):
         raise ScenarioFormatError("summands must be a list", "summands")
     summands = []
+    # equal grams share one lattice, checked for symmetry and frozen once
+    lattices: dict = {}
     for entry in summands_doc:
         if not (
             isinstance(entry, dict)
@@ -692,21 +699,26 @@ def parse_scenario(text: str) -> ActionScenario:
         custom = None
         if kind == CUSTOM:
             gram = entry.get("gram")
+            # exact types, so bool and float entries are rejected; each copy
+            # is checked before the lookup, since 1.0 and True equal 1
             if not (
-                isinstance(gram, list)
-                and all(isinstance(row, list) for row in gram)
-                and all(_is_int(x) for row in gram for x in row)
+                type(gram) is list
+                and {list}.issuperset(map(type, gram))
+                and {int}.issuperset(map(type, chain.from_iterable(gram)))
             ):
                 raise ScenarioFormatError(
                     f"custom summand {entry['id']!r} needs a gram matrix of integers",
                     "summands",
                 )
-            try:
-                custom = IntegerLattice(tuple(tuple(row) for row in gram))
-            except MalformedLatticeError as exc:
-                raise ScenarioFormatError(
-                    f"custom summand {entry['id']!r}: {exc}", "summands"
-                ) from exc
+            key = tuple(map(tuple, gram))
+            custom = lattices.get(key)
+            if custom is None:
+                try:
+                    custom = lattices[key] = IntegerLattice(key)
+                except MalformedLatticeError as exc:
+                    raise ScenarioFormatError(
+                        f"custom summand {entry['id']!r}: {exc}", "summands"
+                    ) from exc
         summands.append(Summand(entry["id"], kind, custom))
     if "generator1" not in doc:
         raise ScenarioFormatError("missing generator1", "generator1")
@@ -721,62 +733,70 @@ def parse_scenario(text: str) -> ActionScenario:
     return ActionScenario(group, tuple(summands), gen1, gen2)
 
 
-def _generator_doc(gen: GeneratorAction) -> dict:
-    doc: dict = {
-        "permutation": sorted([sorted(pair) for pair in gen.permutation]),
-        "local": {k: gen.local[k] for k in sorted(gen.local)},
-    }
-    if gen.overrides:
-        doc["overrides"] = {
-            k: {"n_plus": gen.overrides[k][0], "n_minus": gen.overrides[k][1]}
-            for k in sorted(gen.overrides)
-        }
-    return doc
+# The canonical text is json.dumps(doc, sort_keys=True, indent=2) + "\n" of
+# the document parse_scenario reads. The writer below produces it straight
+# from the records, in the schema's fixed sorted-key order: top level
+# generator1, generator2, group, schema_version, summands; a summand gram,
+# id, kind; a generator local, overrides (present when nonempty),
+# permutation; an override n_minus, n_plus. Each separator is a comma, a
+# newline and the indent of the level it separates.
+_SEP4 = ",\n    "
+_SEP6 = ",\n      "
+_SEP8 = ",\n        "
+_SEP10 = ",\n          "
 
 
-def _emit(x, pad: str = "") -> str:
-    """The text of json.dumps(x, sort_keys=True, indent=2) for nested dicts
-    with string keys, lists, strings and ints; json renders indented
-    documents in pure Python, this in a few joins. String leaves are
-    encoded in place rather than by a call per leaf."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if type(x) is dict:
-        if not x:
-            return "{}"
-        body = sep.join(
-            f"{_enc(k)}: {_enc(v) if type(v) is str else _emit(v, inner)}"
-            for k, v in sorted(x.items())
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if type(x) is list:
-        if not x:
-            return "[]"
-        if all(type(v) is int for v in x):
-            body = sep.join(map(int.__repr__, x))
-        else:
-            body = sep.join(_enc(v) if type(v) is str else _emit(v, inner) for v in x)
-        return f"[\n{inner}{body}\n{pad}]"
-    if type(x) is str:
-        return _enc(x)
-    return int.__repr__(x)
+def _gram_text(gram) -> str:
+    if not gram:
+        return "[]"
+    rows = _SEP8.join(
+        f"[\n          {_SEP10.join(map(int.__repr__, row))}\n        ]" for row in gram
+    )
+    return f"[\n        {rows}\n      ]"
+
+
+def _generator_text(gen: GeneratorAction) -> str:
+    local = _SEP6.join(f"{_enc(k)}: {_enc(v)}" for k, v in sorted(gen.local.items()))
+    local = f"{{\n      {local}\n    }}" if local else "{}"
+    overrides = _SEP6.join(
+        f'{_enc(k)}: {{\n        "n_minus": {nm!r},\n        "n_plus": {np_!r}\n      }}'
+        for k, (np_, nm) in sorted(gen.overrides.items())
+    )
+    if overrides:
+        overrides = f'    "overrides": {{\n      {overrides}\n    }},\n'
+    pairs = _SEP6.join(
+        f"[\n        {_enc(a)},\n        {_enc(b)}\n      ]" for a, b in gen.permutation
+    )
+    pairs = f"[\n      {pairs}\n    ]" if pairs else "[]"
+    return f'{{\n    "local": {local},\n{overrides}    "permutation": {pairs}\n  }}'
 
 
 def serialize_scenario(s: ActionScenario) -> str:
-    """Canonical JSON text; parse(serialize(s)) equals s up to pair ordering."""
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "group": s.group,
-        "summands": [
-            {"id": sm.id, "kind": sm.kind}
-            | ({"gram": [list(r) for r in sm.custom_form.gram]} if sm.custom_form else {})
-            for sm in s.summands
-        ],
-        "generator1": _generator_doc(s.gen1),
-    }
+    """Canonical JSON text; parse(serialize(s)) equals s up to pair ordering.
+
+    Each gram object is rendered once per call, keyed by identity (hashing
+    a gram costs a third of rendering it); parse_scenario gives equal grams
+    one object."""
+    grams: dict = {}
+    summands = []
+    for sm in s.summands:
+        fields = f'"id": {_enc(sm.id)},\n      "kind": {_enc(sm.kind)}'
+        if sm.custom_form is not None:
+            gram = sm.custom_form.gram
+            text = grams.get(id(gram))
+            if text is None:
+                text = grams[id(gram)] = _gram_text(gram)
+            fields = f'"gram": {text},\n      {fields}'
+        summands.append(f"{{\n      {fields}\n    }}")
+    summands = f"[\n    {_SEP4.join(summands)}\n  ]" if summands else "[]"
+    gen2 = ""
     if s.gen2 is not None:
-        doc["generator2"] = _generator_doc(s.gen2)
-    return _emit(doc) + "\n"
+        gen2 = f'  "generator2": {_generator_text(s.gen2)},\n'
+    return (
+        f'{{\n  "generator1": {_generator_text(s.gen1)},\n{gen2}'
+        f'  "group": {_enc(s.group)},\n  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "summands": {summands}\n}}\n'
+    )
 
 
 def scenario_digest(s: ActionScenario) -> str:

@@ -23,6 +23,7 @@ from .equivariant_sum import (
     Z2,
     Z2XZ2,
     _fixed_set_data,
+    _merged_overrides,
     _summand_profiles,
     _total_invariants,
     _twisted_b_plus,
@@ -89,8 +90,8 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def _parity_report(s: ActionScenario, element: str, local: dict) -> ElementReport:
-    fs = _fixed_set_data(s, element, local)
+def _parity_report(element: str, local: dict, overrides: dict) -> ElementReport:
+    fs = _fixed_set_data(element, local, overrides)
     try:
         parity = classify_parity(fs)
     except IndeterminateParityError:
@@ -120,7 +121,10 @@ def _check(s: ActionScenario, table: dict) -> ObstructionReport:
     and the element table its validation built."""
     profiles = _summand_profiles(s)
     inv = _total_invariants(profiles)
-    reports = tuple(_parity_report(s, e, local) for e, (_, local) in table.items())
+    overrides = _merged_overrides(s)
+    reports = tuple(
+        _parity_report(e, local, overrides) for e, (_, local) in table.items()
+    )
     # the total form is the orthogonal sum of the summand forms
     unimodular = all(abs(p.determinant) == 1 for _, p, _ in profiles.values())
     hypotheses = [

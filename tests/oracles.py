@@ -9,6 +9,19 @@ from fractions import Fraction
 import numpy as np
 
 
+def freeze_per_entry(rows):
+    """Tuple-of-tuples copy of a row list, converting entry by entry."""
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def is_symmetric_per_entry(a) -> bool:
+    """Square, and a[i][j] == a[j][i] compared pair by pair by index."""
+    n = len(a)
+    return all(len(row) == n for row in a) and all(
+        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def exact_rank(rows) -> int:
     """Rank over Q by fraction-free Gaussian elimination."""
     a = [[Fraction(x) for x in row] for row in rows]

@@ -383,6 +383,35 @@ def test_elimination_budget_counts_each_distinct_form_once(tmp_path):
     assert "b2: 400   signature: 0   even: true" in output
 
 
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_elimination_budget_weighs_the_entry_size(monkeypatch, capsys, tmp_path, command):
+    # a swapped pair of one rank-20 form with 4000-digit entries: 20^3 steps
+    # of 208-word products (10^3999 has 13285 bits), 3.2 MB of text
+    entry = "1" + "0" * 3999
+    row = "[" + ", ".join([entry] * 20) + "]"
+    gram = "[" + ", ".join([row] * 20) + "]"
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"schema_version": 1, "group": "Z2", "summands": ['
+        f'{{"id": "a", "kind": "custom", "gram": {gram}}}, '
+        f'{{"id": "b", "kind": "custom", "gram": {gram}}}], '
+        '"generator1": {"permutation": [["a", "b"]], "local": {}}}'
+    )
+    _forbid_elimination(monkeypatch)
+    status, output = run_main([command, "--input", str(path)])
+    assert status == 2 and output == ""
+    err = capsys.readouterr().err
+    assert f"{20**3 * 208**2} elimination steps" in err and "budget of 2000000" in err
+
+
+def test_entries_of_up_to_64_bits_weigh_rank_cubed():
+    assert cli._word_weight(()) == 1
+    assert cli._word_weight(((0,),)) == 1
+    assert cli._word_weight(((-(2**64) + 1, 2**63),)) == 1
+    assert cli._word_weight(((2**64,),)) == 4
+    assert cli._word_weight(((1, -(2**128)),)) == 9
+
+
 def test_scenario_over_the_summand_budget_exits_two_before_eliminating(
     monkeypatch, capsys
 ):
@@ -584,6 +613,25 @@ def test_well_formed_custom_doc_checks():
     assert validate_scenario(parse_scenario(json.dumps(_custom_doc()))) == []
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        json.dumps(_custom_doc(gram=[["BIG", 1], [1, 0]])),
+        json.dumps(_custom_doc(override={"n_plus": "BIG", "n_minus": 4})),
+    ],
+    ids=["gram-entry", "override-count"],
+)
+def test_over_long_integers_are_a_malformed_scenario(tmp_path, capsys, doc):
+    path = tmp_path / "long.json"
+    path.write_text(doc.replace('"BIG"', "7" * 5000))
+    status, output = run_main(["check", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2 and output == ""
+    assert err.startswith("error: malformed scenario: document: an integer has more than")
+    assert "set_int_max_str_digits" not in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
 def _count_calls(monkeypatch, fn):
     """Count calls of `fn` at every spinact module that binds it."""
     calls = []
@@ -712,6 +760,20 @@ def test_validation_builds_each_element_action_once(monkeypatch):
     calls = _count_calls(monkeypatch, equivariant_sum.element_action)
     assert equivariant_sum.validate_scenario(s) == []
     assert len(calls) == len(equivariant_sum.elements_of(s.group))
+
+
+def test_a_klein_certificate_lists_ids_and_merges_overrides_once_per_pass(monkeypatch):
+    from spinact import equivariant_sum, obstruction
+
+    s = parse_scenario((SCENARIOS / "klein_l3_l3_k1.json").read_text())
+    ids = _count_calls(monkeypatch, equivariant_sum._ids)
+    merges = _count_calls(monkeypatch, equivariant_sum._merged_overrides)
+    assert equivariant_sum.validate_scenario(s) == []
+    assert (len(ids), len(merges)) == (1, 1)
+    obstruction.check(s)
+    # one more of each for the validation inside check, and one merge for
+    # the fixed sets of its three elements
+    assert (len(ids), len(merges)) == (2, 3)
 
 
 _FUZZ_KEYS = (

@@ -592,3 +592,61 @@ def test_serialization_is_json_dumps_text(s):
     text = serialize_scenario(s)
     assert text == json.dumps(_canonical_doc(s), sort_keys=True, indent=2) + "\n"
     assert parse_scenario(text) == s
+
+
+_SHARED = IntegerLattice(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        ActionScenario(
+            "Z2", (Summand("c", CUSTOM, IntegerLattice(())),), GeneratorAction()
+        ),
+        ActionScenario("Z2", (), GeneratorAction()),
+        ActionScenario(
+            "Z2",
+            (
+                Summand("a", CUSTOM, _SHARED),
+                Summand("b", CUSTOM, _SHARED),
+                Summand("c", CUSTOM, IntegerLattice(((-2, 1), (1, -2)))),
+                Summand("d", CUSTOM, IntegerLattice(((-2, 1), (1, -2)))),
+            ),
+            GeneratorAction((("b", "a"), ("d", "c"))),
+        ),
+        ActionScenario(
+            "Z2xZ2",
+            (Summand("s", "s2xs2"), Summand("t", "s2xs2")),
+            GeneratorAction((), {"s": ROTATE_BOTH}, {"s": (1, 3)}),
+            GeneratorAction((), {"s": ROTATE_FIRST, "t": ROTATE_BOTH}, {"t": (4, 0), "s": (2, 2)}),
+        ),
+    ],
+    ids=["rank-0-gram", "no-summands", "shared-and-equal-grams", "overrides-on-both"],
+)
+def test_serialization_examples_are_json_dumps_text(s):
+    text = serialize_scenario(s)
+    assert text == json.dumps(_canonical_doc(s), sort_keys=True, indent=2) + "\n"
+    assert parse_scenario(text) == s
+
+
+def test_equal_grams_in_a_document_share_one_lattice():
+    def doc(last_entry):
+        grams = [[[2, 1, 0], [1, 2, 1], [0, 1, 2]] for _ in range(4)]
+        grams[3][0][1] = grams[3][1][0] = last_entry
+        return json.dumps({
+            "schema_version": 1,
+            "group": "Z2",
+            "summands": [
+                {"id": f"c{i}", "kind": "custom", "gram": g} for i, g in enumerate(grams)
+            ],
+            "generator1": {"permutation": [["c0", "c1"], ["c2", "c3"]], "local": {}},
+        })
+
+    s = parse_scenario(doc(1))
+    assert len({id(sm.custom_form) for sm in s.summands}) == 1
+    assert s.summands[0].custom_form.gram == ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    # a last copy that equals the others only through 1.0 == 1 or True == 1
+    # is rejected, not matched to their lattice
+    for entry in (1.0, True):
+        with pytest.raises(ScenarioFormatError):
+            parse_scenario(doc(entry))

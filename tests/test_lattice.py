@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinact._mat import freeze, is_square, is_symmetric
 from spinact.lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -18,7 +19,13 @@ from spinact.lattice import (
     standard_profile,
 )
 
-from oracles import eigen_sign_profile, matmul, random_unimodular
+from oracles import (
+    eigen_sign_profile,
+    freeze_per_entry,
+    is_symmetric_per_entry,
+    matmul,
+    random_unimodular,
+)
 
 
 def diag(*entries):
@@ -140,6 +147,37 @@ def test_malformed_gram_rejected():
         IntegerLattice(((0, 1), (2, 0)))
     with pytest.raises(MalformedLatticeError):
         IntegerLattice(((0, 1),))
+
+
+_ENTRIES = st.integers(-3, 3) | st.booleans()
+
+
+@st.composite
+def row_lists(draw):
+    """Row lists of int and bool entries: ragged, empty, square, or square
+    and symmetric, the last with an entry changed half of the time."""
+    shape = draw(st.sampled_from(("ragged", "square", "symmetric")))
+    if shape == "ragged":
+        return draw(st.lists(st.lists(_ENTRIES, max_size=4), max_size=4))
+    n = draw(st.integers(0, 4))
+    rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    if shape == "symmetric":
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+        if n > 1 and draw(st.booleans()):
+            rows[0][n - 1] = draw(st.integers(-3, 3))
+    return rows
+
+
+@given(row_lists())
+@settings(max_examples=300, deadline=None)
+def test_bulk_freeze_and_symmetry_match_the_per_entry_oracles(rows):
+    frozen = freeze(rows)
+    assert frozen == freeze_per_entry(rows)
+    assert all(type(x) is int for row in frozen for x in row)
+    assert is_square(frozen) == all(len(row) == len(rows) for row in rows)
+    assert is_symmetric(frozen) == is_symmetric_per_entry(frozen)
 
 
 def test_zero_diagonal_block_pivot_terminates():
