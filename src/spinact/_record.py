@@ -16,13 +16,6 @@ class FrozenRecordError(AttributeError):
     """Assignment to or deletion of an attribute of a frozen record."""
 
 
-class factory:
-    """Field default that calls `make()` once per new record."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _setattr(self, name, value):
     raise FrozenRecordError(f"cannot assign to field {name!r}")
 
@@ -36,21 +29,15 @@ def frozen(cls):
     names = tuple(cls.__dict__.get("__annotations__", ()))
     # object.__setattr__, not stores into self.__dict__: taking the dict
     # makes every later attribute read of the instance about 3x slower
-    env = {"__set": object.__setattr__, "__factory": factory}
+    env = {"__set": object.__setattr__}
     params, body = ["self"], []
     for name in names:
-        value = name
         if name not in cls.__dict__:
             params.append(name)
-        elif isinstance(cls.__dict__[name], factory):
-            env[f"_make_{name}"] = cls.__dict__[name].make
-            delattr(cls, name)
-            params.append(f"{name}=__factory")
-            value = f"_make_{name}() if {name} is __factory else {name}"
         else:
             env[f"_default_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_default_{name}")
-        body.append(f"  __set(self, {name!r}, {value})")
+        body.append(f"  __set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()")
     own = "".join(f"self.{name}," for name in names)

@@ -22,8 +22,10 @@ from . import obstruction as ob
 from . import rep_ring as rr
 from .templates import (
     TEMPLATE_SUMMANDS,
+    klein_admits,
     klein_template,
     template_summands,
+    z2_admits,
     z2_template,
 )
 
@@ -47,6 +49,8 @@ BAREISS_BUDGET = 2 * 10**6
 # bound on the sum of |multiplicities| of one repring flag: the lambda_-1
 # trace takes one exact product per unit (10^4 of them about 0.2 s)
 REP_BUDGET = 10**4
+DEGREE_DIGITS = 1000  # degree times trace (at most 3011 digits) prints in < 4300
+TRACE_EXACT_EXPONENT = 14284  # 2^14284 has 4300 digits, the default int text limit
 
 
 def _frac(x) -> str:
@@ -77,6 +81,23 @@ def _word_weight(gram) -> int:
     return max(1, -(-bits // 64)) ** 2
 
 
+def _flag_int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{flag} needs integers of at most {limit} digits") from None
+
+
+def _components_text(components) -> str:
+    return ", ".join(f"dim {d} x{c}" for d, c in components) or "empty"
+
+
+def _trace_text(report: ob.ObstructionReport) -> str:
+    e = report.b - int(report.k)
+    return f"2^{e}" if abs(e) > TRACE_EXACT_EXPONENT else _frac(report.trace_value)
+
+
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
     doc: dict = {
         "element": fs.element,
@@ -103,7 +124,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
         ],
         "b": report.b,
         "k": _frac(report.k),
-        "trace": None if report.trace_value is None else _frac(report.trace_value),
+        "trace": None if report.trace_value is None else _trace_text(report),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(er.fixed_set) for er in report.elements],
         "subgroup_hints": _subgroup_hints(report),
@@ -122,7 +143,7 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
         detail = f"  ({h.detail})" if h.detail else ""
         lines.append(f"  [{mark}] {h.name}{detail}")
     for er in report.elements:
-        comps = ", ".join(f"dim {d} x{c}" for d, c in er.fixed_set.components) or "empty"
+        comps = _components_text(er.fixed_set.components)
         parity = er.parity.value if er.parity else "indeterminate"
         extra = (
             f"  n_plus={er.fixed_set.n_plus} n_minus={er.fixed_set.n_minus}"
@@ -140,7 +161,7 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
             if report.trace_is_algebraic_integer
             else "NOT an algebraic integer"
         )
-        lines.append(f"trace 2^(b-k) = {_frac(report.trace_value)} ({integral})")
+        lines.append(f"trace 2^(b-k) = {_trace_text(report)} ({integral})")
     for sub, hint in report.subgroup_hints:
         lines.append(f"subgroup {sub}: {hint}")
     lines.append(f"verdict: {report.verdict}")
@@ -196,10 +217,7 @@ def run_invariants(args, out) -> int:
             f"b2: {inv.b2}   signature: {inv.signature}   even: {str(inv.even).lower()}",
         ]
         for entry in per_element:
-            comps = (
-                ", ".join(f"dim {d} x{c}" for d, c in entry["fixed_set"]["components"])
-                or "empty"
-            )
+            comps = _components_text(entry["fixed_set"]["components"])
             lines.append(
                 f"{entry['element']}: fixed set {comps}  parity {entry['parity']}  "
                 f"b_plus_invariant {entry['b_plus_invariant']}"
@@ -212,32 +230,15 @@ def run_invariants(args, out) -> int:
 def _sweep_points(
     template: str, r: dict[str, tuple[int, int]]
 ) -> list[tuple[tuple[int, ...], eq.ActionScenario]]:
-    """Grid points of the sweep, restricted to totals with a smooth structure.
-
-    The involution template needs l >= 3k sphere summands to smooth the E8
-    content; the Klein template needs both chains at least 3k. Points
-    outside that range are skipped: on a total with no smooth structure at
-    all, every action is vacuously nonsmoothable and the certificate says
-    nothing.
-    """
-    points = []
-    if template == "z2":
-        l_lo, l_hi = r["l"]
-        k_lo, k_hi = r["k"]
-        for l in range(l_lo, l_hi + 1):
-            for k in range(k_lo, k_hi + 1):
-                if l >= 3 * k:
-                    points.append(((l, k), z2_template(l, k)))
-    else:
-        l1_lo, l1_hi = r["l1"]
-        l2_lo, l2_hi = r["l2"]
-        k_lo, k_hi = r["k"]
-        for l1 in range(l1_lo, l1_hi + 1):
-            for l2 in range(l2_lo, l2_hi + 1):
-                for k in range(k_lo, k_hi + 1):
-                    if l1 >= 3 * k and l2 >= 3 * k:
-                        points.append(((l1, l2, k), klein_template(l1, l2, k)))
-    return points
+    """Sorted grid points of the sweep that `z2_admits` / `klein_admits`
+    keep, with their scenarios. A skipped total may have no smooth structure,
+    and then every action on it is vacuously nonsmoothable."""
+    build, admits = (
+        (z2_template, z2_admits) if template == "z2" else (klein_template, klein_admits)
+    )
+    ranges = (r[name] for name in TEMPLATE_SUMMANDS[template][1])
+    grid = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
+    return [(params, build(*params)) for params in grid if admits(*params)]
 
 
 def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:
@@ -257,20 +258,20 @@ def run_enumerate(args, out) -> int:
     work = _sweep_work(args.template, sweep)
     if work > SWEEP_BUDGET:
         raise ValueError(
-            f"--sweep grid too large: {work} grid points and summands"
+            # work itself may have too many digits to print
+            "--sweep grid too large: its grid points and summands"
             f" exceed the budget of {SWEEP_BUDGET}"
         )
-    # points come out of the grid in sorted order
     results = [
         (params, ob.check(scenario))
         for params, scenario in _sweep_points(args.template, sweep)
     ]
 
-    counts: dict[str, int] = {}
+    verdicts = [report.verdict for _, report in results]
+    counts = {v: verdicts.count(v) for v in sorted(set(verdicts))}
     if args.format == STRUCTURED:
         rows = []
         for params, report in results:
-            counts[report.verdict] = counts.get(report.verdict, 0) + 1
             row = dict(zip(names, params))
             row.update(
                 {
@@ -286,12 +287,11 @@ def run_enumerate(args, out) -> int:
             "schema_version": REPORT_SCHEMA_VERSION,
             "template": args.template,
             "rows": rows,
-            "summary": {k: counts[k] for k in sorted(counts)},
+            "summary": counts,
         }
         out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
         for params, report in results:
-            counts[report.verdict] = counts.get(report.verdict, 0) + 1
             cells = " ".join(f"{n}={v}" for n, v in zip(names, params))
             line = f"{cells} b={report.b} k_bound={_frac(report.k)} verdict={report.verdict}"
             if report.subgroup_hints:
@@ -299,7 +299,7 @@ def run_enumerate(args, out) -> int:
                     f"{sub}:{hint}" for sub, hint in report.subgroup_hints
                 )
             out.write(line + "\n")
-        summary = " ".join(f"{k}={counts[k]}" for k in sorted(counts)) or "empty"
+        summary = " ".join(f"{k}={n}" for k, n in counts.items()) or "empty"
         out.write(f"summary: total={len(results)} {summary}\n")
     return 0
 
@@ -308,14 +308,18 @@ def _parse_mult(text: str, flag: str) -> rr.VirtualRepZ4:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"{flag} needs four comma-separated multiplicities")
-    mult = tuple(int(p) for p in parts)
-    size = sum(map(abs, mult))
+    mult = tuple(_flag_int(p, flag) for p in parts)
+    return _within_rep_budget(rr.VirtualRepZ4(mult), flag)
+
+
+def _within_rep_budget(r: rr.VirtualRepZ4, what: str) -> rr.VirtualRepZ4:
+    size = sum(map(abs, r.mult))
     if size > REP_BUDGET:
         raise ValueError(
-            f"{flag} too large: its multiplicities sum to {size} in absolute"
+            f"{what} too large: its multiplicities sum to {size} in absolute"
             f" value, over the budget of {REP_BUDGET}"
         )
-    return rr.VirtualRepZ4(mult)
+    return r
 
 
 def run_repring(args, out) -> int:
@@ -325,6 +329,9 @@ def run_repring(args, out) -> int:
             raise ValueError("--w-perp and --v-perp must be given together")
         w = _parse_mult(args.w_perp, "--w-perp")
         v = _parse_mult(args.v_perp, "--v-perp")
+        _within_rep_budget(w - v, "--w-perp minus --v-perp")
+        if abs(args.degree) >= 10**DEGREE_DIGITS:
+            raise ValueError(f"--degree has more than {DEGREE_DIGITS} digits")
         value = rr.tomdieck_trace(args.degree, w, v, element)
         doc = {
             "element": element,
@@ -371,7 +378,7 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
         name = name.strip()
         if name in ranges:
             raise ValueError(f"--sweep gives {name!r} more than once")
-        lo, hi = (int(bound) for bound in span.split("..", 1))
+        lo, hi = (_flag_int(bound, f"--sweep {name!r}") for bound in span.split("..", 1))
         if min(lo, hi) < 0:
             raise ValueError(f"--sweep {name!r} has a negative bound in {lo}..{hi}")
         if lo > hi:
@@ -390,11 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the obstruction checker on a scenario")
     p_check.add_argument("--input", required=True, help="scenario JSON file")
-    p_check.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
 
     p_inv = sub.add_parser("invariants", help="report invariants of a scenario")
     p_inv.add_argument("--input", required=True)
-    p_inv.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
 
     p_rep = sub.add_parser("repring", help="evaluate representation-ring traces")
     p_rep.add_argument("--rep", help="multiplicities m0,m1,m2,m3")
@@ -404,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--element", type=int, choices=range(4), default=1, help="group element 0..3"
     )
-    p_rep.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
 
     p_enum = sub.add_parser("enumerate", help="sweep a template parameter grid")
     p_enum.add_argument("--template", choices=("z2", "klein"), required=True)
@@ -415,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # accepted so existing command lines keep working; points run serially
     p_enum.add_argument("--jobs", type=int, default=1)
-    p_enum.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
+    for p in (p_check, p_inv, p_rep, p_enum):
+        p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
     return parser
 
 
@@ -447,7 +452,7 @@ def main(argv=None, out=None) -> int:
         for violation in exc.violations:
             out.write(f"violation [{violation.code}] {violation.message}\n")
         return 2
-    except (ValueError, rr.FixedVectorError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive

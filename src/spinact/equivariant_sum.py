@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
 from ._mat import identity, mat_neg
-from ._record import factory, frozen
+from ._record import frozen
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -117,10 +117,14 @@ class GeneratorAction:
     """Involutive permutation of summand ids plus local labels on fixed ones."""
 
     permutation: tuple[tuple[str, str], ...] = ()
-    local: dict[str, str] = factory(dict)
-    overrides: dict[str, tuple[int, int]] = factory(dict)
+    local: Optional[dict[str, str]] = None
+    overrides: Optional[dict[str, tuple[int, int]]] = None
 
     def __post_init__(self):
+        if self.local is None:
+            object.__setattr__(self, "local", {})
+        if self.overrides is None:
+            object.__setattr__(self, "overrides", {})
         # canonical pair order so serialization round-trips exactly
         pairs = tuple(sorted(tuple(sorted(p)) for p in self.permutation))
         object.__setattr__(self, "permutation", pairs)

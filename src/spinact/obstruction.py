@@ -42,7 +42,7 @@ from .index_parity import (
     real_index_from_signature,
 )
 from .rep_ring import bk_trace_and_integrality
-from .templates import recognize_klein_template
+from .templates import klein_admits, recognize_klein_template
 
 Z2_THEOREM = "z2_odd_involution"
 KLEIN_THEOREM = "z2xz2_odd_pair"
@@ -221,10 +221,8 @@ def check(s: ActionScenario) -> ObstructionReport:
 def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
     """One-sided smoothability hint for a proper subgroup of a Klein scenario.
 
-    Answers smoothable_by_construction only for scenarios matching the
-    Klein family shape with enough sphere summands to absorb the E8
-    content (both chains at least three times the cluster size);
-    everything else is unknown, never a claim.
+    Answers smoothable_by_construction only for the Klein template at a
+    point `templates.klein_admits` admits; anything else is unknown.
     """
     table = require_valid(s)
     if s.group != Z2XZ2:
@@ -238,8 +236,6 @@ def _subgroup_hint(s: ActionScenario, p1: dict, p2: dict) -> str:
     """The hint of a validated Klein scenario with generator permutation
     maps p1, p2; it is the same for every proper subgroup."""
     shape = recognize_klein_template(s, (p1, p2))
-    if shape is None:
-        return UNKNOWN
-    if shape.l1 >= 3 * shape.k and shape.l2 >= 3 * shape.k:
+    if shape is not None and klein_admits(shape.l1, shape.l2, shape.k):
         return SMOOTHABLE_BY_CONSTRUCTION
     return UNKNOWN

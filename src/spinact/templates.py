@@ -21,9 +21,10 @@ from .equivariant_sum import (
     TotalInvariants,
     Z2,
     Z2XZ2,
+    _total_invariants,
     total_invariants,
 )
-from .lattice import direct_sum_all, is_even, make_standard, signature_profile
+from .lattice import make_standard, standard_profile
 
 
 # summands one template point builds: a constant plus a coefficient per
@@ -49,6 +50,11 @@ def z2_template(l: int, k: int) -> ActionScenario:
     perm = tuple((f"w{i}", f"w{k + i}") for i in range(k))
     local = {f"s{i}": ROTATE_FIRST for i in range(l)}
     return ActionScenario(Z2, tuple(summands), GeneratorAction(perm, local))
+
+
+def z2_admits(l: int, k: int) -> bool:
+    """Smoothable by construction: l(S2xS2) # 2k(-E8) is #k K3 # (l-3k)(S2xS2)."""
+    return l >= 3 * k
 
 
 def klein_template(l1: int, l2: int, k: int) -> ActionScenario:
@@ -84,6 +90,11 @@ def klein_template(l1: int, l2: int, k: int) -> ActionScenario:
         GeneratorAction(perm1, local1),
         GeneratorAction(perm2, local2),
     )
+
+
+def klein_admits(l1: int, l2: int, k: int) -> bool:
+    """Every proper subgroup is smoothable by construction: both chains >= 3k."""
+    return l1 >= 3 * k and l2 >= 3 * k
 
 
 @frozen
@@ -136,16 +147,6 @@ def recognize_klein_template(s: ActionScenario, gen_maps=None) -> KleinShape | N
     return KleinShape(chain1 // 2, chain2 // 2, e8 // 4)
 
 
-def advertised_headline_lattice(l1: int, l2: int, k: int):
-    """Total form the headline family statement claims: the sum of
-    (2l1+2l2+1-6k) sphere products and 4k K3 pieces."""
-    spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
-    if spheres < 0:
-        raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
-    pieces = [make_standard("s2xs2")] * spheres + [make_standard("k3")] * (4 * k)
-    return direct_sum_all(pieces)
-
-
 @frozen
 class FamilyComparison:
     constructed: TotalInvariants
@@ -158,7 +159,11 @@ def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:
     homeomorphism type; the two disagree for k >= 1 and the mismatch is
     reported rather than silently repaired."""
     constructed = total_invariants(klein_template(l1, l2, k))
-    lat = advertised_headline_lattice(l1, l2, k)
-    profile = signature_profile(lat)
-    advertised = TotalInvariants(lat.rank, profile.signature, is_even(lat))
+    spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
+    if spheres < 0:
+        raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
+    pieces = (("hyperbolic", spheres), ("k3", 4 * k))
+    advertised = _total_invariants(
+        {kind: (make_standard(kind), standard_profile(kind), n) for kind, n in pieces}
+    )
     return FamilyComparison(constructed, advertised, constructed == advertised)

@@ -2,10 +2,13 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 from spinact import cli
 from spinact.equivariant_sum import parse_scenario, serialize_scenario
 from spinact.templates import TEMPLATE_SUMMANDS, klein_template, z2_template
+
+from oracles import sweep_points_nested
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -442,6 +447,16 @@ def test_sweep_work_bounds_the_points_and_summands_built(template, spans):
     assert cli._sweep_work(template, ranges) >= built
 
 
+@given(
+    template=st.sampled_from(("z2", "klein")),
+    spans=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweep_points_match_the_nested_loops(template, spans):
+    ranges = dict(zip(TEMPLATE_SUMMANDS[template][1], spans))
+    assert cli._sweep_points(template, ranges) == sweep_points_nested(template, ranges)
+
+
 def test_repring_character_and_lambda():
     status, output = run_main(["repring", "--rep", "0,1,0,1", "--element", "1"])
     assert status == 0
@@ -520,6 +535,18 @@ def test_repring_bounds_the_multiplicities_before_multiplying(
         assert f"error: {flag} too large" in err and f"budget of {budget}" in err
 
 
+def test_repring_prints_every_admitted_degree_and_difference():
+    # the largest numerator (2^10^4) and denominator at the largest degrees
+    top = "9" * cli.DEGREE_DIGITS
+    for w, v, degree in (("0,0,10000,0", "0,0,0,0", top), ("0,0,0,0", "0,0,10000,0", "-" + top)):
+        status, output = run_main(
+            ["repring", "--w-perp", w, "--v-perp", v, "--degree", degree, "--element", "1"]
+        )
+        assert status == 0
+        digits = output.split(": ")[1].split(" (")[0].lstrip("-").split("/")
+        assert max(map(len, digits)) < 4300
+
+
 def test_repring_fixed_vector_error(capsys):
     status, _ = run_main(["repring", "--w-perp", "0,0,0,0", "--v-perp", "1,0,0,0"])
     assert status == 2
@@ -537,22 +564,14 @@ def test_console_entry_point_runs():
     assert "verdict: nonsmoothable" in proc.stdout
 
 
-def _golden_cases():
-    for name in ("z2_l3_k1", "klein_l3_l3_k1"):
-        for command in ("check", "invariants"):
-            argv = [command, "--input", str(SCENARIOS / f"{name}.json")]
-            yield f"{command}_{name}.txt", argv
-            yield f"{command}_{name}.json", argv + ["--format", "structured"]
-    yield "enumerate_z2_l3-9_k0-3.txt", [
-        "enumerate", "--template", "z2", "--sweep", "l=3..9,k=0..3"
-    ]
-    yield "enumerate_klein_l1-3-4_l2-3-4_k0-1.json", [
-        "enumerate", "--template", "klein", "--sweep", "l1=3..4,l2=3..4,k=0..1",
-        "--format", "structured",
-    ]
+GOLDEN_CASES = runpy.run_path(str(REPO / "scripts" / "write_golden.py"))["GOLDEN"]
 
 
-@pytest.mark.parametrize("golden,argv", list(_golden_cases()))
+def test_golden_files_match_their_generator():
+    assert sorted(GOLDEN_CASES) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("golden,argv", list(GOLDEN_CASES.items()))
 def test_stdout_matches_golden_file(golden, argv):
     status, output = run_main(argv)
     assert status == 0
@@ -630,6 +649,80 @@ def test_over_long_integers_are_a_malformed_scenario(tmp_path, capsys, doc):
     assert err.startswith("error: malformed scenario: document: an integer has more than")
     assert "set_int_max_str_digits" not in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["enumerate", "--template", "z2", "--sweep", f"l=0..{_LONG},k=0..0"], "--sweep 'l'"),
+        (["enumerate", "--template", "z2", "--sweep", f"l=0..0,k={_LONG}..{_LONG}"], "--sweep 'k'"),
+        (["enumerate", "--template", "z2", "--sweep", f"l=0..{'9' * 4000},k=0..{'9' * 4000}"],
+         "--sweep grid too large"),
+        (["repring", "--rep", f"0,{_LONG},0,0"], "--rep"),
+        (["repring", "--w-perp", f"{_LONG},0,0,0", "--v-perp", "0,0,0,0"], "--w-perp"),
+        (["repring", "--w-perp", "0,0,0,0", "--v-perp", f"0,0,0,{_LONG}"], "--v-perp"),
+        (["repring", "--w-perp", "0,0,10000,0", "--v-perp", "0,0,-10000,0", "--element", "1"],
+         "--w-perp minus --v-perp too large"),
+        (["repring", "--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--degree", "9" * 4000],
+         "--degree has more than 1000 digits"),
+    ],
+    ids=["sweep-bound", "sweep-both-bounds", "sweep-grid-of-4000-digit-bounds", "rep",
+         "w-perp", "v-perp", "traced-difference", "degree"],
+)
+def test_over_long_cli_numbers_exit_two_naming_the_flag(capsys, argv, flag):
+    status, output = run_main(argv)
+    err = capsys.readouterr().err
+    assert status == 2 and output == ""
+    assert err.startswith(f"error: {flag}")
+    assert "set_int_max_str_digits" not in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def _z2_pairs_doc(kind: str, pairs: int) -> dict:
+    """One rotated sphere product plus `pairs` swapped pairs of `kind`."""
+    ids = [f"w{i}" for i in range(2 * pairs)]
+    return {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [{"id": "s", "kind": "s2xs2"}] + [{"id": i, "kind": kind} for i in ids],
+        "generator1": {
+            "permutation": [[ids[i], ids[pairs + i]] for i in range(pairs)],
+            "local": {"s": "rotate_first"},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,pairs,verdict,trace",
+    [("minus_e8", 14300, "nonsmoothable", "2^-14300"), ("s2xs2", 15000, "no_obstruction", "2^15000")],
+    ids=["b0-k14300", "b15000-k0"],
+)
+def test_a_decided_certificate_prints_a_trace_past_4300_digits(
+    tmp_path, capsys, kind, pairs, verdict, trace
+):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_z2_pairs_doc(kind, pairs)))
+    status, text = run_main(["check", "--input", str(path)])
+    assert status == 0
+    assert f"trace 2^(b-k) = {trace} (" in text and text.endswith(f"verdict: {verdict}\n")
+    status, output = run_main(["check", "--input", str(path), "--format", "structured"])
+    doc = json.loads(output)
+    assert status == 0 and doc["trace"] == trace and doc["verdict"] == verdict
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("exponent", [0, 1, -1, 14284, -14284, 14285, -14285])
+def test_the_trace_is_exact_while_it_has_at_most_4300_digits(exponent):
+    assert cli.TRACE_EXACT_EXPONENT == 14284
+    assert len(str(2**14284)) == 4300 and int(14285 * math.log10(2)) + 1 == 4301
+    report = SimpleNamespace(
+        b=max(exponent, 0), k=Fraction(max(-exponent, 0)), trace_value=Fraction(2) ** exponent
+    )
+    exact = abs(exponent) <= 14284
+    assert cli._trace_text(report) == (str(Fraction(2) ** exponent) if exact else f"2^{exponent}")
 
 
 def _count_calls(monkeypatch, fn):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from spinact.obstruction import (
     check_z2xz2,
     subgroup_smoothability_hint,
 )
-from spinact.templates import klein_template, z2_template
+from spinact.templates import klein_family_comparison, klein_template, z2_template
+
+from oracles import klein_family_comparison_dense
 
 
 def test_z2_headline_example():
@@ -246,3 +249,18 @@ def test_k3_swap_scenario_obstruction_does_not_fire():
     assert report.k == 2
     assert report.verdict == NO_OBSTRUCTION
     assert report.trace_value == 2 and report.trace_is_algebraic_integer
+
+
+def test_family_comparison_matches_the_dense_assembly():
+    # negative parameters fail on the constructed total first, then too few
+    # spheres for the advertised one
+    grid = [(l1, l2, k) for l1 in range(4) for l2 in range(4) for k in range(3)]
+    grid += [(-1, 0, 0), (0, 0, -1), (-1, 0, 1)]
+    for params in grid:
+        try:
+            expected = klein_family_comparison_dense(*params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                klein_family_comparison(*params)
+        else:
+            assert klein_family_comparison(*params) == expected
