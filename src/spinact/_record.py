@@ -1,15 +1,23 @@
 """Immutable record classes.
 
-`frozen` turns a class whose annotations list its fields into a record:
-an `__init__` taking the fields by position or keyword (and calling
-`__post_init__` if the class has one), equality only with instances of
-the exact same class, a hash of the field tuple, a `Name(field=value,
-...)` repr, and attribute assignment and deletion that raise
-`FrozenRecordError`. The four methods of a class come from one `exec`
-of straight-line code. The standard library's frozen records import
-`inspect` and build each method separately, which cost a one-shot
-command more than its certificate does.
+A record class writes its own `__init__` in plain Python: it checks and
+normalises its arguments and stores each field with `set_field`. The
+parameters of that `__init__` after `self` are the record's fields, in
+order; they are declared nowhere else. `frozen` reads them once and
+gives the class equality only with instances of the exact same class, a
+hash of the field tuple, a `Name(field=value, ...)` repr, and attribute
+assignment and deletion that raise `FrozenRecordError`. These methods
+are shared by every record and read the fields through one
+`operator.attrgetter` per class, so no method is generated from source
+text: the constructors are cached as bytecode with their modules, and
+importing the records compiles nothing.
 """
+
+from operator import attrgetter
+
+# object.__setattr__, not stores into self.__dict__: taking the dict
+# makes every later attribute read of the instance about 3x slower
+set_field = object.__setattr__
 
 
 class FrozenRecordError(AttributeError):
@@ -24,39 +32,35 @@ def _delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def frozen(cls):
-    """Make `cls` an immutable record of its annotated fields, in order."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    # object.__setattr__, not stores into self.__dict__: taking the dict
-    # makes every later attribute read of the instance about 3x slower
-    env = {"__set": object.__setattr__}
-    params, body = ["self"], []
-    for name in names:
-        if name not in cls.__dict__:
-            params.append(name)
-        else:
-            env[f"_default_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_default_{name}")
-        body.append(f"  __set(self, {name!r}, {name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("  self.__post_init__()")
-    own = "".join(f"self.{name}," for name in names)
-    other = "".join(f"other.{name}," for name in names)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    source = (
-        f"def __init__({', '.join(params)}):\n" + "\n".join(body) + "\n"
-        "def __eq__(self, other):\n"
-        "  if other.__class__ is self.__class__:\n"
-        f"    return ({own}) == ({other})\n"
-        "  return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"  return hash(({own}))\n"
-        "def __repr__(self):\n"
-        f"  return f'{{self.__class__.__qualname__}}({shown})'\n"
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        values = self._values
+        return values(self) == values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self._values(self))
+
+
+def _repr(self):
+    shown = ", ".join(
+        f"{name}={value!r}" for name, value in zip(self._fields, self._values(self))
     )
-    exec(source, env)
-    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
-        setattr(cls, method, env[method])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def frozen(cls):
+    """Make `cls` an immutable record of its `__init__` parameters, in order."""
+    code = cls.__dict__["__init__"].__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    get = attrgetter(*names)
+    cls._fields = names
+    # attrgetter of one name returns the bare value; the field tuple has one item
+    cls._values = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
+    cls.__eq__ = _eq
+    cls.__hash__ = _hash
+    cls.__repr__ = _repr
     cls.__setattr__ = _setattr
     cls.__delattr__ = _delattr
     return cls

@@ -54,7 +54,7 @@ TRACE_EXACT_EXPONENT = 14284  # 2^14284 has 4300 digits, the default int text li
 
 
 def _frac(x) -> str:
-    return str(Fraction(x))
+    return rr.fraction_text(Fraction(x))
 
 
 def _load_scenario(path: str) -> eq.ActionScenario:
@@ -324,18 +324,32 @@ def _within_rep_budget(r: rr.VirtualRepZ4, what: str) -> rr.VirtualRepZ4:
 
 def run_repring(args, out) -> int:
     element = args.element
+    if args.rep is not None:
+        # --degree, --w-perp and --v-perp belong to the tom Dieck trace
+        others = [
+            flag
+            for flag, value in (
+                ("--w-perp", args.w_perp),
+                ("--v-perp", args.v_perp),
+                ("--degree", args.degree),
+            )
+            if value is not None
+        ]
+        if others:
+            raise ValueError(f"--rep cannot be combined with {', '.join(others)}")
     if args.w_perp or args.v_perp:
         if not (args.w_perp and args.v_perp):
             raise ValueError("--w-perp and --v-perp must be given together")
         w = _parse_mult(args.w_perp, "--w-perp")
         v = _parse_mult(args.v_perp, "--v-perp")
         _within_rep_budget(w - v, "--w-perp minus --v-perp")
-        if abs(args.degree) >= 10**DEGREE_DIGITS:
+        degree = 1 if args.degree is None else args.degree
+        if abs(degree) >= 10**DEGREE_DIGITS:
             raise ValueError(f"--degree has more than {DEGREE_DIGITS} digits")
-        value = rr.tomdieck_trace(args.degree, w, v, element)
+        value = rr.tomdieck_trace(degree, w, v, element)
         doc = {
             "element": element,
-            "degree": args.degree,
+            "degree": degree,
             "trace": str(value),
             "is_algebraic_integer": value.is_gaussian_integer,
         }
@@ -405,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--rep", help="multiplicities m0,m1,m2,m3")
     p_rep.add_argument("--w-perp", help="target multiplicities m0,m1,m2,m3")
     p_rep.add_argument("--v-perp", help="domain multiplicities m0,m1,m2,m3")
-    p_rep.add_argument("--degree", type=int, default=1, help="fixed-part degree")
+    p_rep.add_argument(
+        "--degree", type=int, help="fixed-part degree of the tom Dieck trace (default 1)"
+    )
     p_rep.add_argument(
         "--element", type=int, choices=range(4), default=1, help="group element 0..3"
     )

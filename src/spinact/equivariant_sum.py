@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
 from ._mat import identity, mat_neg
-from ._record import frozen
+from ._record import frozen, set_field
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -90,16 +90,20 @@ class InvalidScenarioError(ValueError):
 
 @frozen
 class Violation:
-    code: str
-    message: str
-    subject: Optional[str] = None
+    def __init__(self, code: str, message: str, subject: Optional[str] = None):
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "subject", subject)
 
 
 @frozen
 class Summand:
-    id: str
-    kind: str
-    custom_form: Optional[IntegerLattice] = None
+    def __init__(
+        self, id: str, kind: str, custom_form: Optional[IntegerLattice] = None
+    ):
+        set_field(self, "id", id)
+        set_field(self, "kind", kind)
+        set_field(self, "custom_form", custom_form)
 
     def form(self) -> IntegerLattice:
         if self.kind == CUSTOM:
@@ -116,18 +120,17 @@ class Summand:
 class GeneratorAction:
     """Involutive permutation of summand ids plus local labels on fixed ones."""
 
-    permutation: tuple[tuple[str, str], ...] = ()
-    local: Optional[dict[str, str]] = None
-    overrides: Optional[dict[str, tuple[int, int]]] = None
-
-    def __post_init__(self):
-        if self.local is None:
-            object.__setattr__(self, "local", {})
-        if self.overrides is None:
-            object.__setattr__(self, "overrides", {})
+    def __init__(
+        self,
+        permutation: tuple[tuple[str, str], ...] = (),
+        local: Optional[dict[str, str]] = None,
+        overrides: Optional[dict[str, tuple[int, int]]] = None,
+    ):
         # canonical pair order so serialization round-trips exactly
-        pairs = tuple(sorted(tuple(sorted(p)) for p in self.permutation))
-        object.__setattr__(self, "permutation", pairs)
+        pairs = tuple(sorted(tuple(sorted(p)) for p in permutation))
+        set_field(self, "permutation", pairs)
+        set_field(self, "local", {} if local is None else local)
+        set_field(self, "overrides", {} if overrides is None else overrides)
 
     def perm_map(self, ids) -> dict[str, str]:
         mapping = {i: i for i in ids}
@@ -139,10 +142,17 @@ class GeneratorAction:
 
 @frozen
 class ActionScenario:
-    group: str
-    summands: tuple[Summand, ...]
-    gen1: GeneratorAction
-    gen2: Optional[GeneratorAction] = None
+    def __init__(
+        self,
+        group: str,
+        summands: tuple[Summand, ...],
+        gen1: GeneratorAction,
+        gen2: Optional[GeneratorAction] = None,
+    ):
+        set_field(self, "group", group)
+        set_field(self, "summands", summands)
+        set_field(self, "gen1", gen1)
+        set_field(self, "gen2", gen2)
 
 
 @frozen
@@ -155,17 +165,25 @@ class FixedSetData:
     and n_minus are present exactly when every component is isolated.
     """
 
-    element: str
-    components: tuple[tuple[int, int], ...]
-    n_plus: Optional[int] = None
-    n_minus: Optional[int] = None
+    def __init__(
+        self,
+        element: str,
+        components: tuple[tuple[int, int], ...],
+        n_plus: Optional[int] = None,
+        n_minus: Optional[int] = None,
+    ):
+        set_field(self, "element", element)
+        set_field(self, "components", components)
+        set_field(self, "n_plus", n_plus)
+        set_field(self, "n_minus", n_minus)
 
 
 @frozen
 class TotalInvariants:
-    b2: int
-    signature: int
-    even: bool
+    def __init__(self, b2: int, signature: int, even: bool):
+        set_field(self, "b2", b2)
+        set_field(self, "signature", signature)
+        set_field(self, "even", even)
 
 
 def compose_labels(a: str, b: str) -> str:
@@ -496,7 +514,7 @@ def _fixed_set_data(element: str, local: dict, overrides: dict) -> FixedSetData:
     two_dim = 0
     points = 0
     n_plus = n_minus = 0
-    for i, label in sorted(local.items()):
+    for i, label in local.items():
         if label in (ROTATE_FIRST, ROTATE_SECOND):
             two_dim += 2
         elif label == ROTATE_BOTH:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import frozen
+from ._record import frozen, set_field
 
 ODD = "odd"
 EVEN = "even"
@@ -26,16 +26,19 @@ class PositiveSignatureError(ValueError):
 
 @frozen
 class ParityClass:
-    value: str
-    mixed: bool = False  # both dimensions present; dimension-2 clause wins
+    # mixed: both dimensions present; the dimension-2 clause wins
+    def __init__(self, value: str, mixed: bool = False):
+        set_field(self, "value", value)
+        set_field(self, "mixed", mixed)
 
 
 @frozen
 class IndexData:
     """Real Dirac index and the twisted index of the composed involution."""
 
-    index_real: Fraction
-    index_twisted: Fraction | None = None
+    def __init__(self, index_real: Fraction, index_twisted: Fraction | None = None):
+        set_field(self, "index_real", index_real)
+        set_field(self, "index_twisted", index_twisted)
 
 
 def classify_parity(fixed) -> ParityClass:
@@ -73,7 +76,7 @@ def k_odd(signature: int) -> Fraction:
 def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
     """Lower bound -signature/32 + index/8 in the Klein four-group inequality.
 
-    Callers realize the absolute value of the twisted index by evaluating
-    at both signs and keeping the larger bound.
+    The bound grows with the index, so callers that may choose the sign
+    of the twisted index pass its absolute value.
     """
     return (Fraction(-signature, 4) + Fraction(index_twisted)) / 8

@@ -9,7 +9,7 @@ positive index the obstruction inequalities consume.
 from __future__ import annotations
 
 from ._mat import IntMatrix, freeze, identity, is_square, mat_mul, transpose, xgcd
-from ._record import frozen
+from ._record import frozen, set_field
 from .lattice import IntegerLattice, SignatureProfile, signature_profile
 
 
@@ -21,15 +21,14 @@ class MalformedOperatorError(ValueError):
 class LatticeIsometry:
     """Integer matrix acting on a lattice; expected to preserve its Gram form."""
 
-    lattice: IntegerLattice
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(self.matrix))
-        if not is_square(self.matrix) or len(self.matrix) != self.lattice.rank:
+    def __init__(self, lattice: IntegerLattice, matrix: IntMatrix):
+        matrix = freeze(matrix)
+        if not is_square(matrix) or len(matrix) != lattice.rank:
             raise MalformedOperatorError(
                 "operator matrix must be square of the lattice rank"
             )
+        set_field(self, "lattice", lattice)
+        set_field(self, "matrix", matrix)
 
 
 @frozen
@@ -39,8 +38,11 @@ class InvariantSublattice:
     `basis[i]` is the i-th basis vector in ambient coordinates.
     """
 
-    basis: tuple[tuple[int, ...], ...]
-    restricted_gram: IntegerLattice
+    def __init__(
+        self, basis: tuple[tuple[int, ...], ...], restricted_gram: IntegerLattice
+    ):
+        set_field(self, "basis", basis)
+        set_field(self, "restricted_gram", restricted_gram)
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache, reduce
 
 from ._mat import IntMatrix, freeze, is_symmetric
-from ._record import frozen
+from ._record import frozen, set_field
 
 # Dynkin graph of E8: a chain 1-3-4-5-6-7-8 with node 2 hanging off node 4.
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
@@ -25,12 +25,11 @@ class MalformedLatticeError(ValueError):
 class IntegerLattice:
     """Symmetric integer Gram matrix; rank is the matrix dimension."""
 
-    gram: IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "gram", freeze(self.gram))
-        if not is_symmetric(self.gram):
+    def __init__(self, gram: IntMatrix):
+        gram = freeze(gram)
+        if not is_symmetric(gram):
             raise MalformedLatticeError("gram matrix must be square and symmetric")
+        set_field(self, "gram", gram)
 
     @property
     def rank(self) -> int:
@@ -42,10 +41,11 @@ class SignatureProfile:
     """Counts of positive, negative and zero entries of any congruent diagonal
     form, and the Gram determinant."""
 
-    b_plus: int
-    b_minus: int
-    b_zero: int
-    determinant: int
+    def __init__(self, b_plus: int, b_minus: int, b_zero: int, determinant: int):
+        set_field(self, "b_plus", b_plus)
+        set_field(self, "b_minus", b_minus)
+        set_field(self, "b_zero", b_zero)
+        set_field(self, "determinant", determinant)
 
     @property
     def signature(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ._record import frozen
+from ._record import frozen, set_field
 from .equivariant_sum import (
     GEN1,
     GEN2,
@@ -57,33 +57,52 @@ SUBGROUPS = (GEN1, GEN2, "diagonal")
 
 @frozen
 class Hypothesis:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 @frozen
 class ElementReport:
-    element: str
-    fixed_set: FixedSetData
-    parity: Optional[ParityClass]
+    def __init__(
+        self, element: str, fixed_set: FixedSetData, parity: Optional[ParityClass]
+    ):
+        set_field(self, "element", element)
+        set_field(self, "fixed_set", fixed_set)
+        set_field(self, "parity", parity)
 
 
 @frozen
 class ObstructionReport:
-    theorem: str
-    hypotheses: tuple[Hypothesis, ...]
-    b: int
-    k: Fraction
-    trace_value: Optional[Fraction]
-    trace_is_algebraic_integer: Optional[bool]
-    verdict: str
-    elements: tuple[ElementReport, ...]
-    index_data: Optional[IndexData]
-    b2: int
-    signature: int
-    # (subgroup, hint) for each proper subgroup of a Klein scenario
-    subgroup_hints: tuple[tuple[str, str], ...]
+    def __init__(
+        self,
+        theorem: str,
+        hypotheses: tuple[Hypothesis, ...],
+        b: int,
+        k: Fraction,
+        trace_value: Optional[Fraction],
+        trace_is_algebraic_integer: Optional[bool],
+        verdict: str,
+        elements: tuple[ElementReport, ...],
+        index_data: Optional[IndexData],
+        b2: int,
+        signature: int,
+        # (subgroup, hint) for each proper subgroup of a Klein scenario
+        subgroup_hints: tuple[tuple[str, str], ...],
+    ):
+        set_field(self, "theorem", theorem)
+        set_field(self, "hypotheses", hypotheses)
+        set_field(self, "b", b)
+        set_field(self, "k", k)
+        set_field(self, "trace_value", trace_value)
+        set_field(self, "trace_is_algebraic_integer", trace_is_algebraic_integer)
+        set_field(self, "verdict", verdict)
+        set_field(self, "elements", elements)
+        set_field(self, "index_data", index_data)
+        set_field(self, "b2", b2)
+        set_field(self, "signature", signature)
+        set_field(self, "subgroup_hints", subgroup_hints)
 
     @property
     def all_hypotheses_pass(self) -> bool:
@@ -162,10 +181,7 @@ def _check(s: ActionScenario, table: dict) -> ObstructionReport:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
         # both lift signs are admissible, so the larger bound applies
         effective_index = index_twisted if index_twisted is not None else Fraction(0)
-        k = max(
-            k_klein(inv.signature, effective_index),
-            k_klein(inv.signature, -effective_index),
-        )
+        k = k_klein(inv.signature, abs(effective_index))
         hint = _subgroup_hint(s, p1, p2)
         hints = tuple((sub, hint) for sub in SUBGROUPS)
     trace, integral = _trace(b, k)

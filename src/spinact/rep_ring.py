@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import frozen
+from ._record import frozen, set_field
 
 
 class FixedVectorError(ValueError):
@@ -20,18 +20,40 @@ class FixedVectorError(ValueError):
 
 # i^k for k = 0..3 as (re, im)
 _I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# digits per chunk of decimal_text: below 640, the lowest int-to-str digit
+# limit the interpreter accepts (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_text(n: int) -> str:
+    """`str(n)`, converted in chunks so that it prints under any digit limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def fraction_text(x: Fraction) -> str:
+    """`str(x)` with both terms rendered by `decimal_text`."""
+    if x.denominator == 1:
+        return decimal_text(x.numerator)
+    return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
 
 
 @frozen
 class GaussianValue:
     """Gaussian rational re + im*i with exact Fraction components."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        set_field(self, "re", Fraction(re))
+        set_field(self, "im", Fraction(im))
 
     def __add__(self, other: "GaussianValue") -> "GaussianValue":
         return GaussianValue(self.re + other.re, self.im + other.im)
@@ -70,13 +92,17 @@ class GaussianValue:
         return self.re.denominator == 1 and self.im.denominator == 1
 
     def __str__(self) -> str:
+        re = fraction_text(self.re)
         if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
+            return re
+        if abs(self.im) != 1:
+            im = f"{fraction_text(self.im)}i"
+        else:
+            im = "i" if self.im > 0 else "-i"
         if self.re == 0:
             return im
         sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        return f"{re}{sign}{im}"
 
 
 def gaussian(re, im=0) -> GaussianValue:
@@ -87,13 +113,11 @@ def gaussian(re, im=0) -> GaussianValue:
 class VirtualRepZ4:
     """Multiplicity vector (m0, m1, m2, m3); negative entries are virtual."""
 
-    mult: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        m = tuple(int(x) for x in self.mult)
+    def __init__(self, mult: tuple[int, int, int, int]):
+        m = tuple(int(x) for x in mult)
         if len(m) != 4:
             raise ValueError("multiplicity vector must have length 4")
-        object.__setattr__(self, "mult", m)
+        set_field(self, "mult", m)
 
     def __add__(self, other: "VirtualRepZ4") -> "VirtualRepZ4":
         return VirtualRepZ4(tuple(a + b for a, b in zip(self.mult, other.mult)))

@@ -9,7 +9,7 @@ the whole group.
 
 from __future__ import annotations
 
-from ._record import frozen
+from ._record import frozen, set_field
 from .equivariant_sum import (
     ActionScenario,
     GeneratorAction,
@@ -99,9 +99,10 @@ def klein_admits(l1: int, l2: int, k: int) -> bool:
 
 @frozen
 class KleinShape:
-    l1: int
-    l2: int
-    k: int
+    def __init__(self, l1: int, l2: int, k: int):
+        set_field(self, "l1", l1)
+        set_field(self, "l2", l2)
+        set_field(self, "k", k)
 
 
 def recognize_klein_template(s: ActionScenario, gen_maps=None) -> KleinShape | None:
@@ -149,9 +150,12 @@ def recognize_klein_template(s: ActionScenario, gen_maps=None) -> KleinShape | N
 
 @frozen
 class FamilyComparison:
-    constructed: TotalInvariants
-    advertised: TotalInvariants
-    match: bool
+    def __init__(
+        self, constructed: TotalInvariants, advertised: TotalInvariants, match: bool
+    ):
+        set_field(self, "constructed", constructed)
+        set_field(self, "advertised", advertised)
+        set_field(self, "match", match)
 
 
 def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import os
+import re
 import runpy
 import subprocess
 import sys
@@ -547,6 +549,35 @@ def test_repring_prints_every_admitted_degree_and_difference():
         assert max(map(len, digits)) < 4300
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--rep", "0,1,0,1", "--degree", "5"], ("--rep", "--degree")),
+        (["--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--rep", "1,0,0,0"], ("--rep", "--w-perp")),
+        (["--rep", "1,0,0,0", "--v-perp", "0,1,0,1"], ("--rep", "--v-perp")),
+    ],
+    ids=["rep-degree", "rep-w-perp-v-perp", "rep-v-perp"],
+)
+def test_repring_refuses_flags_it_would_ignore(monkeypatch, capsys, flags, named):
+    def computed(*_args):
+        raise AssertionError("repring computed a trace before refusing its flags")
+
+    for name in ("character_value", "lambda_minus_one_trace", "tomdieck_trace"):
+        monkeypatch.setattr(cli.rr, name, computed)
+    status, output = run_main(["repring", *flags])
+    err = capsys.readouterr().err
+    assert status == 2 and output == ""
+    assert all(flag in err for flag in named)
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_repring_tomdieck_degree_defaults_to_one():
+    argv = ["repring", "--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--format", "structured"]
+    status, output = run_main(argv)
+    assert status == 0 and json.loads(output)["degree"] == 1
+    assert run_main(argv + ["--degree", "1"]) == (status, output)
+
+
 def test_repring_fixed_vector_error(capsys):
     status, _ = run_main(["repring", "--w-perp", "0,0,0,0", "--v-perp", "1,0,0,0"])
     assert status == 2
@@ -723,6 +754,39 @@ def test_the_trace_is_exact_while_it_has_at_most_4300_digits(exponent):
     )
     exact = abs(exponent) <= 14284
     assert cli._trace_text(report) == (str(Fraction(2) ** exponent) if exact else f"2^{exponent}")
+
+
+@pytest.mark.parametrize("fmt", [cli.TEXT, cli.STRUCTURED])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--input", "PAIRS"],
+        ["repring", "--w-perp", "0,0,10000,0", "--v-perp", "0,0,0,0", "--element", "1"],
+    ],
+    ids=["check-trace-2^-3000", "repring-trace-2^10000"],
+)
+def test_output_does_not_depend_on_the_int_digit_limit(tmp_path, argv, fmt):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(_z2_pairs_doc("minus_e8", 3000)))
+    argv = [str(path) if arg == "PAIRS" else arg for arg in argv] + ["--format", fmt]
+
+    def run(limit):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        return subprocess.run(
+            [sys.executable, "-m", "spinact.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=REPO / "src",
+            env=env,
+        )
+
+    default, lowest = run(None), run("640")
+    assert default.returncode == lowest.returncode == 0
+    assert lowest.stderr == ""
+    assert lowest.stdout == default.stdout
+    assert max(map(len, re.findall(r"\d+", default.stdout))) > 640
 
 
 def _count_calls(monkeypatch, fn):
