@@ -31,11 +31,13 @@ from .equivariant_sum import (
     ScenarioFormatError,
     Summand,
     TotalInvariants,
+    ValidScenario,
     Violation,
     fixed_set_data,
     homeo_invariants_equal,
     induced_cohomology_action,
     parse_scenario,
+    require_valid,
     scenario_digest,
     serialize_scenario,
     total_invariants,
@@ -69,6 +71,7 @@ from .obstruction import (
     check,
     check_z2,
     check_z2xz2,
+    element_reports,
     subgroup_smoothability_hint,
 )
 from .templates import (

@@ -41,9 +41,9 @@ SWEEP_BUDGET = 10**6
 # once per distinct form). A form costs rank^3 steps, each weighted by
 # ceil(max entry bits / 64)^2, the cost of one product of its entries in
 # 64-bit words, so a form whose entries fit in 64 bits costs rank^3. The
-# largest admitted dense forms with random entries take about 0.8 s with
-# 9-bit entries (rank 125), 17 s with 62-bit ones (rank 125), 8 s with
-# 128-bit ones (rank 79) and 0.4 s with 1024-bit ones (rank 19).
+# largest admitted dense forms with random entries take about 0.4 s with
+# 9-bit entries (rank 125), 8.5 s with 62-bit ones (rank 125), 3.7 s with
+# 128-bit ones (rank 79) and 0.16 s with 1024-bit ones (rank 19).
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
 # bound on the sum of |multiplicities| of one repring flag: the lambda_-1
@@ -180,24 +180,20 @@ def run_check(args, out) -> int:
 
 def run_invariants(args, out) -> int:
     s = _load_scenario(args.input)
-    table = eq.require_valid(s)
-    profiles = eq._summand_profiles(s)
-    inv = eq._total_invariants(profiles)
-    overrides = eq._merged_overrides(s)
-    per_element = []
-    for element, (perm, local) in table.items():
-        report = ob._parity_report(element, local, overrides)
-        per_element.append(
-            {
-                "element": element,
-                "fixed_set": _fixed_set_doc(report.fixed_set),
-                "parity": report.parity.value if report.parity else "indeterminate",
-                "b_plus_invariant": eq._twisted_b_plus(s, [perm], profiles),
-            }
-        )
+    v = eq.require_valid(s)
+    inv = v.totals()
+    per_element = [
+        {
+            "element": report.element,
+            "fixed_set": _fixed_set_doc(report.fixed_set),
+            "parity": report.parity.value if report.parity else "indeterminate",
+            "b_plus_invariant": v.b_plus([report.element]),
+        }
+        for report in ob.element_reports(v)
+    ]
     # taken over every non-identity element, so 0 on Klein scenarios: no
     # sign character is -1 on both generators and on their composition
-    joint = eq._twisted_b_plus(s, [perm for perm, _ in table.values()], profiles)
+    joint = v.b_plus(v.table)
     if args.format == STRUCTURED:
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,

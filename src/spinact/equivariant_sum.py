@@ -9,9 +9,9 @@ module derives, per group element, the sign-twisted cohomology operator
 Connected-sum points and ball removals are not modelled; only their
 cohomological and fixed-set consequences are.
 
-Public functions validate their scenario first. The underscore-prefixed
-cores behind them assume a validated scenario; the checkers and the CLI
-use them so that one command validates once.
+Public functions that take a scenario validate it first, with
+require_valid, and read the ValidScenario it returns. The checkers and
+the CLI take that value too, so that one command validates once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Optional, Union
 
@@ -203,7 +203,7 @@ def _ids(s: ActionScenario) -> list[str]:
 
 
 def element_action(
-    s: ActionScenario, element: str, gen_maps=None, ids=None
+    s: ActionScenario, element: str, ids=None
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Effective (permutation map, local labels on fixed summands) of an element.
 
@@ -211,9 +211,8 @@ def element_action(
     the product of the generator permutations and labels on jointly fixed
     summands compose through the label group. (Validation rejects a
     summand that both generators swap along the same pair, so the
-    composition fixes exactly the jointly fixed summands.) `gen_maps`, the
-    generators' permutation maps, and `ids`, the summand ids in order, are
-    passed by a caller that has built them already.
+    composition fixes exactly the jointly fixed summands.) `ids`, the
+    summand ids in order, is passed by a caller that has listed them.
     """
     ids = _ids(s) if ids is None else ids
     if element == IDENTITY_ELEMENT:
@@ -226,7 +225,7 @@ def element_action(
         raise ValueError("scenario has no second generator")
     if element == GEN2:
         return s.gen2.perm_map(ids), dict(s.gen2.local)
-    p1, p2 = gen_maps or (s.gen1.perm_map(ids), s.gen2.perm_map(ids))
+    p1, p2 = s.gen1.perm_map(ids), s.gen2.perm_map(ids)
     comp = {i: p1[p2[i]] for i in ids}
     local = {
         i: compose_labels(
@@ -239,12 +238,6 @@ def element_action(
     return comp, local
 
 
-def _action(s: ActionScenario, table: dict, element: str):
-    """The table's (permutation map, local labels) of a non-identity
-    element; element_action raises for one the scenario lacks."""
-    return table[element] if element in table else element_action(s, element)
-
-
 def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
     merged = dict(s.gen1.overrides)
     if s.gen2 is not None:
@@ -252,27 +245,112 @@ def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
     return merged
 
 
-def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
+def _form_key(sm: Summand):
+    """The kind of a standard summand, the lattice of a custom one."""
+    return sm.custom_form if sm.kind == CUSTOM else sm.kind
+
+
+@frozen
+class ValidScenario:
+    """A scenario that passed validation, with what that one pass derived;
+    only require_valid builds it. `table` maps each non-identity element,
+    in group order, to its (permutation map, local labels); `moved` to the
+    set of ids it moves. `overrides` merges the generators' sign overrides,
+    `summands` maps ids to summands, and `forms` maps each distinct
+    _form_key to (form, signature profile, number of summands)."""
+
+    def __init__(self, scenario, table, moved, overrides, summands, forms):
+        set_field(self, "scenario", scenario)
+        set_field(self, "table", table)
+        set_field(self, "moved", moved)
+        set_field(self, "overrides", overrides)
+        set_field(self, "summands", summands)
+        set_field(self, "forms", forms)
+
+    def action(self, element: str) -> tuple[dict[str, str], dict[str, str]]:
+        """The table entry of an element; element_action raises for one the
+        scenario lacks."""
+        if element in self.table:
+            return self.table[element]
+        return element_action(self.scenario, element)
+
+    def totals(self) -> TotalInvariants:
+        """Rank, signature and evenness of the connected sum, which add over
+        its orthogonal summands."""
+        entries = self.forms.values()
+        return TotalInvariants(
+            sum(count * p.rank for _, p, count in entries),
+            sum(count * p.signature for _, p, count in entries),
+            all(is_even(form) for form, _, _ in entries),
+        )
+
+    def fixed_set(self, element: str) -> FixedSetData:
+        """Fixed set of a non-identity element from its local labels and
+        the merged sign overrides (see fixed_set_data)."""
+        if element == IDENTITY_ELEMENT:
+            raise ValueError("the identity element fixes everything")
+        local = self.action(element)[1]
+        labels = list(local.values())
+        two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
+        points = 4 * labels.count(ROTATE_BOTH)
+        # two positive and two negative points per sphere unless overridden
+        n_plus = n_minus = points // 2
+        for i, (np_, nm) in self.overrides.items():
+            if local.get(i) == ROTATE_BOTH:
+                n_plus += np_ - 2
+                n_minus += nm - 2
+        components = tuple(c for c in ((0, points), (2, two_dim)) if c[1])
+        if points and not two_dim:
+            return FixedSetData(element, components, n_plus, n_minus)
+        return FixedSetData(element, components)
+
+    def b_plus(self, elements) -> int:
+        """twisted_b_plus, orbit by orbit: an orbit counts when every given
+        element moves it, and each of its ids adds b_plus of its form over
+        the orbit size."""
+        elements = set(elements)
+        if not elements or IDENTITY_ELEMENT in elements:
+            raise ValueError("need one or more non-identity group elements")
+        for element in elements:
+            self.action(element)  # raises for an element the scenario lacks
+        if len(elements) == 3:
+            return 0  # no sign character is -1 on all three
+        first, *rest = (self.moved[e] for e in elements)
+        # one element has orbits of two ids; two generate the group, and the
+        # third element fixes an orbit of two ids they move, or moves all four
+        third = self.moved[(self.moved.keys() - elements).pop()] if rest else ()
+        quarters = sum(
+            self.forms[_form_key(self.summands[i])][1].b_plus * (1 if i in third else 2)
+            for i in (first & rest[0] if rest else first)
+        )
+        return quarters // 4
+
+
+def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     """Check scenario invariants; an empty list means the scenario is valid.
 
-    The pass builds the action of every non-identity element once. A
-    `table` dict passed in receives them, {element: (permutation map,
-    local labels)} in group order; it is complete when the list is empty.
+    A stage with violations ends the pass. A `parts` dict passed in
+    receives the other ValidScenario fields, complete when the list is empty.
     """
     v: list[Violation] = []
-    table = {} if table is None else table
     ids = _ids(s)
     by_id = {}
+    counts: dict = {}
     for sm in s.summands:
         if sm.id in by_id:
             v.append(Violation("duplicate_id", f"duplicate summand id {sm.id!r}", sm.id))
         by_id[sm.id] = sm
-        if sm.kind not in KINDS:
-            v.append(Violation("unknown_kind", f"unknown kind {sm.kind!r}", sm.id))
-        if sm.kind == CUSTOM and sm.custom_form is None:
-            v.append(
-                Violation("missing_gram", f"custom summand {sm.id!r} has no form", sm.id)
-            )
+        kind = sm.kind
+        if kind == CUSTOM:
+            if sm.custom_form is None:
+                v.append(
+                    Violation("missing_gram", f"custom summand {sm.id!r} has no form", sm.id)
+                )
+            kind = sm.custom_form
+        elif kind not in KINDS:
+            v.append(Violation("unknown_kind", f"unknown kind {kind!r}", sm.id))
+            continue
+        counts[kind] = counts.get(kind, 0) + 1
     if v:
         return v
 
@@ -285,6 +363,7 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
     if v:
         return v
 
+    table, moved = {}, {}
     gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
     for name, gen in gens:
         seen: set[str] = set()
@@ -310,10 +389,13 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                         )
                     )
                 seen.add(x)
+            a, b = by_id.get(pair[0]), by_id.get(pair[1])
             if (
-                pair[0] in by_id
-                and pair[1] in by_id
-                and by_id[pair[0]].kind_key() != by_id[pair[1]].kind_key()
+                a is not None
+                and b is not None
+                # one shared custom lattice (or none) spares comparing grams
+                and (a.kind != b.kind or a.custom_form is not b.custom_form)
+                and a.kind_key() != b.kind_key()
             ):
                 v.append(
                     Violation(
@@ -321,8 +403,9 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                         f"{name}: swapped summands {pair[0]!r}, {pair[1]!r} differ in kind",
                     )
                 )
-        pmap, _ = table[name] = element_action(s, name, ids=ids)
-        for i, label in gen.local.items():
+        moved[name] = seen
+        pmap, local = table[name] = element_action(s, name, ids=ids)
+        for i, label in local.items():
             if i not in by_id:
                 v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))
             elif label not in LABELS:
@@ -355,66 +438,74 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                         i,
                     )
                 )
-        for i in ids:
-            if pmap[i] == i and by_id[i].kind == S2XS2 and i not in gen.local:
-                v.append(
-                    Violation(
-                        "missing_label",
-                        f"{name}: fixed s2xs2 summand {i!r} has no local label",
-                        i,
-                    )
-                )
+        v += [
+            Violation(
+                "missing_label",
+                f"{name}: fixed s2xs2 summand {i!r} has no local label",
+                i,
+            )
+            for i in ids
+            if pmap[i] == i and i not in local and by_id[i].kind == S2XS2
+        ]
     if v:
         return v
 
     if s.group == Z2XZ2:
-        p1, p2 = table[GEN1][0], table[GEN2][0]
-        if any(p1[p2[i]] != p2[p1[i]] for i in ids):
-            v.append(
-                Violation("noncommuting", "generator permutations do not commute")
-            )
-        else:
-            for i in ids:
-                if p1[i] == i and p2[i] == i and i in s.gen1.local:
-                    if s.gen1.local[i] == s.gen2.local.get(i):
-                        v.append(
-                            Violation(
-                                "identical_local_actions",
-                                f"generators act identically on jointly fixed "
-                                f"summand {i!r}; their composition would fix it "
-                                f"pointwise",
-                                i,
-                            )
-                        )
-                if p1[i] == p2[i] and p1[i] != i:
-                    v.append(
-                        Violation(
-                            "identical_swap",
-                            f"generators swap {i!r} along the same pair; their "
-                            f"composition would fix it pointwise",
-                            i,
-                        )
+        # one pass: commutation, the jointly fixed and the identically
+        # swapped summands, and the composition's action
+        (p1, local1), (p2, local2) = table[GEN1], table[GEN2]
+        comp, comp_local = {}, {}
+        for i in ids:
+            a, b = p1[i], p2[i]
+            c = comp[i] = p1[b]
+            if c != p2[a]:
+                return [
+                    Violation("noncommuting", "generator permutations do not commute")
+                ]
+            if a != b:
+                continue
+            if a != i:
+                v.append(
+                    Violation(
+                        "identical_swap",
+                        f"generators swap {i!r} along the same pair; their "
+                        f"composition would fix it pointwise",
+                        i,
                     )
-    if v:
-        return v
-    if s.group == Z2XZ2:
-        table[COMPOSITION] = element_action(s, COMPOSITION, (p1, p2), ids)
+                )
+                continue
+            label1, label2 = local1.get(i, IDENTITY_LABEL), local2.get(i, IDENTITY_LABEL)
+            if i in local1 and label1 == label2:
+                v.append(
+                    Violation(
+                        "identical_local_actions",
+                        f"generators act identically on jointly fixed "
+                        f"summand {i!r}; their composition would fix it "
+                        f"pointwise",
+                        i,
+                    )
+                )
+            comp_local[i] = compose_labels(label1, label2)
+        if v:
+            return v
+        table[COMPOSITION] = comp, comp_local
+        moved[COMPOSITION] = moved[GEN1] | moved[GEN2]
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
-    rotated_both = set()
-    for element, (pmap, local) in table.items():
-        rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
-        for i in ids:
-            if pmap[i] == i and by_id[i].kind != S2XS2:
-                v.append(
-                    Violation(
-                        "fixed_non_sphere",
-                        f"{by_id[i].kind} summand {i!r} is fixed by {element}; "
-                        f"these pieces must lie in free orbits",
-                        i,
-                    )
+    if counts.get(S2XS2, 0) < len(ids):
+        others = [i for i in ids if by_id[i].kind != S2XS2]
+        for element, moved_ids in moved.items():
+            v += [
+                Violation(
+                    "fixed_non_sphere",
+                    f"{by_id[i].kind} summand {i!r} is fixed by {element}; "
+                    f"these pieces must lie in free orbits",
+                    i,
                 )
+                for i in others
+                if i not in moved_ids
+            ]
 
     merged = _merged_overrides(s)
     if s.gen2 is not None:
@@ -427,6 +518,13 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                         i,
                     )
                 )
+    if merged:
+        rotated_both = {
+            i
+            for _, local in table.values()
+            for i, label in local.items()
+            if label == ROTATE_BOTH
+        }
     for i, (np_, nm) in merged.items():
         if i not in by_id:
             v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))
@@ -449,17 +547,27 @@ def validate_scenario(s: ActionScenario, table=None) -> list[Violation]:
                     i,
                 )
             )
+    if parts is not None:
+        parts.update(
+            table=table, moved=moved, overrides=merged, summands=by_id, forms=counts
+        )
     return v
 
 
-def require_valid(s: ActionScenario) -> dict:
-    """Validate once; return the element table the certificate reads,
-    {element: (permutation map, local labels)} per non-identity element."""
-    table: dict = {}
-    violations = validate_scenario(s, table=table)
+def require_valid(s: ActionScenario) -> ValidScenario:
+    """Validate once; return the scenario with what validation derived. A
+    custom form is diagonalised here, a standard one once per process."""
+    parts: dict = {}
+    violations = validate_scenario(s, parts=parts)
     if violations:
         raise InvalidScenarioError(violations)
-    return table
+    parts["forms"] = {
+        key: (key, signature_profile(key), n)
+        if isinstance(key, IntegerLattice)
+        else (make_standard(key), standard_profile(key), n)
+        for key, n in parts["forms"].items()
+    }
+    return ValidScenario(s, **parts)
 
 
 def scenario_lattice(s: ActionScenario) -> IntegerLattice:
@@ -474,22 +582,18 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
     its negation. The identity element gets the identity operator, since
     invariance computations only quantify over non-identity elements.
     """
-    table = require_valid(s)
+    v = require_valid(s)
     total = scenario_lattice(s)
     n = total.rank
     if element == IDENTITY_ELEMENT:
         return LatticeIsometry(total, identity(n))
-    pmap, _ = _action(s, table, element)
-    offsets = {}
-    pos = 0
-    for sm in s.summands:
-        offsets[sm.id] = pos
-        pos += sm.form().rank
+    pmap, _ = v.action(element)
+    ranks = [sm.form().rank for sm in s.summands]
+    offsets = dict(zip((sm.id for sm in s.summands), accumulate(ranks, initial=0)))
     rows = [[0] * n for _ in range(n)]
-    for sm in s.summands:
-        src = offsets[sm.id]
-        dst = offsets[pmap[sm.id]]
-        for t in range(sm.form().rank):
+    for sm, rank in zip(s.summands, ranks):
+        src, dst = offsets[sm.id], offsets[pmap[sm.id]]
+        for t in range(rank):
             rows[dst + t][src + t] = 1
     return LatticeIsometry(total, mat_neg(rows))
 
@@ -501,76 +605,13 @@ def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
     each; rotate_both contributes four isolated points split evenly into
     positive and negative unless the scenario overrides the split.
     """
-    table = require_valid(s)
-    if element == IDENTITY_ELEMENT:
-        raise ValueError("the identity element fixes everything")
-    local = _action(s, table, element)[1]
-    return _fixed_set_data(element, local, _merged_overrides(s))
-
-
-def _fixed_set_data(element: str, local: dict, overrides: dict) -> FixedSetData:
-    """Fixed set of `element` from its local labels in the element table and
-    the scenario's merged sign overrides."""
-    two_dim = 0
-    points = 0
-    n_plus = n_minus = 0
-    for i, label in local.items():
-        if label in (ROTATE_FIRST, ROTATE_SECOND):
-            two_dim += 2
-        elif label == ROTATE_BOTH:
-            points += 4
-            np_, nm = overrides.get(i, (2, 2))
-            n_plus += np_
-            n_minus += nm
-    components = []
-    if points:
-        components.append((0, points))
-    if two_dim:
-        components.append((2, two_dim))
-    if points and not two_dim:
-        return FixedSetData(element, tuple(components), n_plus, n_minus)
-    return FixedSetData(element, tuple(components))
+    return require_valid(s).fixed_set(element)
 
 
 def total_invariants(s: ActionScenario) -> TotalInvariants:
-    """Rank, signature and evenness of the connected sum.
-
-    All three add over the orthogonal summands, so each distinct summand
-    form is diagonalised once and the assembled lattice is never built.
-    """
-    require_valid(s)
-    return _total_invariants(_summand_profiles(s))
-
-
-def _total_invariants(profiles: dict) -> TotalInvariants:
-    entries = profiles.values()
-    return TotalInvariants(
-        sum(count * p.rank for _, p, count in entries),
-        sum(count * p.signature for _, p, count in entries),
-        all(is_even(form) for form, _, _ in entries),
-    )
-
-
-def _summand_profiles(s: ActionScenario) -> dict:
-    """kind_key -> (form, signature profile, number of summands), one entry
-    per distinct form. A custom form is diagonalised here, once per call;
-    a standard one has its profile from standard_profile, once per process."""
-    first: dict = {}
-    counts: dict = {}
-    for sm in s.summands:
-        key = sm.kind_key()
-        first.setdefault(key, sm)
-        counts[key] = counts.get(key, 0) + 1
-    return {
-        key: (
-            sm.form(),
-            signature_profile(sm.custom_form)
-            if sm.kind == CUSTOM
-            else standard_profile(sm.kind),
-            counts[key],
-        )
-        for key, sm in first.items()
-    }
+    """Rank, signature and evenness of the connected sum; each distinct
+    summand form is diagonalised once."""
+    return require_valid(s).totals()
 
 
 def twisted_b_plus(s: ActionScenario, elements) -> int:
@@ -588,32 +629,7 @@ def twisted_b_plus(s: ActionScenario, elements) -> int:
     Equals b_plus_invariant of the induced_cohomology_action operators,
     without building them.
     """
-    table = require_valid(s)
-    elements = set(elements)
-    if not elements or IDENTITY_ELEMENT in elements:
-        raise ValueError("need one or more non-identity group elements")
-    perms = [_action(s, table, e)[0] for e in elements]
-    return _twisted_b_plus(s, perms, _summand_profiles(s))
-
-
-def _twisted_b_plus(s: ActionScenario, perms, profiles: dict) -> int:
-    """twisted_b_plus from the permutation maps of distinct non-identity
-    elements. Whether an element fixes a summand is constant on its orbit
-    (the group is abelian), and each orbit counts once, at its least id."""
-    if len(perms) == 3:
-        return 0
-    b = 0
-    for sm in s.summands:
-        i = sm.id
-        images = [p[i] for p in perms]
-        if i in images:
-            continue  # a given element fixes the orbit
-        if len(images) == 2:
-            # the product of the two may fix i, leaving an orbit of two ids
-            images.append(perms[0][images[1]])
-        if i <= min(images):
-            b += profiles[sm.kind_key()][1].b_plus
-    return b
+    return require_valid(s).b_plus(elements)
 
 
 def _invariants_of(x: Union[ActionScenario, IntegerLattice]) -> TotalInvariants:

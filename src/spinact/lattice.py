@@ -131,41 +131,51 @@ def signature_profile(lat: IntegerLattice) -> SignatureProfile:
     entry. A zero diagonal is repaired by adding row and column q into p
     for some a[p][q] != 0 (hyperbolic-block pivots), a congruence that
     makes the pivot 2 * a[p][q] and acts on the bordered minors alike.
+    The block stays symmetric, so only its upper triangle is kept: row j
+    from column j on, with a[j][p] read from the pivot row.
 
     Sylvester's law of inertia makes the counts independent of the
     elimination choices. Every step is a congruence by a matrix of
     determinant +-1, so the last pivot is the Gram determinant.
     """
-    a = [list(row) for row in lat.gram]
+    a = [list(row[j:]) for j, row in enumerate(lat.gram)]
     prev, b_plus, b_minus = 1, 0, 0
     while a:
-        p = next((i for i, row in enumerate(a) if row[i]), None)
+        p = next((j for j, row in enumerate(a) if row[0]), None)
         if p is None:
             pq = next(
-                ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                ((j, j + t) for j, row in enumerate(a) for t, x in enumerate(row) if x),
                 None,
             )
             if pq is None:
                 break  # remaining block is identically zero
             p, q = pq
-            a[p] = [x + y for x, y in zip(a[p], a[q])]
-            for row in a:
-                row[p] += row[q]
-        pivot = a[p][p]
+            rq = _full_row(a, q)
+            for j in range(p):
+                a[j][p - j] += rq[j]
+            a[p] = [x + y for x, y in zip(a[p], rq[p:])]
+            a[p][0] *= 2  # a[p][p] + 2 a[p][q] + a[q][q], a zero diagonal
+        prow = _full_row(a, p)
+        pivot = prow.pop(p)
         if (pivot > 0) == (prev > 0):
             b_plus += 1
         else:
             b_minus += 1
-        prow = a.pop(p)
-        del prow[p]
-        block = []
-        for row in a:
-            f = row.pop(p)
-            block.append([(pivot * x - f * y) // prev for x, y in zip(row, prow)])
-        a, prev = block, pivot
+        del a[p]
+        for j, row in enumerate(a):
+            if j < p:
+                del row[p - j]
+            f = prow[j]
+            a[j] = [(pivot * x - f * y) // prev for x, y in zip(row, prow[j:])]
+        prev = pivot
     return SignatureProfile(
         b_plus, b_minus, lat.rank - b_plus - b_minus, 0 if a else prev
     )
+
+
+def _full_row(a: list, p: int) -> list:
+    """Row p of the symmetric block whose upper triangle `a` holds."""
+    return [a[j][p - j] for j in range(p)] + a[p]
 
 
 def is_even(lat: IntegerLattice) -> bool:

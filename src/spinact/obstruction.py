@@ -20,13 +20,9 @@ from .equivariant_sum import (
     GEN2,
     ActionScenario,
     FixedSetData,
+    ValidScenario,
     Z2,
     Z2XZ2,
-    _fixed_set_data,
-    _merged_overrides,
-    _summand_profiles,
-    _total_invariants,
-    _twisted_b_plus,
     require_valid,
 )
 from .index_parity import (
@@ -109,13 +105,17 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def _parity_report(element: str, local: dict, overrides: dict) -> ElementReport:
-    fs = _fixed_set_data(element, local, overrides)
-    try:
-        parity = classify_parity(fs)
-    except IndeterminateParityError:
-        parity = None
-    return ElementReport(element, fs, parity)
+def element_reports(v: ValidScenario) -> tuple[ElementReport, ...]:
+    """Fixed set and parity of each non-identity element, in group order."""
+    reports = []
+    for element in v.table:
+        fs = v.fixed_set(element)
+        try:
+            parity = classify_parity(fs)
+        except IndeterminateParityError:
+            parity = None
+        reports.append(ElementReport(element, fs, parity))
+    return tuple(reports)
 
 
 def _parity_hypothesis(name: str, report: ElementReport, want: str) -> Hypothesis:
@@ -135,17 +135,14 @@ def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
     return bk_trace_and_integrality(b, int(k))
 
 
-def _check(s: ActionScenario, table: dict) -> ObstructionReport:
-    """Certificate of a validated scenario, decided from its orbit structure
-    and the element table its validation built."""
-    profiles = _summand_profiles(s)
-    inv = _total_invariants(profiles)
-    overrides = _merged_overrides(s)
-    reports = tuple(
-        _parity_report(e, local, overrides) for e, (_, local) in table.items()
-    )
+def check(s: ActionScenario) -> ObstructionReport:
+    """Certificate for either group: one validation, then a read of the
+    orbit structure it derived."""
+    v = require_valid(s)
+    inv = v.totals()
+    reports = element_reports(v)
     # the total form is the orthogonal sum of the summand forms
-    unimodular = all(abs(p.determinant) == 1 for _, p, _ in profiles.values())
+    unimodular = all(abs(p.determinant) == 1 for _, p, _ in v.forms.values())
     hypotheses = [
         Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
         Hypothesis(
@@ -162,7 +159,7 @@ def _check(s: ActionScenario, table: dict) -> ObstructionReport:
     if s.group == Z2:
         theorem = Z2_THEOREM
         hypotheses.append(_parity_hypothesis("generator_odd", reports[0], ODD))
-        b = _twisted_b_plus(s, [table[GEN1][0]], profiles)
+        b = v.b_plus([GEN1])
         k = k_odd(inv.signature)
         hints = ()
     else:
@@ -174,15 +171,17 @@ def _check(s: ActionScenario, table: dict) -> ObstructionReport:
             # minus block permutations; validation rejects noncommuting ones
             Hypothesis("operators_commute", True, "induced operators commute"),
         ]
-        p1, p2 = table[GEN1][0], table[GEN2][0]
-        b = _twisted_b_plus(s, [p1, p2], profiles)
+        b = v.b_plus([GEN1, GEN2])
         comp_fs = reports[2].fixed_set
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
         # both lift signs are admissible, so the larger bound applies
         effective_index = index_twisted if index_twisted is not None else Fraction(0)
         k = k_klein(inv.signature, abs(effective_index))
-        hint = _subgroup_hint(s, p1, p2)
+        # the same one-sided hint for every proper subgroup
+        shape = recognize_klein_template(v)
+        admitted = shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
+        hint = SMOOTHABLE_BY_CONSTRUCTION if admitted else UNKNOWN
         hints = tuple((sub, hint) for sub in SUBGROUPS)
     trace, integral = _trace(b, k)
     verdict = (
@@ -211,27 +210,21 @@ def _check(s: ActionScenario, table: dict) -> ObstructionReport:
     )
 
 
-def _check_group(s: ActionScenario, group: str, name: str) -> ObstructionReport:
-    table = require_valid(s)
-    if s.group != group:
-        raise ValueError(f"{name} expects a {group} scenario")
-    return _check(s, table)
-
-
 def check_z2(s: ActionScenario) -> ObstructionReport:
     """Certificate for the single-involution inequality b >= -signature/16."""
-    return _check_group(s, Z2, "check_z2")
+    report = check(s)
+    if s.group != Z2:
+        raise ValueError(f"check_z2 expects a {Z2} scenario")
+    return report
 
 
 def check_z2xz2(s: ActionScenario) -> ObstructionReport:
     """Certificate for the Klein four-group inequality
     b >= -signature/32 + |twisted index|/8."""
-    return _check_group(s, Z2XZ2, "check_z2xz2")
-
-
-def check(s: ActionScenario) -> ObstructionReport:
-    """Certificate for either group: one validation, then one pass."""
-    return _check(s, require_valid(s))
+    report = check(s)
+    if s.group != Z2XZ2:
+        raise ValueError(f"check_z2xz2 expects a {Z2XZ2} scenario")
+    return report
 
 
 def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
@@ -240,18 +233,9 @@ def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
     Answers smoothable_by_construction only for the Klein template at a
     point `templates.klein_admits` admits; anything else is unknown.
     """
-    table = require_valid(s)
+    report = check(s)
     if s.group != Z2XZ2:
         raise ValueError("subgroup hints apply to Z2xZ2 scenarios")
     if subgroup not in SUBGROUPS:
         raise ValueError(f"unknown subgroup {subgroup!r}")
-    return _subgroup_hint(s, table[GEN1][0], table[GEN2][0])
-
-
-def _subgroup_hint(s: ActionScenario, p1: dict, p2: dict) -> str:
-    """The hint of a validated Klein scenario with generator permutation
-    maps p1, p2; it is the same for every proper subgroup."""
-    shape = recognize_klein_template(s, (p1, p2))
-    if shape is not None and klein_admits(shape.l1, shape.l2, shape.k):
-        return SMOOTHABLE_BY_CONSTRUCTION
-    return UNKNOWN
+    return dict(report.subgroup_hints)[subgroup]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from ._record import frozen, set_field
 from .equivariant_sum import (
+    GEN1,
+    GEN2,
     ActionScenario,
     GeneratorAction,
     ROTATE_FIRST,
@@ -19,12 +21,12 @@ from .equivariant_sum import (
     MINUS_E8,
     Summand,
     TotalInvariants,
+    ValidScenario,
     Z2,
     Z2XZ2,
-    _total_invariants,
     total_invariants,
 )
-from .lattice import make_standard, standard_profile
+from .lattice import standard_profile
 
 
 # summands one template point builds: a constant plus a coefficient per
@@ -105,45 +107,29 @@ class KleinShape:
         set_field(self, "k", k)
 
 
-def recognize_klein_template(s: ActionScenario, gen_maps=None) -> KleinShape | None:
-    """Match a scenario against the Klein family shape, up to summand names.
+def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
+    """Match a validated scenario against the Klein family shape, up to
+    summand names.
 
     Returns the parameters when the scenario is (a relabelling of) the
     template: one jointly rotated core, one chain per generator swapped
     pairwise by the other, and negative-E8 summands in free four-element
     orbits split evenly by both generators. Anything else returns None.
-    `gen_maps`, the generators' permutation maps if the caller has built
-    them, spares building them again.
+    Validation puts labels exactly on the fixed spheres and every other
+    summand in free orbits, so the labels and the moved sets decide it.
     """
-    if s.group != Z2XZ2 or s.gen2 is None:
+    s = v.scenario
+    if s.group != Z2XZ2 or not v.forms.keys() <= {S2XS2, MINUS_E8}:
         return None
-    ids = [sm.id for sm in s.summands]
-    kinds = {sm.id: sm.kind for sm in s.summands}
-    if any(kind not in (S2XS2, MINUS_E8) for kind in kinds.values()):
+    local1, local2 = s.gen1.local, s.gen2.local
+    if {*local1.values()} - {ROTATE_FIRST} or {*local2.values()} - {ROTATE_SECOND}:
         return None
-    p1, p2 = gen_maps or (s.gen1.perm_map(ids), s.gen2.perm_map(ids))
-    core = chain1 = chain2 = e8 = 0
-    for i in ids:
-        fixed1, fixed2 = p1[i] == i, p2[i] == i
-        if kinds[i] == MINUS_E8:
-            if fixed1 or fixed2 or p1[p2[i]] == i:
-                return None
-            e8 += 1
-        elif fixed1 and fixed2:
-            if s.gen1.local.get(i) != ROTATE_FIRST or s.gen2.local.get(i) != ROTATE_SECOND:
-                return None
-            core += 1
-        elif fixed1:
-            if s.gen1.local.get(i) != ROTATE_FIRST:
-                return None
-            chain1 += 1
-        elif fixed2:
-            if s.gen2.local.get(i) != ROTATE_SECOND:
-                return None
-            chain2 += 1
-        else:
-            return None
-    if core != 1 or chain1 % 2 or chain2 % 2 or e8 % 4:
+    core = len(local1.keys() & local2.keys())
+    chain1, chain2 = len(local1) - core, len(local2) - core
+    e8 = v.forms[MINUS_E8][2] if MINUS_E8 in v.forms else 0
+    # ids both generators move lie in orbits of four, so e8 is a multiple of 4
+    free = len(v.moved[GEN1] & v.moved[GEN2])
+    if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:
         return None
     return KleinShape(chain1 // 2, chain2 // 2, e8 // 4)
 
@@ -166,8 +152,10 @@ def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:
     spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
     if spheres < 0:
         raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
-    pieces = (("hyperbolic", spheres), ("k3", 4 * k))
-    advertised = _total_invariants(
-        {kind: (make_standard(kind), standard_profile(kind), n) for kind, n in pieces}
+    h, k3 = standard_profile("hyperbolic"), standard_profile("k3")
+    advertised = TotalInvariants(
+        spheres * h.rank + 4 * k * k3.rank,
+        spheres * h.signature + 4 * k * k3.signature,
+        True,  # both forms are even
     )
     return FamilyComparison(constructed, advertised, constructed == advertised)

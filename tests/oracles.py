@@ -2,7 +2,9 @@
 sign counts, which share no code with the library's decision paths, and
 reference implementations that spell out, one family at a time, what the
 library now derives from shared rules (the template sweep, the advertised
-family total built as one dense form)."""
+family total built as one dense form), or compute it the long way (the
+full-matrix elimination, the validator that builds every element map
+before it checks)."""
 
 from __future__ import annotations
 
@@ -11,8 +13,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from spinact.equivariant_sum import TotalInvariants, total_invariants
-from spinact.lattice import direct_sum_all, is_even, make_standard, signature_profile
+from spinact.equivariant_sum import (
+    COMPOSITION,
+    CUSTOM,
+    GEN1,
+    GEN2,
+    IDENTITY_LABEL,
+    KINDS,
+    LABELS,
+    ROTATE_BOTH,
+    S2XS2,
+    Z2,
+    Z2XZ2,
+    TotalInvariants,
+    Violation,
+    element_action,
+    total_invariants,
+)
+from spinact.lattice import (
+    SignatureProfile,
+    direct_sum_all,
+    is_even,
+    make_standard,
+    signature_profile,
+)
 from spinact.templates import FamilyComparison, klein_template, z2_template
 
 
@@ -241,3 +265,235 @@ def klein_family_comparison_dense(l1: int, l2: int, k: int):
     lat = direct_sum_all(pieces)
     advertised = TotalInvariants(lat.rank, signature_profile(lat).signature, is_even(lat))
     return FamilyComparison(constructed, advertised, constructed == advertised)
+
+
+def signature_profile_full(lat) -> SignatureProfile:
+    """signature_profile by the same symmetric Bareiss steps and pivot
+    choices, on the whole matrix instead of its upper triangle."""
+    a = [list(row) for row in lat.gram]
+    prev, b_plus, b_minus = 1, 0, 0
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            pq = next(
+                ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                None,
+            )
+            if pq is None:
+                break  # remaining block is identically zero
+            p, q = pq
+            a[p] = [x + y for x, y in zip(a[p], a[q])]
+            for row in a:
+                row[p] += row[q]
+        pivot = a[p][p]
+        if (pivot > 0) == (prev > 0):
+            b_plus += 1
+        else:
+            b_minus += 1
+        prow = a.pop(p)
+        del prow[p]
+        block = []
+        for row in a:
+            f = row.pop(p)
+            block.append([(pivot * x - f * y) // prev for x, y in zip(row, prow)])
+        a, prev = block, pivot
+    return SignatureProfile(
+        b_plus, b_minus, lat.rank - b_plus - b_minus, 0 if a else prev
+    )
+
+
+def validate_scenario_reference(s):
+    """(violations, element table) of a scenario: the validator with one
+    loop per check, each element map built before the checks that read it.
+    The table, {element: (permutation map, local labels)}, is complete when
+    the list is empty."""
+    v = []
+    table = {}
+    ids = [sm.id for sm in s.summands]
+    by_id = {}
+    for sm in s.summands:
+        if sm.id in by_id:
+            v.append(Violation("duplicate_id", f"duplicate summand id {sm.id!r}", sm.id))
+        by_id[sm.id] = sm
+        if sm.kind not in KINDS:
+            v.append(Violation("unknown_kind", f"unknown kind {sm.kind!r}", sm.id))
+        if sm.kind == CUSTOM and sm.custom_form is None:
+            v.append(
+                Violation("missing_gram", f"custom summand {sm.id!r} has no form", sm.id)
+            )
+    if v:
+        return v, table
+
+    if s.group not in (Z2, Z2XZ2):
+        return [Violation("unknown_group", f"unknown group {s.group!r}")], table
+    if s.group == Z2 and s.gen2 is not None:
+        v.append(Violation("unexpected_gen2", "Z2 scenario must not have generator2"))
+    if s.group == Z2XZ2 and s.gen2 is None:
+        v.append(Violation("missing_gen2", "Z2xZ2 scenario needs generator2"))
+    if v:
+        return v, table
+
+    gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
+    for name, gen in gens:
+        seen = set()
+        for pair in gen.permutation:
+            if len(pair) != 2 or pair[0] == pair[1]:
+                v.append(
+                    Violation(
+                        "bad_pair", f"{name}: permutation pair {pair!r} is degenerate"
+                    )
+                )
+                continue
+            for x in pair:
+                if x not in by_id:
+                    v.append(
+                        Violation("unknown_id", f"{name}: unknown summand id {x!r}", x)
+                    )
+                elif x in seen:
+                    v.append(
+                        Violation(
+                            "overlapping_pairs",
+                            f"{name}: summand {x!r} appears in two pairs",
+                            x,
+                        )
+                    )
+                seen.add(x)
+            if (
+                pair[0] in by_id
+                and pair[1] in by_id
+                and by_id[pair[0]].kind_key() != by_id[pair[1]].kind_key()
+            ):
+                v.append(
+                    Violation(
+                        "kind_mismatch",
+                        f"{name}: swapped summands {pair[0]!r}, {pair[1]!r} differ in kind",
+                    )
+                )
+        pmap, _ = table[name] = element_action(s, name)
+        for i, label in gen.local.items():
+            if i not in by_id:
+                v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))
+            elif label not in LABELS:
+                v.append(
+                    Violation("unknown_label", f"{name}: unknown label {label!r}", i)
+                )
+            elif pmap[i] != i:
+                v.append(
+                    Violation(
+                        "label_on_moved",
+                        f"{name}: label on summand {i!r} that the permutation moves",
+                        i,
+                    )
+                )
+            elif by_id[i].kind != S2XS2:
+                v.append(
+                    Violation(
+                        "label_on_non_sphere",
+                        f"{name}: local involution labels attach only to s2xs2 "
+                        f"summands, not {by_id[i].kind}",
+                        i,
+                    )
+                )
+            elif label == IDENTITY_LABEL:
+                v.append(
+                    Violation(
+                        "trivial_generator_label",
+                        f"{name}: identity label on {i!r} would fix a 4-dimensional "
+                        f"piece, which the fixed-set model cannot represent",
+                        i,
+                    )
+                )
+        for i in ids:
+            if pmap[i] == i and by_id[i].kind == S2XS2 and i not in gen.local:
+                v.append(
+                    Violation(
+                        "missing_label",
+                        f"{name}: fixed s2xs2 summand {i!r} has no local label",
+                        i,
+                    )
+                )
+    if v:
+        return v, table
+
+    if s.group == Z2XZ2:
+        p1, p2 = table[GEN1][0], table[GEN2][0]
+        if any(p1[p2[i]] != p2[p1[i]] for i in ids):
+            v.append(
+                Violation("noncommuting", "generator permutations do not commute")
+            )
+        else:
+            for i in ids:
+                if p1[i] == i and p2[i] == i and i in s.gen1.local:
+                    if s.gen1.local[i] == s.gen2.local.get(i):
+                        v.append(
+                            Violation(
+                                "identical_local_actions",
+                                f"generators act identically on jointly fixed "
+                                f"summand {i!r}; their composition would fix it "
+                                f"pointwise",
+                                i,
+                            )
+                        )
+                if p1[i] == p2[i] and p1[i] != i:
+                    v.append(
+                        Violation(
+                            "identical_swap",
+                            f"generators swap {i!r} along the same pair; their "
+                            f"composition would fix it pointwise",
+                            i,
+                        )
+                    )
+    if v:
+        return v, table
+    if s.group == Z2XZ2:
+        table[COMPOSITION] = element_action(s, COMPOSITION)
+
+    rotated_both = set()
+    for element, (pmap, local) in table.items():
+        rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
+        for i in ids:
+            if pmap[i] == i and by_id[i].kind != S2XS2:
+                v.append(
+                    Violation(
+                        "fixed_non_sphere",
+                        f"{by_id[i].kind} summand {i!r} is fixed by {element}; "
+                        f"these pieces must lie in free orbits",
+                        i,
+                    )
+                )
+
+    merged = dict(s.gen1.overrides)
+    if s.gen2 is not None:
+        merged.update(s.gen2.overrides)
+        for i in set(s.gen1.overrides) & set(s.gen2.overrides):
+            if s.gen1.overrides[i] != s.gen2.overrides[i]:
+                v.append(
+                    Violation(
+                        "conflicting_override",
+                        f"generators give conflicting sign overrides for {i!r}",
+                        i,
+                    )
+                )
+    for i, (np_, nm) in merged.items():
+        if i not in by_id:
+            v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))
+            continue
+        if np_ < 0 or nm < 0 or np_ + nm != 4:
+            v.append(
+                Violation(
+                    "bad_override",
+                    f"override for {i!r} must split the 4 isolated points, got "
+                    f"({np_}, {nm})",
+                    i,
+                )
+            )
+        if i not in rotated_both:
+            v.append(
+                Violation(
+                    "stale_override",
+                    f"override for {i!r} but no element has isolated fixed points "
+                    f"there",
+                    i,
+                )
+            )
+    return v, table

@@ -41,6 +41,8 @@ from spinact.lattice import IntegerLattice, direct_sum_all, make_standard
 from spinact.obstruction import check
 from spinact.templates import klein_template, z2_template
 
+from oracles import validate_scenario_reference
+
 
 def single_sphere(label) -> ActionScenario:
     return ActionScenario(
@@ -495,7 +497,7 @@ def test_twisted_b_plus_matches_dense_engine_klein(s):
 @example(with_free_orbits(klein_template(1, 0, 1), ["k3", "hyperbolic"]))
 @settings(max_examples=20, deadline=None)
 def test_element_table_matches_element_action_and_the_dense_oracle(s):
-    table = require_valid(s)
+    table = require_valid(s).table
     assert list(table) == list(elements_of(s.group))
     for element in elements_of(s.group):
         assert table[element] == element_action(s, element)
@@ -509,6 +511,135 @@ def test_element_table_matches_element_action_and_the_dense_oracle(s):
     assert [er.element for er in report.elements] == list(table)
     for er in report.elements:
         assert er.fixed_set == fixed_set_data(s, er.element)
+
+
+_KLEIN_GENS = (klein_template(1, 1, 1).gen1, klein_template(1, 1, 1).gen2)
+
+
+def _mutated(draw, s):
+    """`s` with up to three edits, each aimed at one violation code."""
+    summands = list(s.summands)
+    gens = [
+        [list(g.permutation), dict(g.local), dict(g.overrides)]
+        for g in (s.gen1, s.gen2)
+        if g is not None
+    ]
+    group = s.group
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3, 0]))):
+        ids = [sm.id for sm in summands]
+        some_id = st.sampled_from(ids) if ids else st.just("s0")
+        perm, local, overrides = draw(st.sampled_from(gens))
+        fresh = f"m{len(summands)}"
+        edit = draw(
+            st.sampled_from(
+                [
+                    "duplicate_id", "unknown_id", "degenerate_pair", "overlapping_pairs",
+                    "kind_mismatch", "label_on_moved", "label_on_non_sphere",
+                    "missing_label", "unknown_label", "identity_label", "identical_swap",
+                    "identical_labels", "noncommuting", "bad_override", "stale_override",
+                    "conflicting_override", "fixed_non_sphere", "unknown_kind",
+                    "missing_gram", "group",
+                ]
+            )
+        )
+        if edit == "duplicate_id" and summands:
+            summands.append(draw(st.sampled_from(summands)))
+        elif edit == "unknown_id":
+            where = draw(st.sampled_from(["pair", "label", "override"]))
+            if where == "pair":
+                perm.append((draw(some_id), "ghost"))
+            elif where == "label":
+                local["ghost"] = ROTATE_FIRST
+            else:
+                overrides["ghost"] = (2, 2)
+        elif edit == "degenerate_pair":
+            x = draw(some_id)
+            perm.append((x, x))
+        elif edit == "overlapping_pairs" and perm:
+            perm.append((draw(st.sampled_from(perm))[0], draw(some_id)))
+        elif edit == "kind_mismatch":
+            summands += [Summand(fresh, "s2xs2"), Summand(fresh + "e", "minus_e8")]
+            perm.append((fresh, fresh + "e"))
+        elif edit == "label_on_moved" and perm:
+            local[draw(st.sampled_from(perm))[1]] = draw(st.sampled_from(LABELS))
+        elif edit == "label_on_non_sphere":
+            summands.append(Summand(fresh, draw(st.sampled_from(["minus_e8", "k3"]))))
+            local[fresh] = ROTATE_BOTH
+        elif edit == "missing_label" and local:
+            del local[draw(st.sampled_from(sorted(local)))]
+        elif edit == "unknown_label" and ids:
+            local[draw(some_id)] = "rotate_sideways"
+        elif edit == "identity_label" and local:
+            local[draw(st.sampled_from(sorted(local)))] = IDENTITY_LABEL
+        elif edit == "identical_swap" and len(gens) == 2:
+            summands += [Summand(fresh, "s2xs2"), Summand(fresh + "b", "s2xs2")]
+            for g in gens:
+                g[0].append((fresh, fresh + "b"))
+        elif edit == "identical_labels" and len(gens) == 2:
+            shared = sorted(gens[0][1].keys() & gens[1][1].keys())
+            if shared:
+                i = draw(st.sampled_from(shared))
+                gens[1][1][i] = gens[0][1][i]
+        elif edit == "noncommuting" and len(gens) == 2:
+            a, b, c = fresh + "a", fresh + "b", fresh + "c"
+            summands += [Summand(x, "s2xs2") for x in (a, b, c)]
+            gens[0][0].append((a, b))
+            gens[0][1][c] = ROTATE_FIRST
+            gens[1][0].append((b, c))
+            gens[1][1][a] = ROTATE_SECOND
+        elif edit == "bad_override" and ids:
+            overrides[draw(some_id)] = (draw(st.integers(-1, 5)), draw(st.integers(-1, 5)))
+        elif edit == "stale_override" and ids:
+            overrides[draw(some_id)] = (2, 2)
+        elif edit == "conflicting_override" and len(gens) == 2 and ids:
+            i = draw(some_id)
+            gens[0][2][i], gens[1][2][i] = (1, 3), (3, 1)
+        elif edit == "fixed_non_sphere":
+            summands.append(Summand(fresh, "minus_e8"))
+        elif edit == "unknown_kind" and summands:
+            n = draw(st.integers(0, len(summands) - 1))
+            summands[n] = Summand(summands[n].id, "torus")
+        elif edit == "missing_gram" and summands:
+            n = draw(st.integers(0, len(summands) - 1))
+            summands[n] = Summand(summands[n].id, CUSTOM)
+        elif edit == "group":
+            group = draw(st.sampled_from(["Z2", "Z2xZ2", "Z3"]))
+    generators = [GeneratorAction(tuple(p), l, o) for p, l, o in gens]
+    return ActionScenario(group, tuple(summands), *generators)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    return _mutated(draw, draw(st.one_of(z2_scenarios(), klein_scenarios())))
+
+
+@given(mutated_scenarios())
+@example(ActionScenario("Z2", klein_template(1, 1, 1).summands, *_KLEIN_GENS))
+@example(ActionScenario("Z3", (), GeneratorAction()))
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_the_reference_validator(s):
+    violations, table = validate_scenario_reference(s)
+    assert validate_scenario(s) == violations
+    if violations:
+        return
+    valid = require_valid(s)
+    assert valid.table == table
+    for element, (pmap, _) in table.items():
+        assert valid.moved[element] == {i for i, j in pmap.items() if i != j}
+
+
+@pytest.mark.parametrize(
+    "elements,expected",
+    [([GEN1, COMPOSITION], 1 + 1), ([GEN2, COMPOSITION], 2 + 1)],
+    ids=["gen1-composition", "gen2-composition"],
+)
+def test_twisted_b_plus_counts_an_orbit_of_two_once(elements, expected):
+    # klein_template(2, 1, 1) plus a free orbit of hyperbolic planes: the
+    # element outside `elements` fixes each chain pair it does not swap
+    # (l2 = 1 pair for gen1, l1 = 2 for gen2), an orbit of two ids, and
+    # moves the E8 and hyperbolic orbits of four ids
+    s = with_free_orbits(klein_template(2, 1, 1), ["hyperbolic"])
+    assert twisted_b_plus(s, elements) == expected == _dense_b_plus(s, elements)
 
 
 def test_twisted_b_plus_rejects_identity_and_empty_sets():

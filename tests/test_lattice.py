@@ -25,6 +25,7 @@ from oracles import (
     is_symmetric_per_entry,
     matmul,
     random_unimodular,
+    signature_profile_full,
 )
 
 
@@ -239,6 +240,40 @@ def test_profile_of_scrambled_unimodular_forms(a, h, seed):
     assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (
         h, 8 * a + h, 0, (-1) ** h
     )
+
+
+@st.composite
+def singular_or_repaired_forms(draw):
+    """Symmetric forms with small or 40-bit entries, half with a zero
+    diagonal (pivot repairs), some made singular by repeating a row and
+    column or appending a zero one (the elimination then stops at a zero
+    block)."""
+    bound = draw(st.sampled_from((3, 2**40)))
+    g = [list(row) for row in draw(symmetric_lattices(max_rank=7, bound=bound)).gram]
+    for _ in range(draw(st.integers(0, 2))):
+        n = len(g)
+        i = draw(st.integers(0, n - 1)) if n and draw(st.booleans()) else None
+        for row in g:
+            row.append(0 if i is None else row[i])
+        g.append([0] * (n + 1) if i is None else list(g[i]))
+    return IntegerLattice(tuple(map(tuple, g)))
+
+
+@given(singular_or_repaired_forms())
+@settings(max_examples=200, deadline=None)
+def test_upper_triangle_elimination_matches_the_full_matrix(lat):
+    assert signature_profile(lat) == signature_profile_full(lat)
+
+
+def test_upper_triangle_elimination_matches_the_full_matrix_on_dense_forms():
+    rng = random.Random(5)
+    for n in (12, 25):
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.getrandbits(62) - 2**61
+        lat = IntegerLattice(g)
+        assert signature_profile(lat) == signature_profile_full(lat)
 
 
 def leibniz_determinant(gram) -> int:
