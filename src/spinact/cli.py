@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import equivariant_sum as eq
@@ -85,8 +86,11 @@ def _flag_int(text: str, flag: str) -> int:
     try:
         return int(text)
     except ValueError:
+        # int() reports the digit limit before it looks at the other characters
         limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{flag} needs integers of at most {limit} digits") from None
+        if 0 < limit < sum(map(str.isdecimal, text)):
+            raise ValueError(f"{flag} needs integers of at most {limit} digits") from None
+        raise ValueError(f"{flag} value {text!r} is not an integer") from None
 
 
 def _components_text(components) -> str:
@@ -225,16 +229,17 @@ def run_invariants(args, out) -> int:
 
 def _sweep_points(
     template: str, r: dict[str, tuple[int, int]]
-) -> list[tuple[tuple[int, ...], eq.ActionScenario]]:
+) -> Iterator[tuple[tuple[int, ...], eq.ActionScenario]]:
     """Sorted grid points of the sweep that `z2_admits` / `klein_admits`
-    keep, with their scenarios. A skipped total may have no smooth structure,
-    and then every action on it is vacuously nonsmoothable."""
+    keep, with their scenarios, each built when it is reached. A skipped
+    total may have no smooth structure, and then every action on it is
+    vacuously nonsmoothable."""
     build, admits = (
         (z2_template, z2_admits) if template == "z2" else (klein_template, klein_admits)
     )
     ranges = (r[name] for name in TEMPLATE_SUMMANDS[template][1])
     grid = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
-    return [(params, build(*params)) for params in grid if admits(*params)]
+    return ((params, build(*params)) for params in grid if admits(*params))
 
 
 def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:

@@ -112,9 +112,6 @@ class Summand:
             return self.custom_form
         return make_standard(self.kind)
 
-    def kind_key(self):
-        return (self.kind, self.custom_form.gram if self.custom_form else None)
-
 
 @frozen
 class GeneratorAction:
@@ -133,10 +130,14 @@ class GeneratorAction:
         set_field(self, "overrides", {} if overrides is None else overrides)
 
     def perm_map(self, ids) -> dict[str, str]:
+        """Each of `ids` to its image. A pair that is not two ids, which
+        validation reports as bad_pair, maps nothing."""
         mapping = {i: i for i in ids}
-        for a, b in self.permutation:
-            mapping[a] = b
-            mapping[b] = a
+        for pair in self.permutation:
+            if len(pair) == 2:
+                a, b = pair
+                mapping[a] = b
+                mapping[b] = a
         return mapping
 
 
@@ -192,50 +193,8 @@ def compose_labels(a: str, b: str) -> str:
     return _BITS_LABEL[((x1 + x2) % 2, (y1 + y2) % 2)]
 
 
-def elements_of(group: str) -> tuple[str, ...]:
-    if group == Z2:
-        return (GEN1,)
-    return (GEN1, GEN2, COMPOSITION)
-
-
 def _ids(s: ActionScenario) -> list[str]:
     return [sm.id for sm in s.summands]
-
-
-def element_action(
-    s: ActionScenario, element: str, ids=None
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Effective (permutation map, local labels on fixed summands) of an element.
-
-    For the composition of a Klein four-group scenario the permutation is
-    the product of the generator permutations and labels on jointly fixed
-    summands compose through the label group. (Validation rejects a
-    summand that both generators swap along the same pair, so the
-    composition fixes exactly the jointly fixed summands.) `ids`, the
-    summand ids in order, is passed by a caller that has listed them.
-    """
-    ids = _ids(s) if ids is None else ids
-    if element == IDENTITY_ELEMENT:
-        return {i: i for i in ids}, {}
-    if element == GEN1:
-        return s.gen1.perm_map(ids), dict(s.gen1.local)
-    if element not in (GEN2, COMPOSITION):
-        raise ValueError(f"unknown group element {element!r}")
-    if s.gen2 is None:
-        raise ValueError("scenario has no second generator")
-    if element == GEN2:
-        return s.gen2.perm_map(ids), dict(s.gen2.local)
-    p1, p2 = s.gen1.perm_map(ids), s.gen2.perm_map(ids)
-    comp = {i: p1[p2[i]] for i in ids}
-    local = {
-        i: compose_labels(
-            s.gen1.local.get(i, IDENTITY_LABEL),
-            s.gen2.local.get(i, IDENTITY_LABEL),
-        )
-        for i in ids
-        if p1[i] == i and p2[i] == i
-    }
-    return comp, local
 
 
 def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
@@ -268,11 +227,14 @@ class ValidScenario:
         set_field(self, "forms", forms)
 
     def action(self, element: str) -> tuple[dict[str, str], dict[str, str]]:
-        """The table entry of an element; element_action raises for one the
-        scenario lacks."""
-        if element in self.table:
+        """The table entry of a non-identity element of the scenario's group."""
+        try:
             return self.table[element]
-        return element_action(self.scenario, element)
+        except KeyError:
+            raise ValueError(
+                f"{element!r} is not a non-identity element of this "
+                f"{self.scenario.group} scenario"
+            ) from None
 
     def totals(self) -> TotalInvariants:
         """Rank, signature and evenness of the connected sum, which add over
@@ -287,8 +249,6 @@ class ValidScenario:
     def fixed_set(self, element: str) -> FixedSetData:
         """Fixed set of a non-identity element from its local labels and
         the merged sign overrides (see fixed_set_data)."""
-        if element == IDENTITY_ELEMENT:
-            raise ValueError("the identity element fixes everything")
         local = self.action(element)[1]
         labels = list(local.values())
         two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
@@ -309,10 +269,10 @@ class ValidScenario:
         element moves it, and each of its ids adds b_plus of its form over
         the orbit size."""
         elements = set(elements)
-        if not elements or IDENTITY_ELEMENT in elements:
+        if not elements:
             raise ValueError("need one or more non-identity group elements")
         for element in elements:
-            self.action(element)  # raises for an element the scenario lacks
+            self.action(element)  # raises for any element outside the table
         if len(elements) == 3:
             return 0  # no sign character is -1 on all three
         first, *rest = (self.moved[e] for e in elements)
@@ -390,12 +350,12 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     )
                 seen.add(x)
             a, b = by_id.get(pair[0]), by_id.get(pair[1])
+            # lattices compare their grams; parse_scenario gives equal grams
+            # one lattice, which compares by identity first
             if (
                 a is not None
                 and b is not None
-                # one shared custom lattice (or none) spares comparing grams
-                and (a.kind != b.kind or a.custom_form is not b.custom_form)
-                and a.kind_key() != b.kind_key()
+                and (a.kind != b.kind or a.custom_form != b.custom_form)
             ):
                 v.append(
                     Violation(
@@ -404,7 +364,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     )
                 )
         moved[name] = seen
-        pmap, local = table[name] = element_action(s, name, ids=ids)
+        pmap, local = table[name] = gen.perm_map(ids), gen.local
         for i, label in local.items():
             if i not in by_id:
                 v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))

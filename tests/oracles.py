@@ -4,7 +4,8 @@ reference implementations that spell out, one family at a time, what the
 library now derives from shared rules (the template sweep, the advertised
 family total built as one dense form), or compute it the long way (the
 full-matrix elimination, the validator that builds every element map
-before it checks)."""
+before it checks, and the element actions that validation's table is
+checked against)."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from spinact.equivariant_sum import (
     CUSTOM,
     GEN1,
     GEN2,
+    IDENTITY_ELEMENT,
     IDENTITY_LABEL,
     KINDS,
     LABELS,
@@ -27,7 +29,7 @@ from spinact.equivariant_sum import (
     Z2XZ2,
     TotalInvariants,
     Violation,
-    element_action,
+    compose_labels,
     total_invariants,
 )
 from spinact.lattice import (
@@ -302,6 +304,49 @@ def signature_profile_full(lat) -> SignatureProfile:
     )
 
 
+def elements_of(group: str) -> tuple[str, ...]:
+    if group == Z2:
+        return (GEN1,)
+    return (GEN1, GEN2, COMPOSITION)
+
+
+def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
+    """Effective (permutation map, local labels on fixed summands) of an element.
+
+    For the composition of a Klein four-group scenario the permutation is
+    the product of the generator permutations and labels on jointly fixed
+    summands compose through the label group. (Validation rejects a
+    summand that both generators swap along the same pair, so the
+    composition fixes exactly the jointly fixed summands.)
+    """
+    ids = [sm.id for sm in s.summands]
+    if element == IDENTITY_ELEMENT:
+        return {i: i for i in ids}, {}
+    if element == GEN1:
+        return s.gen1.perm_map(ids), dict(s.gen1.local)
+    if element not in (GEN2, COMPOSITION):
+        raise ValueError(f"unknown group element {element!r}")
+    if s.gen2 is None:
+        raise ValueError("scenario has no second generator")
+    if element == GEN2:
+        return s.gen2.perm_map(ids), dict(s.gen2.local)
+    p1, p2 = s.gen1.perm_map(ids), s.gen2.perm_map(ids)
+    comp = {i: p1[p2[i]] for i in ids}
+    local = {
+        i: compose_labels(
+            s.gen1.local.get(i, IDENTITY_LABEL),
+            s.gen2.local.get(i, IDENTITY_LABEL),
+        )
+        for i in ids
+        if p1[i] == i and p2[i] == i
+    }
+    return comp, local
+
+
+def _kind_key(sm):
+    return (sm.kind, sm.custom_form.gram if sm.custom_form else None)
+
+
 def validate_scenario_reference(s):
     """(violations, element table) of a scenario: the validator with one
     loop per check, each element map built before the checks that read it.
@@ -361,7 +406,7 @@ def validate_scenario_reference(s):
             if (
                 pair[0] in by_id
                 and pair[1] in by_id
-                and by_id[pair[0]].kind_key() != by_id[pair[1]].kind_key()
+                and _kind_key(by_id[pair[0]]) != _kind_key(by_id[pair[1]])
             ):
                 v.append(
                     Violation(

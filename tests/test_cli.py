@@ -8,6 +8,7 @@ import re
 import runpy
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -137,6 +138,15 @@ def test_non_unimodular_form_exits_two(tmp_path):
     assert "verdict: no_obstruction" in output
 
 
+def test_the_readme_scenario_example_checks(tmp_path):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    status, output = run_main(["check", "--input", str(path)])
+    assert status == 0 and output.endswith("verdict: nonsmoothable\n")
+
+
 def test_validation_violation_exits_two(tmp_path):
     doc = {
         "schema_version": 1,
@@ -156,8 +166,13 @@ def test_validation_violation_exits_two(tmp_path):
     [
         ('{"schema_version": 1, "group": "Z9"}', "group"),
         ("[" * 100000 + "]" * 100000, "nested too deeply"),
+        (
+            '{"schema_version": 1, "group": "Z2", "summands": [],'
+            ' "generator1": {}, "generator2": {}}',
+            "malformed scenario: generator2: Z2 scenario must not have generator2\n",
+        ),
     ],
-    ids=["unknown-group", "deep-nesting"],
+    ids=["unknown-group", "deep-nesting", "z2-with-generator2"],
 )
 def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
     path = tmp_path / "broken.json"
@@ -313,6 +328,10 @@ def test_enumerate_rejects_wrong_sweep_keys(capsys):
         ["enumerate", "--template", "klein", "--sweep", "l=3..4,k=1..1"]
     )
     assert status == 2
+    status, output = run_main(["enumerate", "--template", "z2", "--sweep", "l=3"])
+    assert status == 2 and output == ""
+    err = capsys.readouterr().err
+    assert err.endswith("error: bad sweep component 'l=3'; expected name=a..b\n")
 
 
 def test_enumerate_rejects_a_repeated_sweep_name(capsys):
@@ -456,7 +475,24 @@ def test_sweep_work_bounds_the_points_and_summands_built(template, spans):
 @settings(max_examples=60, deadline=None)
 def test_sweep_points_match_the_nested_loops(template, spans):
     ranges = dict(zip(TEMPLATE_SUMMANDS[template][1], spans))
-    assert cli._sweep_points(template, ranges) == sweep_points_nested(template, ranges)
+    assert list(cli._sweep_points(template, ranges)) == sweep_points_nested(
+        template, ranges
+    )
+
+
+def test_enumerate_keeps_one_template_alive_at_a_time(monkeypatch):
+    check = cli.ob.check
+    refs, alive = [], []
+
+    def checked(s):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(s))
+        return check(s)
+
+    monkeypatch.setattr(cli.ob, "check", checked)
+    status, _ = run_main(["enumerate", "--template", "z2", "--sweep", "l=0..30,k=0..2"])
+    assert status == 0
+    assert alive == [0] * len(sweep_points_nested("z2", {"l": (0, 30), "k": (0, 2)}))
 
 
 def test_repring_character_and_lambda():
@@ -464,6 +500,12 @@ def test_repring_character_and_lambda():
     assert status == 0
     assert "character at element 1: 0" in output
     assert "lambda_-1 trace at element 1: 2" in output
+    status, output = run_main(["repring", "--rep", "1,0,0,-1", "--element", "0"])
+    assert status == 0
+    assert output.endswith(
+        "lambda_-1 trace at element 0: undefined (element 0 fixes a vector of the"
+        " subtracted representation)\n"
+    )
 
 
 def test_repring_tomdieck():
@@ -492,6 +534,14 @@ def test_repring_structured():
     doc = json.loads(output)
     assert doc["trace"] == "1/2"
     assert doc["is_algebraic_integer"] is False
+    status, output = run_main(["repring", "--rep", "0,1,0,1", "--format", "structured"])
+    assert status == 0
+    assert json.loads(output) == {
+        "character": "0",
+        "element": 1,
+        "lambda_minus_one": "2",
+        "mult": [0, 1, 0, 1],
+    }
 
 
 @pytest.mark.parametrize("element", ["-1", "4", "7"])
@@ -555,8 +605,12 @@ def test_repring_prints_every_admitted_degree_and_difference():
         (["--rep", "0,1,0,1", "--degree", "5"], ("--rep", "--degree")),
         (["--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--rep", "1,0,0,0"], ("--rep", "--w-perp")),
         (["--rep", "1,0,0,0", "--v-perp", "0,1,0,1"], ("--rep", "--v-perp")),
+        (["--rep", "1,2,3"], ("error: --rep needs four comma-separated multiplicities\n",)),
+        (["--w-perp", "0,0,3,0"], ("error: --w-perp and --v-perp must be given together\n",)),
+        ([], ("error: repring needs --rep or --w-perp/--v-perp\n",)),
     ],
-    ids=["rep-degree", "rep-w-perp-v-perp", "rep-v-perp"],
+    ids=["rep-degree", "rep-w-perp-v-perp", "rep-v-perp", "rep-of-three", "w-perp-alone",
+         "neither"],
 )
 def test_repring_refuses_flags_it_would_ignore(monkeypatch, capsys, flags, named):
     def computed(*_args):
@@ -710,6 +764,21 @@ def test_over_long_cli_numbers_exit_two_naming_the_flag(capsys, argv, flag):
     assert err.startswith(f"error: {flag}")
     assert "set_int_max_str_digits" not in err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["repring", "--rep", "a,0,0,0"], "--rep value 'a' is not an integer"),
+        (["enumerate", "--template", "z2", "--sweep", "l=x..3,k=0..0"],
+         "--sweep 'l' value 'x' is not an integer"),
+    ],
+    ids=["rep", "sweep"],
+)
+def test_cli_numbers_that_are_not_integers_exit_two_naming_the_flag(capsys, argv, message):
+    status, output = run_main(argv)
+    assert status == 2 and output == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _z2_pairs_doc(kind: str, pairs: int) -> dict:
@@ -914,9 +983,9 @@ def test_validation_builds_each_element_action_once(monkeypatch):
         },
     }
     s = parse_scenario(json.dumps(doc))
-    calls = _count_calls(monkeypatch, equivariant_sum.element_action)
+    perm_maps = _count_perm_maps(monkeypatch)
     assert equivariant_sum.validate_scenario(s) == []
-    assert len(calls) == len(equivariant_sum.elements_of(s.group))
+    assert perm_maps == [s.gen1]
 
 
 def test_a_klein_certificate_lists_ids_and_merges_overrides_once_per_pass(monkeypatch):

@@ -22,9 +22,8 @@ from spinact.equivariant_sum import (
     InvalidScenarioError,
     ScenarioFormatError,
     Summand,
+    Violation,
     compose_labels,
-    element_action,
-    elements_of,
     fixed_set_data,
     homeo_invariants_equal,
     induced_cohomology_action,
@@ -41,7 +40,7 @@ from spinact.lattice import IntegerLattice, direct_sum_all, make_standard
 from spinact.obstruction import check
 from spinact.templates import klein_template, z2_template
 
-from oracles import validate_scenario_reference
+from oracles import element_action, elements_of, validate_scenario_reference
 
 
 def single_sphere(label) -> ActionScenario:
@@ -122,6 +121,29 @@ def test_degenerate_pair_rejected():
         "Z2", (Summand("s0", "s2xs2"),), GeneratorAction((("s0", "s0"),), {})
     )
     assert "bad_pair" in [v.code for v in validate_scenario(s)]
+
+
+@pytest.mark.parametrize("pair", [("a", "b", "c"), ("a",)], ids=["three-ids", "one-id"])
+def test_a_pair_of_other_than_two_ids_is_a_bad_pair(pair):
+    # the parser admits only id pairs; a generator built in code may hold others
+    s = ActionScenario(
+        "Z2",
+        tuple(Summand(i, "s2xs2") for i in "abc"),
+        GeneratorAction((pair,), {i: ROTATE_FIRST for i in "abc"}),
+    )
+    expected = [Violation("bad_pair", f"gen1: permutation pair {pair!r} is degenerate")]
+    assert validate_scenario(s) == expected == validate_scenario_reference(s)[0]
+    with pytest.raises(InvalidScenarioError) as err:
+        require_valid(s)
+    assert list(err.value.violations) == expected
+
+
+def test_an_action_is_read_only_from_the_element_table():
+    v = require_valid(z2_template(3, 1))
+    assert v.action(GEN1) is v.table[GEN1]
+    for element in (GEN2, COMPOSITION, IDENTITY_ELEMENT, "gen3"):
+        with pytest.raises(ValueError, match="not a non-identity element of this Z2"):
+            v.action(element)
 
 
 def test_label_on_moved_summand_rejected():
