@@ -46,14 +46,11 @@ from .equivariant_sum import (
 )
 from .index_parity import (
     IndeterminateParityError,
-    IndexData,
     ParityClass,
-    PositiveSignatureError,
     classify_parity,
     k_klein,
     k_odd,
     lefschetz_index,
-    real_index_from_signature,
 )
 from .rep_ring import (
     FixedVectorError,
@@ -72,7 +69,6 @@ from .obstruction import (
     check_z2,
     check_z2xz2,
     element_reports,
-    subgroup_smoothability_hint,
 )
 from .templates import (
     FamilyComparison,

@@ -97,9 +97,14 @@ def _components_text(components) -> str:
     return ", ".join(f"dim {d} x{c}" for d, c in components) or "empty"
 
 
-def _trace_text(report: ob.ObstructionReport) -> str:
+def _trace_text(report: ob.ObstructionReport) -> str | None:
+    """The trace 2^(b-k), or None when k is not an integer."""
+    if report.k.denominator != 1:
+        return None
     e = report.b - int(report.k)
-    return f"2^{e}" if abs(e) > TRACE_EXACT_EXPONENT else _frac(report.trace_value)
+    if abs(e) > TRACE_EXACT_EXPONENT:
+        return f"2^{e}"
+    return _frac(rr.bk_trace_and_integrality(report.b, int(report.k))[0])
 
 
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
@@ -128,7 +133,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
         ],
         "b": report.b,
         "k": _frac(report.k),
-        "trace": None if report.trace_value is None else _trace_text(report),
+        "trace": _trace_text(report),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(er.fixed_set) for er in report.elements],
         "subgroup_hints": _subgroup_hints(report),
@@ -155,17 +160,17 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
             else ""
         )
         lines.append(f"fixed set of {er.element}: {comps}  parity: {parity}{extra}")
-    if report.index_data is not None and report.index_data.index_twisted is not None:
-        lines.append(f"twisted index: {_frac(report.index_data.index_twisted)}")
+    # the index is reported only under the theorems' standing assumption
+    # that the signature is nonpositive
+    if report.signature <= 0 and report.index_twisted is not None:
+        lines.append(f"twisted index: {_frac(report.index_twisted)}")
     lines.append(f"b_plus on fixed sublattice: {report.b}")
     lines.append(f"lower bound k: {_frac(report.k)}")
-    if report.trace_value is not None:
-        integral = (
-            "an algebraic integer"
-            if report.trace_is_algebraic_integer
-            else "NOT an algebraic integer"
-        )
-        lines.append(f"trace 2^(b-k) = {_trace_text(report)} ({integral})")
+    trace = _trace_text(report)
+    if trace is not None:
+        # a rational algebraic integer is an integer: 2^(b-k) is one iff b >= k
+        integral = "an" if report.b >= report.k else "NOT an"
+        lines.append(f"trace 2^(b-k) = {trace} ({integral} algebraic integer)")
     for sub, hint in report.subgroup_hints:
         lines.append(f"subgroup {sub}: {hint}")
     lines.append(f"verdict: {report.verdict}")

@@ -20,25 +20,12 @@ class IndeterminateParityError(ValueError):
     """Fixed set is empty: the fixed-set rule cannot decide the parity."""
 
 
-class PositiveSignatureError(ValueError):
-    """Positive-signature inputs are outside the obstruction's standing assumption."""
-
-
 @frozen
 class ParityClass:
     # mixed: both dimensions present; the dimension-2 clause wins
     def __init__(self, value: str, mixed: bool = False):
         set_field(self, "value", value)
         set_field(self, "mixed", mixed)
-
-
-@frozen
-class IndexData:
-    """Real Dirac index and the twisted index of the composed involution."""
-
-    def __init__(self, index_real: Fraction, index_twisted: Fraction | None = None):
-        set_field(self, "index_real", index_real)
-        set_field(self, "index_twisted", index_twisted)
 
 
 def classify_parity(fixed) -> ParityClass:
@@ -57,15 +44,6 @@ def classify_parity(fixed) -> ParityClass:
 def lefschetz_index(n_plus: int, n_minus: int) -> Fraction:
     """Twisted Dirac index of an even involution with isolated fixed points."""
     return Fraction(n_plus - n_minus, 2)
-
-
-def real_index_from_signature(signature: int) -> Fraction:
-    """Real Dirac index -signature/4 of a spin 4-manifold."""
-    if signature > 0:
-        raise PositiveSignatureError(
-            f"signature {signature} > 0 is outside the supported range"
-        )
-    return Fraction(-signature, 4)
 
 
 def k_odd(signature: int) -> Fraction:

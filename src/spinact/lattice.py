@@ -151,8 +151,9 @@ def signature_profile(lat: IntegerLattice) -> SignatureProfile:
                 break  # remaining block is identically zero
             p, q = pq
             rq = _full_row(a, q)
-            for j in range(p):
-                a[j][p - j] += rq[j]
+            # p is the first row with a nonzero entry and the block is
+            # symmetric, so every row above p is zero, rq[j] for j < p among
+            # them: adding row and column q into p changes only row p
             a[p] = [x + y for x, y in zip(a[p], rq[p:])]
             a[p][0] *= 2  # a[p][p] + 2 a[p][q] + a[q][q], a zero diagonal
         prow = _full_row(a, p)

@@ -29,15 +29,12 @@ from .index_parity import (
     EVEN,
     ODD,
     IndeterminateParityError,
-    IndexData,
     ParityClass,
     classify_parity,
     k_klein,
     k_odd,
     lefschetz_index,
-    real_index_from_signature,
 )
-from .rep_ring import bk_trace_and_integrality
 from .templates import klein_admits, recognize_klein_template
 
 Z2_THEOREM = "z2_odd_involution"
@@ -77,11 +74,11 @@ class ObstructionReport:
         hypotheses: tuple[Hypothesis, ...],
         b: int,
         k: Fraction,
-        trace_value: Optional[Fraction],
-        trace_is_algebraic_integer: Optional[bool],
         verdict: str,
         elements: tuple[ElementReport, ...],
-        index_data: Optional[IndexData],
+        # the composition's twisted index on a Klein scenario whose
+        # composition has isolated fixed points; None otherwise
+        index_twisted: Optional[Fraction],
         b2: int,
         signature: int,
         # (subgroup, hint) for each proper subgroup of a Klein scenario
@@ -91,11 +88,9 @@ class ObstructionReport:
         set_field(self, "hypotheses", hypotheses)
         set_field(self, "b", b)
         set_field(self, "k", k)
-        set_field(self, "trace_value", trace_value)
-        set_field(self, "trace_is_algebraic_integer", trace_is_algebraic_integer)
         set_field(self, "verdict", verdict)
         set_field(self, "elements", elements)
-        set_field(self, "index_data", index_data)
+        set_field(self, "index_twisted", index_twisted)
         set_field(self, "b2", b2)
         set_field(self, "signature", signature)
         set_field(self, "subgroup_hints", subgroup_hints)
@@ -127,12 +122,6 @@ def _parity_hypothesis(name: str, report: ElementReport, want: str) -> Hypothesi
     if report.parity.mixed:
         detail += " (mixed fixed-set dimensions; 2-dimensional clause applied)"
     return Hypothesis(name, report.parity.value == want, detail)
-
-
-def _trace(b: int, k: Fraction) -> tuple[Optional[Fraction], Optional[bool]]:
-    if k.denominator != 1:
-        return None, None
-    return bk_trace_and_integrality(b, int(k))
 
 
 def check(s: ActionScenario) -> ObstructionReport:
@@ -183,27 +172,19 @@ def check(s: ActionScenario) -> ObstructionReport:
         admitted = shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
         hint = SMOOTHABLE_BY_CONSTRUCTION if admitted else UNKNOWN
         hints = tuple((sub, hint) for sub in SUBGROUPS)
-    trace, integral = _trace(b, k)
     verdict = (
         NONSMOOTHABLE
         if all(h.passed for h in hypotheses) and b < k
         else NO_OBSTRUCTION
-    )
-    index = (
-        IndexData(real_index_from_signature(inv.signature), index_twisted)
-        if inv.signature <= 0
-        else None
     )
     return ObstructionReport(
         theorem=theorem,
         hypotheses=tuple(hypotheses),
         b=b,
         k=k,
-        trace_value=trace,
-        trace_is_algebraic_integer=integral,
         verdict=verdict,
         elements=reports,
-        index_data=index,
+        index_twisted=index_twisted,
         b2=inv.b2,
         signature=inv.signature,
         subgroup_hints=hints,
@@ -225,17 +206,3 @@ def check_z2xz2(s: ActionScenario) -> ObstructionReport:
     if s.group != Z2XZ2:
         raise ValueError(f"check_z2xz2 expects a {Z2XZ2} scenario")
     return report
-
-
-def subgroup_smoothability_hint(s: ActionScenario, subgroup: str) -> str:
-    """One-sided smoothability hint for a proper subgroup of a Klein scenario.
-
-    Answers smoothable_by_construction only for the Klein template at a
-    point `templates.klein_admits` admits; anything else is unknown.
-    """
-    report = check(s)
-    if s.group != Z2XZ2:
-        raise ValueError("subgroup hints apply to Z2xZ2 scenarios")
-    if subgroup not in SUBGROUPS:
-        raise ValueError(f"unknown subgroup {subgroup!r}")
-    return dict(report.subgroup_hints)[subgroup]

@@ -27,9 +27,9 @@ from spinact.obstruction import (
     NONSMOOTHABLE,
     SMOOTHABLE_BY_CONSTRUCTION,
     UNKNOWN,
+    check,
     check_z2,
     check_z2xz2,
-    subgroup_smoothability_hint,
 )
 from spinact.rep_ring import VirtualRepZ4, bk_trace_and_integrality, tomdieck_trace
 from spinact.templates import klein_family_comparison, klein_template, z2_template
@@ -64,7 +64,7 @@ def test_criterion_2_klein_reproduction():
     s = klein_template(3, 3, 1)
     report = check_z2xz2(s)
     assert report.b == 0
-    assert report.index_data.index_twisted == Fraction(0)
+    assert report.index_twisted == Fraction(0)
     assert report.k == Fraction(1)
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
@@ -81,12 +81,12 @@ def test_criterion_2_klein_reproduction():
 
 
 def test_criterion_3_subgroup_hints():
-    s = klein_template(3, 3, 1)
+    hints = dict(check(klein_template(3, 3, 1)).subgroup_hints)
     for sub in ("gen1", "gen2", "diagonal"):
-        assert subgroup_smoothability_hint(s, sub) == SMOOTHABLE_BY_CONSTRUCTION
-    tight = klein_template(3, 2, 1)  # l2 = 3k - 1
+        assert hints[sub] == SMOOTHABLE_BY_CONSTRUCTION
+    tight = dict(check(klein_template(3, 2, 1)).subgroup_hints)  # l2 = 3k - 1
     for sub in ("gen1", "gen2", "diagonal"):
-        assert subgroup_smoothability_hint(tight, sub) == UNKNOWN
+        assert tight[sub] == UNKNOWN
     _report(3, "subgroup hints: smoothable at l>=3k, unknown at l2=3k-1")
 
 

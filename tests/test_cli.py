@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinact import cli
-from spinact.equivariant_sum import parse_scenario, serialize_scenario
+from spinact.equivariant_sum import (
+    ActionScenario,
+    GeneratorAction,
+    parse_scenario,
+    serialize_scenario,
+)
+from spinact.lattice import make_standard
 from spinact.templates import TEMPLATE_SUMMANDS, klein_template, z2_template
 
 from oracles import sweep_points_nested
@@ -138,6 +144,44 @@ def test_non_unimodular_form_exits_two(tmp_path):
     assert "verdict: no_obstruction" in output
 
 
+def test_a_non_integral_bound_prints_no_trace(tmp_path):
+    # a (4, 0) sign split makes the twisted index 2, so k = 32/32 + 2/8
+    s = klein_template(3, 3, 1)
+    gen1 = GeneratorAction(s.gen1.permutation, dict(s.gen1.local), {"core": (4, 0)})
+    path = tmp_path / "split.json"
+    path.write_text(serialize_scenario(ActionScenario(s.group, s.summands, gen1, s.gen2)))
+    status, text = run_main(["check", "--input", str(path)])
+    assert status == 0
+    assert "twisted index: 2\n" in text and "lower bound k: 5/4\n" in text
+    assert "trace 2^(b-k)" not in text and text.endswith("verdict: nonsmoothable\n")
+    status, output = run_main(["check", "--input", str(path), "--format", "structured"])
+    doc = json.loads(output)
+    assert status == 0 and doc["trace"] is None and doc["k"] == "5/4"
+
+
+def test_a_positive_signature_prints_no_twisted_index(tmp_path):
+    # a jointly rotated core plus four positive-definite E8 summands in one
+    # free orbit: signature +32, outside the theorems' standing assumption
+    e8 = [[-x for x in row] for row in make_standard("minus_e8").gram]
+    doc = {
+        "schema_version": 1,
+        "group": "Z2xZ2",
+        "summands": [{"id": "core", "kind": "s2xs2"}]
+        + [{"id": f"p{i}", "kind": "custom", "gram": e8} for i in range(4)],
+        "generator1": {"permutation": [["p0", "p1"], ["p2", "p3"]], "local": {"core": "rotate_first"}},
+        "generator2": {"permutation": [["p0", "p2"], ["p1", "p3"]], "local": {"core": "rotate_second"}},
+    }
+    path = tmp_path / "positive.json"
+    path.write_text(json.dumps(doc))
+    status, text = run_main(["check", "--input", str(path)])
+    assert status == 2
+    assert "b2: 34   signature: 32\n" in text and "[FAIL] signature_nonpositive" in text
+    assert "n_plus=2 n_minus=2\n" in text and "twisted index:" not in text
+    assert "lower bound k: -1\n" in text
+    assert "trace 2^(b-k) = 512 (an algebraic integer)\n" in text
+    assert text.endswith("verdict: no_obstruction\n")
+
+
 def test_the_readme_scenario_example_checks(tmp_path):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -171,8 +215,19 @@ def test_validation_violation_exits_two(tmp_path):
             ' "generator1": {}, "generator2": {}}',
             "malformed scenario: generator2: Z2 scenario must not have generator2\n",
         ),
+        (
+            '{"schema_version": 1, "group": "Z2", "summands": [{"id": "s", "kind": "s2xs2"}],'
+            ' "generator1": {"local": {"s": "rotate_first"}, "overrides": []}}',
+            "malformed scenario: generator1: overrides must map ids to sign counts\n",
+        ),
+        (
+            '{"schema_version": 1, "group": "Z2xZ2", "summands": [{"id": "s", "kind": "s2xs2"}],'
+            ' "generator1": {"local": {"s": "rotate_first"}}}',
+            "malformed scenario: generator2: missing generator2\n",
+        ),
     ],
-    ids=["unknown-group", "deep-nesting", "z2-with-generator2"],
+    ids=["unknown-group", "deep-nesting", "z2-with-generator2", "overrides-not-a-map",
+         "klein-without-generator2"],
 )
 def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
     path = tmp_path / "broken.json"
@@ -818,9 +873,7 @@ def test_a_decided_certificate_prints_a_trace_past_4300_digits(
 def test_the_trace_is_exact_while_it_has_at_most_4300_digits(exponent):
     assert cli.TRACE_EXACT_EXPONENT == 14284
     assert len(str(2**14284)) == 4300 and int(14285 * math.log10(2)) + 1 == 4301
-    report = SimpleNamespace(
-        b=max(exponent, 0), k=Fraction(max(-exponent, 0)), trace_value=Fraction(2) ** exponent
-    )
+    report = SimpleNamespace(b=max(exponent, 0), k=Fraction(max(-exponent, 0)))
     exact = abs(exponent) <= 14284
     assert cli._trace_text(report) == (str(Fraction(2) ** exponent) if exact else f"2^{exponent}")
 

@@ -61,6 +61,12 @@ def test_templates_validate():
     assert validate_scenario(z2_template(0, 0)) == []
 
 
+def test_templates_reject_negative_parameters():
+    for build, params in ((z2_template, (-1, 0)), (klein_template, (0, 0, -1))):
+        with pytest.raises(ValueError, match="^template parameters must be nonnegative$"):
+            build(*params)
+
+
 def test_fixed_e8_summand_is_a_violation():
     s = ActionScenario(
         "Z2",
@@ -162,6 +168,11 @@ def test_unknown_ids_rejected():
         GeneratorAction((("s0", "ghost"),), {"s0": ROTATE_FIRST}),
     )
     assert "unknown_id" in [v.code for v in validate_scenario(s)]
+    t = z2_template(3, 1)
+    gen1 = GeneratorAction(t.gen1.permutation, dict(t.gen1.local), {"nope": (2, 2)})
+    assert validate_scenario(ActionScenario(t.group, t.summands, gen1)) == [
+        Violation("unknown_id", "override on unknown id 'nope'", "nope")
+    ]
 
 
 def test_induced_action_of_single_rotation_is_minus_identity():

@@ -9,12 +9,10 @@ from spinact.index_parity import (
     EVEN,
     ODD,
     IndeterminateParityError,
-    PositiveSignatureError,
     classify_parity,
     k_klein,
     k_odd,
     lefschetz_index,
-    real_index_from_signature,
 )
 
 
@@ -58,19 +56,6 @@ def test_lefschetz_examples():
 def test_lefschetz_antisymmetric(n_plus, n_minus):
     assert lefschetz_index(n_plus, n_minus) == -lefschetz_index(n_minus, n_plus)
     assert lefschetz_index(n_plus, n_plus) == 0
-
-
-def test_real_index_examples():
-    assert real_index_from_signature(-16) == 4
-    assert real_index_from_signature(0) == 0
-    assert real_index_from_signature(-32) == 8
-    with pytest.raises(PositiveSignatureError):
-        real_index_from_signature(8)
-
-
-@given(st.integers(-400, 0))
-def test_real_index_exact_halving(sig):
-    assert 2 * real_index_from_signature(sig) == Fraction(-sig, 2)
 
 
 def test_k_odd_examples():

@@ -143,6 +143,10 @@ def test_non_isometry_input_rejected():
     h = make_standard("hyperbolic")
     with pytest.raises(MalformedOperatorError):
         invariant_sublattice([LatticeIsometry(h, ((1, 1), (0, 1)))])
+    e8 = make_standard("minus_e8")
+    ops = [LatticeIsometry(h, identity(2)), LatticeIsometry(e8, identity(8))]
+    with pytest.raises(MalformedOperatorError, match="^operators act on different lattices$"):
+        invariant_sublattice(ops)
 
 
 def test_random_involutions_match_nullspace_oracle():
@@ -204,6 +208,8 @@ def test_smith_factors_of_unimodular_basis():
     assert smith_invariant_factors([(2, 0), (0, 3)]) == [1, 6]
     assert smith_invariant_factors([(2, 0), (0, 4)]) == [2, 4]
     assert smith_invariant_factors([]) == []
+    assert smith_invariant_factors([(1, 2), (2, 4)]) == [1]
+    assert smith_invariant_factors([(0, 0), (0, 0)]) == []
 
 
 def test_sublattice_rank_property():

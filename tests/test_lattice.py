@@ -137,6 +137,9 @@ def test_signature_profile_examples():
         # a non-unit pivot, then zero-diagonal repair on the rescaled block
         ([diag(2), h], (2, 1, 0, -2)),
         ([diag(-3), h, h], (2, 3, 0, -3)),
+        # zero-diagonal repair below zero rows (pivot row p > 0)
+        ([IntegerLattice(((0, 0, 0), (0, 0, 1), (0, 1, 0)))], (1, 1, 1, 0)),
+        ([diag(0, 0), h], (1, 1, 2, 0)),
     ]
     for blocks, expected in cases:
         p = signature_profile(direct_sum_all(blocks))

@@ -11,6 +11,8 @@ from spinact.equivariant_sum import (
     ROTATE_FIRST,
     ROTATE_SECOND,
     Summand,
+    require_valid,
+    validate_scenario,
 )
 from spinact.obstruction import (
     NONSMOOTHABLE,
@@ -20,9 +22,14 @@ from spinact.obstruction import (
     check,
     check_z2,
     check_z2xz2,
-    subgroup_smoothability_hint,
 )
-from spinact.templates import klein_family_comparison, klein_template, z2_template
+from spinact.rep_ring import bk_trace_and_integrality
+from spinact.templates import (
+    klein_family_comparison,
+    klein_template,
+    recognize_klein_template,
+    z2_template,
+)
 
 from oracles import klein_family_comparison_dense
 
@@ -33,8 +40,7 @@ def test_z2_headline_example():
     assert report.k == 1
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
-    assert report.trace_value == Fraction(1, 2)
-    assert report.trace_is_algebraic_integer is False
+    assert bk_trace_and_integrality(report.b, int(report.k)) == (Fraction(1, 2), False)
     assert (report.b2, report.signature) == (22, -16)
 
 
@@ -43,7 +49,7 @@ def test_z2_no_e8_content_gives_no_obstruction():
     assert report.b == 0 and report.k == 0
     assert report.verdict == NO_OBSTRUCTION
     assert report.all_hypotheses_pass
-    assert report.trace_value == 1 and report.trace_is_algebraic_integer
+    assert bk_trace_and_integrality(report.b, int(report.k)) == (1, True)
 
 
 def test_z2_free_generator_is_a_hypothesis_failure():
@@ -132,7 +138,7 @@ def test_klein_headline_example():
     assert report.k == 1
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
-    assert report.index_data.index_twisted == 0
+    assert report.index_twisted == 0
     parities = {er.element: er.parity.value for er in report.elements}
     assert parities == {"gen1": "odd", "gen2": "odd", "composition": "even"}
 
@@ -157,7 +163,7 @@ def test_klein_family_sweep_nonsmoothable(l1, l2, k):
     report = check_z2xz2(klein_template(l1, l2, k))
     assert report.verdict == NONSMOOTHABLE
     assert report.b == 0 and report.k == k
-    assert report.index_data.index_twisted == 0
+    assert report.index_twisted == 0
 
 
 def test_klein_asymmetric_points_shift_the_bound():
@@ -167,7 +173,7 @@ def test_klein_asymmetric_points_shift_the_bound():
     gen1 = GeneratorAction(s.gen1.permutation, dict(s.gen1.local), {"core": (4, 0)})
     s2 = ActionScenario(s.group, s.summands, gen1, s.gen2)
     report = check_z2xz2(s2)
-    assert report.index_data.index_twisted == 2
+    assert report.index_twisted == 2
     assert report.k == Fraction(5, 4)
     assert report.verdict == NONSMOOTHABLE
 
@@ -194,11 +200,10 @@ def test_klein_verdict_invariant_under_relabelling():
 def test_trace_integral_exactly_when_no_obstruction():
     for l, k in [(3, 0), (3, 1), (6, 2), (9, 3)]:
         report = check_z2(z2_template(l, k))
-        if report.all_hypotheses_pass and report.trace_value is not None:
-            assert report.trace_is_algebraic_integer == (report.b >= report.k)
-            assert report.trace_is_algebraic_integer == (
-                report.verdict == NO_OBSTRUCTION
-            )
+        if report.all_hypotheses_pass and report.k.denominator == 1:
+            _, integral = bk_trace_and_integrality(report.b, int(report.k))
+            assert integral == (report.b >= report.k)
+            assert integral == (report.verdict == NO_OBSTRUCTION)
 
 
 def test_check_dispatches_on_group():
@@ -208,11 +213,12 @@ def test_check_dispatches_on_group():
 
 def test_subgroup_hints_on_template():
     s = klein_template(3, 3, 1)
+    hints = dict(check(s).subgroup_hints)
     for sub in ("gen1", "gen2", "diagonal"):
-        assert subgroup_smoothability_hint(s, sub) == SMOOTHABLE_BY_CONSTRUCTION
-    tight = klein_template(3, 2, 1)
+        assert hints[sub] == SMOOTHABLE_BY_CONSTRUCTION
+    hints = dict(check(klein_template(3, 2, 1)).subgroup_hints)
     for sub in ("gen1", "gen2", "diagonal"):
-        assert subgroup_smoothability_hint(tight, sub) == UNKNOWN
+        assert hints[sub] == UNKNOWN
 
 
 def test_subgroup_hint_never_claims_off_template():
@@ -222,15 +228,14 @@ def test_subgroup_hint_never_claims_off_template():
     gen1 = GeneratorAction((), {"c1": ROTATE_FIRST, "c2": ROTATE_FIRST})
     gen2 = GeneratorAction((), {"c1": ROTATE_SECOND, "c2": ROTATE_SECOND})
     s = ActionScenario("Z2xZ2", summands, gen1, gen2)
-    assert subgroup_smoothability_hint(s, "gen1") == UNKNOWN
-
-
-def test_subgroup_hint_argument_validation():
-    s = klein_template(3, 3, 1)
-    with pytest.raises(ValueError):
-        subgroup_smoothability_hint(s, "whole_group")
-    with pytest.raises(ValueError):
-        subgroup_smoothability_hint(z2_template(3, 1), "gen1")
+    assert dict(check(s).subgroup_hints)["gen1"] == UNKNOWN
+    # the template with its core doubly rotated by gen2 is valid but off shape
+    t = klein_template(3, 3, 1)
+    local2 = {**t.gen2.local, "core": ROTATE_BOTH}
+    s = ActionScenario(t.group, t.summands, t.gen1, GeneratorAction(t.gen2.permutation, local2))
+    assert validate_scenario(s) == []
+    assert recognize_klein_template(require_valid(s)) is None
+    assert check(s).subgroup_hints == tuple((sub, UNKNOWN) for sub in ("gen1", "gen2", "diagonal"))
 
 
 def test_k3_swap_scenario_obstruction_does_not_fire():
@@ -248,7 +253,7 @@ def test_k3_swap_scenario_obstruction_does_not_fire():
     assert report.b == 3
     assert report.k == 2
     assert report.verdict == NO_OBSTRUCTION
-    assert report.trace_value == 2 and report.trace_is_algebraic_integer
+    assert bk_trace_and_integrality(report.b, int(report.k)) == (2, True)
 
 
 def test_family_comparison_matches_the_dense_assembly():

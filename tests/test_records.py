@@ -24,7 +24,7 @@ from spinact.equivariant_sum import (
     TotalInvariants,
     Violation,
 )
-from spinact.index_parity import IndexData, ParityClass
+from spinact.index_parity import ParityClass
 from spinact.isometry import InvariantSublattice, LatticeIsometry
 from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProfile
 from spinact.obstruction import ElementReport, Hypothesis, ObstructionReport
@@ -42,7 +42,6 @@ RECORDS = [
     (LatticeIsometry, (ONE, ((1,),)), ("lattice", "matrix")),
     (InvariantSublattice, (((1,),), ONE), ("basis", "restricted_gram")),
     (ParityClass, ("odd", True), ("value", "mixed")),
-    (IndexData, (Fraction(-1, 2), Fraction(1)), ("index_real", "index_twisted")),
     (GaussianValue, (Fraction(1, 2), Fraction(3)), ("re", "im")),
     (VirtualRepZ4, ((1, 0, -2, 0),), ("mult",)),
     (Violation, ("code", "message", "s1"), ("code", "message", "subject")),
@@ -68,11 +67,9 @@ RECORDS = [
             (Hypothesis("spin", True),),
             0,
             Fraction(1),
-            Fraction(1, 2),
-            False,
             "nonsmoothable",
             (ElementReport("gen1", FIXED, None),),
-            IndexData(Fraction(-1, 2)),
+            Fraction(2),
             22,
             -16,
             (("gen1", "unknown"),),
@@ -82,11 +79,9 @@ RECORDS = [
             "hypotheses",
             "b",
             "k",
-            "trace_value",
-            "trace_is_algebraic_integer",
             "verdict",
             "elements",
-            "index_data",
+            "index_twisted",
             "b2",
             "signature",
             "subgroup_hints",
@@ -178,7 +173,6 @@ def test_hash_of_a_record_holding_a_dict_raises():
 def test_defaults():
     assert Hypothesis("spin", True).detail == ""
     assert ParityClass("even").mixed is False
-    assert IndexData(Fraction(1)).index_twisted is None
     assert Violation("code", "message").subject is None
     assert Summand("a", "k3").custom_form is None
     assert FixedSetData("gen1", ()).n_plus is None

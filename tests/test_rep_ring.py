@@ -131,6 +131,7 @@ def test_gaussian_value_arithmetic():
     assert gaussian(1, 1) / gaussian(1, 1) == gaussian(1)
     assert str(gaussian(Fraction(1, 2))) == "1/2"
     assert str(gaussian(2, -1)) == "2-i"
+    assert -gaussian(1, -2) == gaussian(-1, 2)
     with pytest.raises(ZeroDivisionError):
         gaussian(1) / gaussian(0)
 
