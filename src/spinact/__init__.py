@@ -73,8 +73,10 @@ from .obstruction import (
 from .templates import (
     FamilyComparison,
     klein_family_comparison,
+    klein_grid,
     klein_template,
     recognize_klein_template,
+    z2_grid,
     z2_template,
 )
 

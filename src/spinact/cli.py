@@ -24,10 +24,10 @@ from . import rep_ring as rr
 from .templates import (
     TEMPLATE_SUMMANDS,
     klein_admits,
-    klein_template,
+    klein_grid,
     template_summands,
     z2_admits,
-    z2_template,
+    z2_grid,
 )
 
 TEXT = "text"
@@ -236,24 +236,33 @@ def _sweep_points(
     template: str, r: dict[str, tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, ...], eq.ActionScenario]]:
     """Sorted grid points of the sweep that `z2_admits` / `klein_admits`
-    keep, with their scenarios, each built when it is reached. A skipped
-    total may have no smooth structure, and then every action on it is
-    vacuously nonsmoothable."""
-    build, admits = (
-        (z2_template, z2_admits) if template == "z2" else (klein_template, klein_admits)
-    )
-    ranges = (r[name] for name in TEMPLATE_SUMMANDS[template][1])
-    grid = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
-    return ((params, build(*params)) for params in grid if admits(*params))
+    keep, with their scenarios. One grid builder (`z2_grid` /
+    `klein_grid`) at the corner that `_sweep_work` budgets makes the
+    corner's summand records once; each point's scenario is made from
+    prefixes of them when the point is reached, so one corner's records
+    and one point's scenario are alive at a time. A skipped total may
+    have no smooth structure, and then every action on it is vacuously
+    nonsmoothable."""
+    grid, admits = (z2_grid, z2_admits) if template == "z2" else (klein_grid, klein_admits)
+    names = TEMPLATE_SUMMANDS[template][1]
+    corner = _corner(r)
+    point = grid(*(corner[name] for name in names))
+    ranges = (r[name] for name in names)
+    params = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
+    return ((p, point(*p)) for p in params if admits(*p))
+
+
+def _corner(r: dict[str, tuple[int, int]]) -> dict[str, int]:
+    """The upper corner of the range box, negative bounds counted as 0."""
+    return {name: max(hi, 0) for name, (_, hi) in r.items()}
 
 
 def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:
     """An upper bound on the grid points plus the summands their templates
     would build, from the ranges alone: every point of the range box at
     the size of its upper corner."""
-    corner = {name: max(hi, 0) for name, (_, hi) in r.items()}
     points = math.prod(max(0, hi - lo + 1) for lo, hi in r.values())
-    return points * (1 + template_summands(template, corner))
+    return points * (1 + template_summands(template, _corner(r)))
 
 
 def run_enumerate(args, out) -> int:

@@ -9,6 +9,8 @@ the whole group.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from ._record import frozen, set_field
 from .equivariant_sum import (
     GEN1,
@@ -43,20 +45,106 @@ def template_summands(template: str, params: dict[str, int]) -> int:
     return const + sum(c * params[name] for name, c in coeffs.items())
 
 
+_NEGATIVE = "template parameters must be nonnegative"
+
+
+def _nonnegative(*params: int) -> None:
+    if min(params) < 0:
+        raise ValueError(_NEGATIVE)
+
+
+def _outside(point: tuple[int, ...], corner: tuple[int, ...]) -> ValueError:
+    """The error for a point that fails its grid's bounds check."""
+    if min(point) < 0:
+        return ValueError(_NEGATIVE)
+    return ValueError(f"template point {point} lies outside the grid corner {corner}")
+
+
+def z2_grid(l_max: int, k_max: int) -> Callable[[int, int], ActionScenario]:
+    """Point builder of the involution family on the grid l <= l_max, k <= k_max.
+
+    The summand records and their ids are made once, at the corner; the
+    returned `point(l, k)` takes prefixes of them. A swapped pair is
+    (w_i, w_{k+i}), which depends on k as a whole, so a point zips two
+    slices of the corner's ids. Each point gets its own label dict,
+    GeneratorAction and ActionScenario; only the immutable Summand
+    records and tuples are shared. A point outside the corner, or with a
+    negative parameter, raises ValueError.
+    """
+    _nonnegative(l_max, k_max)
+    spheres = tuple(Summand(f"s{i}", S2XS2) for i in range(l_max))
+    e8s = tuple(Summand(f"w{i}", MINUS_E8) for i in range(2 * k_max))
+    sphere_ids = tuple(s.id for s in spheres)
+    e8_ids = tuple(s.id for s in e8s)
+
+    def point(l: int, k: int) -> ActionScenario:
+        if not (0 <= l <= l_max and 0 <= k <= k_max):
+            raise _outside((l, k), (l_max, k_max))
+        gen = GeneratorAction(
+            tuple(zip(e8_ids[:k], e8_ids[k : 2 * k])),
+            dict.fromkeys(sphere_ids[:l], ROTATE_FIRST),
+        )
+        return ActionScenario(Z2, spheres[:l] + e8s[: 2 * k], gen)
+
+    return point
+
+
 def z2_template(l: int, k: int) -> ActionScenario:
     """Involution on l(S2xS2) # 2k(-E8): factor rotations plus cluster swap."""
-    if l < 0 or k < 0:
-        raise ValueError("template parameters must be nonnegative")
-    summands = [Summand(f"s{i}", S2XS2) for i in range(l)]
-    summands += [Summand(f"w{i}", MINUS_E8) for i in range(2 * k)]
-    perm = tuple((f"w{i}", f"w{k + i}") for i in range(k))
-    local = {f"s{i}": ROTATE_FIRST for i in range(l)}
-    return ActionScenario(Z2, tuple(summands), GeneratorAction(perm, local))
+    return z2_grid(l, k)(l, k)
 
 
 def z2_admits(l: int, k: int) -> bool:
     """Smoothable by construction: l(S2xS2) # 2k(-E8) is #k K3 # (l-3k)(S2xS2)."""
     return l >= 3 * k
+
+
+def klein_grid(
+    l1_max: int, l2_max: int, k_max: int
+) -> Callable[[int, int, int], ActionScenario]:
+    """Point builder of the Klein family on the grid l1 <= l1_max,
+    l2 <= l2_max, k <= k_max.
+
+    The summand records, their ids and the swapped pairs are made once,
+    at the corner; the returned `point(l1, l2, k)` takes prefixes of
+    them. Each point gets its own label dicts, GeneratorActions and
+    ActionScenario; only the immutable Summand records and tuples are
+    shared. A point outside the corner, or with a negative parameter,
+    raises ValueError.
+    """
+    _nonnegative(l1_max, l2_max, k_max)
+    core = (Summand("core", S2XS2),)
+    chain1 = tuple(Summand(f"a{i}", S2XS2) for i in range(2 * l1_max))
+    chain2 = tuple(Summand(f"b{i}", S2XS2) for i in range(2 * l2_max))
+    e8s = [tuple(Summand(f"w{c}_{i}", MINUS_E8) for i in range(k_max)) for c in range(4)]
+    # gen1 rotates the core and the first chain, gen2 the core and the second
+    rotated1 = tuple(s.id for s in core + chain1)
+    rotated2 = tuple(s.id for s in core + chain2)
+    # the other generator swaps each chain in consecutive pairs
+    chain1_pairs = tuple(zip(rotated1[1::2], rotated1[2::2]))
+    chain2_pairs = tuple(zip(rotated2[1::2], rotated2[2::2]))
+    w0, w1, w2, w3 = ([s.id for s in cluster] for cluster in e8s)
+    w01, w23 = tuple(zip(w0, w1)), tuple(zip(w2, w3))
+    w02, w13 = tuple(zip(w0, w2)), tuple(zip(w1, w3))
+    e0, e1, e2, e3 = e8s
+
+    def point(l1: int, l2: int, k: int) -> ActionScenario:
+        if not (0 <= l1 <= l1_max and 0 <= l2 <= l2_max and 0 <= k <= k_max):
+            raise _outside((l1, l2, k), (l1_max, l2_max, k_max))
+        return ActionScenario(
+            Z2XZ2,
+            core + chain1[: 2 * l1] + chain2[: 2 * l2] + e0[:k] + e1[:k] + e2[:k] + e3[:k],
+            GeneratorAction(
+                chain2_pairs[:l2] + w01[:k] + w23[:k],
+                dict.fromkeys(rotated1[: 1 + 2 * l1], ROTATE_FIRST),
+            ),
+            GeneratorAction(
+                chain1_pairs[:l1] + w02[:k] + w13[:k],
+                dict.fromkeys(rotated2[: 1 + 2 * l2], ROTATE_SECOND),
+            ),
+        )
+
+    return point
 
 
 def klein_template(l1: int, l2: int, k: int) -> ActionScenario:
@@ -66,32 +154,7 @@ def klein_template(l1: int, l2: int, k: int) -> ActionScenario:
     pairs by gen2); gen2 rotates the core and the second chain; the four
     E8 clusters of k summands each form one free orbit of the group.
     """
-    if l1 < 0 or l2 < 0 or k < 0:
-        raise ValueError("template parameters must be nonnegative")
-    summands = [Summand("core", S2XS2)]
-    summands += [Summand(f"a{i}", S2XS2) for i in range(2 * l1)]
-    summands += [Summand(f"b{i}", S2XS2) for i in range(2 * l2)]
-    for cluster in range(4):
-        summands += [Summand(f"w{cluster}_{i}", MINUS_E8) for i in range(k)]
-
-    perm1 = tuple((f"b{2 * i}", f"b{2 * i + 1}") for i in range(l2))
-    perm1 += tuple((f"w0_{i}", f"w1_{i}") for i in range(k))
-    perm1 += tuple((f"w2_{i}", f"w3_{i}") for i in range(k))
-    local1 = {"core": ROTATE_FIRST}
-    local1.update({f"a{i}": ROTATE_FIRST for i in range(2 * l1)})
-
-    perm2 = tuple((f"a{2 * i}", f"a{2 * i + 1}") for i in range(l1))
-    perm2 += tuple((f"w0_{i}", f"w2_{i}") for i in range(k))
-    perm2 += tuple((f"w1_{i}", f"w3_{i}") for i in range(k))
-    local2 = {"core": ROTATE_SECOND}
-    local2.update({f"b{i}": ROTATE_SECOND for i in range(2 * l2)})
-
-    return ActionScenario(
-        Z2XZ2,
-        tuple(summands),
-        GeneratorAction(perm1, local1),
-        GeneratorAction(perm2, local2),
-    )
+    return klein_grid(l1, l2, k)(l1, l2, k)
 
 
 def klein_admits(l1: int, l2: int, k: int) -> bool:
@@ -148,10 +211,11 @@ def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:
     """Compare the constructed Klein-family total against the advertised
     homeomorphism type; the two disagree for k >= 1 and the mismatch is
     reported rather than silently repaired."""
-    constructed = total_invariants(klein_template(l1, l2, k))
+    _nonnegative(l1, l2, k)
     spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
     if spheres < 0:
         raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
+    constructed = total_invariants(klein_template(l1, l2, k))
     h, k3 = standard_profile("hyperbolic"), standard_profile("k3")
     advertised = TotalInvariants(
         spheres * h.rank + 4 * k * k3.rank,

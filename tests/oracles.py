@@ -23,10 +23,16 @@ from spinact.equivariant_sum import (
     IDENTITY_LABEL,
     KINDS,
     LABELS,
+    MINUS_E8,
     ROTATE_BOTH,
+    ROTATE_FIRST,
+    ROTATE_SECOND,
     S2XS2,
     Z2,
     Z2XZ2,
+    ActionScenario,
+    GeneratorAction,
+    Summand,
     TotalInvariants,
     Violation,
     compose_labels,
@@ -39,7 +45,7 @@ from spinact.lattice import (
     make_standard,
     signature_profile,
 )
-from spinact.templates import FamilyComparison, klein_template, z2_template
+from spinact.templates import FamilyComparison
 
 
 def freeze_per_entry(rows):
@@ -232,6 +238,47 @@ def random_involutive_isometry(rng: random.Random, max_rank: int = 12):
     return gram_c, op_c
 
 
+def z2_template_reference(l: int, k: int) -> ActionScenario:
+    """z2_template built summand by summand, with its own records and ids."""
+    if l < 0 or k < 0:
+        raise ValueError("template parameters must be nonnegative")
+    summands = [Summand(f"s{i}", S2XS2) for i in range(l)]
+    summands += [Summand(f"w{i}", MINUS_E8) for i in range(2 * k)]
+    perm = tuple((f"w{i}", f"w{k + i}") for i in range(k))
+    local = {f"s{i}": ROTATE_FIRST for i in range(l)}
+    return ActionScenario(Z2, tuple(summands), GeneratorAction(perm, local))
+
+
+def klein_template_reference(l1: int, l2: int, k: int) -> ActionScenario:
+    """klein_template built summand by summand, with its own records and ids."""
+    if l1 < 0 or l2 < 0 or k < 0:
+        raise ValueError("template parameters must be nonnegative")
+    summands = [Summand("core", S2XS2)]
+    summands += [Summand(f"a{i}", S2XS2) for i in range(2 * l1)]
+    summands += [Summand(f"b{i}", S2XS2) for i in range(2 * l2)]
+    for cluster in range(4):
+        summands += [Summand(f"w{cluster}_{i}", MINUS_E8) for i in range(k)]
+
+    perm1 = tuple((f"b{2 * i}", f"b{2 * i + 1}") for i in range(l2))
+    perm1 += tuple((f"w0_{i}", f"w1_{i}") for i in range(k))
+    perm1 += tuple((f"w2_{i}", f"w3_{i}") for i in range(k))
+    local1 = {"core": ROTATE_FIRST}
+    local1.update({f"a{i}": ROTATE_FIRST for i in range(2 * l1)})
+
+    perm2 = tuple((f"a{2 * i}", f"a{2 * i + 1}") for i in range(l1))
+    perm2 += tuple((f"w0_{i}", f"w2_{i}") for i in range(k))
+    perm2 += tuple((f"w1_{i}", f"w3_{i}") for i in range(k))
+    local2 = {"core": ROTATE_SECOND}
+    local2.update({f"b{i}": ROTATE_SECOND for i in range(2 * l2)})
+
+    return ActionScenario(
+        Z2XZ2,
+        tuple(summands),
+        GeneratorAction(perm1, local1),
+        GeneratorAction(perm2, local2),
+    )
+
+
 def sweep_points_nested(template: str, r: dict[str, tuple[int, int]]):
     """One nested loop and filter per family: the admitted grid points of a
     sweep with their scenarios, in sorted order."""
@@ -242,7 +289,7 @@ def sweep_points_nested(template: str, r: dict[str, tuple[int, int]]):
         for l in range(l_lo, l_hi + 1):
             for k in range(k_lo, k_hi + 1):
                 if l >= 3 * k:
-                    points.append(((l, k), z2_template(l, k)))
+                    points.append(((l, k), z2_template_reference(l, k)))
     else:
         l1_lo, l1_hi = r["l1"]
         l2_lo, l2_hi = r["l2"]
@@ -251,7 +298,7 @@ def sweep_points_nested(template: str, r: dict[str, tuple[int, int]]):
             for l2 in range(l2_lo, l2_hi + 1):
                 for k in range(k_lo, k_hi + 1):
                     if l1 >= 3 * k and l2 >= 3 * k:
-                        points.append(((l1, l2, k), klein_template(l1, l2, k)))
+                        points.append(((l1, l2, k), klein_template_reference(l1, l2, k)))
     return points
 
 
@@ -259,7 +306,7 @@ def klein_family_comparison_dense(l1: int, l2: int, k: int):
     """The Klein-family comparison with the advertised total assembled as one
     dense form, (2l1+2l2+1-6k) sphere products and 4k K3 pieces, and
     diagonalised by the library's dense engine."""
-    constructed = total_invariants(klein_template(l1, l2, k))
+    constructed = total_invariants(klein_template_reference(l1, l2, k))
     spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
     if spheres < 0:
         raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")

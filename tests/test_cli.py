@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact import cli
@@ -527,6 +527,8 @@ def test_sweep_work_bounds_the_points_and_summands_built(template, spans):
     template=st.sampled_from(("z2", "klein")),
     spans=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=3),
 )
+@example(template="z2", spans=[(2, 6), (0, 2), (0, 0)])
+@example(template="klein", spans=[(3, 4), (3, 3), (0, 1)])
 @settings(max_examples=60, deadline=None)
 def test_sweep_points_match_the_nested_loops(template, spans):
     ranges = dict(zip(TEMPLATE_SUMMANDS[template][1], spans))
