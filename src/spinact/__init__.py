@@ -33,19 +33,15 @@ from .equivariant_sum import (
     TotalInvariants,
     ValidScenario,
     Violation,
-    fixed_set_data,
     homeo_invariants_equal,
     induced_cohomology_action,
     parse_scenario,
     require_valid,
     scenario_digest,
     serialize_scenario,
-    total_invariants,
-    twisted_b_plus,
     validate_scenario,
 )
 from .index_parity import (
-    IndeterminateParityError,
     ParityClass,
     classify_parity,
     k_klein,
@@ -63,13 +59,7 @@ from .rep_ring import (
     rep_spaces_from_data,
     tomdieck_trace,
 )
-from .obstruction import (
-    ObstructionReport,
-    check,
-    check_z2,
-    check_z2xz2,
-    element_reports,
-)
+from .obstruction import ObstructionReport, check
 from .templates import (
     FamilyComparison,
     klein_family_comparison,

@@ -24,12 +24,21 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Row by row, over the nonzero entries of both factors only: the
+    operators multiplied here are mostly signed block permutations."""
     if a and b:
         assert len(a[0]) == len(b)
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, entries in zip(row, b_rows):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_neg(a: IntMatrix) -> IntMatrix:

@@ -107,6 +107,10 @@ def _trace_text(report: ob.ObstructionReport) -> str | None:
     return _frac(rr.bk_trace_and_integrality(report.b, int(report.k))[0])
 
 
+def _parity_text(fs: eq.FixedSetData) -> str:
+    return fs.parity.value if fs.parity else "indeterminate"
+
+
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
     doc: dict = {
         "element": fs.element,
@@ -135,7 +139,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
         "k": _frac(report.k),
         "trace": _trace_text(report),
         "verdict": report.verdict,
-        "fixed_sets": [_fixed_set_doc(er.fixed_set) for er in report.elements],
+        "fixed_sets": [_fixed_set_doc(fs) for fs in report.elements],
         "subgroup_hints": _subgroup_hints(report),
     }
 
@@ -151,15 +155,14 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
         mark = "pass" if h.passed else "FAIL"
         detail = f"  ({h.detail})" if h.detail else ""
         lines.append(f"  [{mark}] {h.name}{detail}")
-    for er in report.elements:
-        comps = _components_text(er.fixed_set.components)
-        parity = er.parity.value if er.parity else "indeterminate"
+    for fs in report.elements:
+        comps = _components_text(fs.components)
         extra = (
-            f"  n_plus={er.fixed_set.n_plus} n_minus={er.fixed_set.n_minus}"
-            if er.fixed_set.n_plus is not None
-            else ""
+            f"  n_plus={fs.n_plus} n_minus={fs.n_minus}" if fs.n_plus is not None else ""
         )
-        lines.append(f"fixed set of {er.element}: {comps}  parity: {parity}{extra}")
+        lines.append(
+            f"fixed set of {fs.element}: {comps}  parity: {_parity_text(fs)}{extra}"
+        )
     # the index is reported only under the theorems' standing assumption
     # that the signature is nonpositive
     if report.signature <= 0 and report.index_twisted is not None:
@@ -193,12 +196,12 @@ def run_invariants(args, out) -> int:
     inv = v.totals()
     per_element = [
         {
-            "element": report.element,
-            "fixed_set": _fixed_set_doc(report.fixed_set),
-            "parity": report.parity.value if report.parity else "indeterminate",
-            "b_plus_invariant": v.b_plus([report.element]),
+            "element": fs.element,
+            "fixed_set": _fixed_set_doc(fs),
+            "parity": _parity_text(fs),
+            "b_plus_invariant": v.b_plus([fs.element]),
         }
-        for report in ob.element_reports(v)
+        for fs in map(v.fixed_set, v.table)
     ]
     # taken over every non-identity element, so 0 on Klein scenarios: no
     # sign character is -1 on both generators and on their composition

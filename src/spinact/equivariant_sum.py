@@ -9,9 +9,10 @@ module derives, per group element, the sign-twisted cohomology operator
 Connected-sum points and ball removals are not modelled; only their
 cohomological and fixed-set consequences are.
 
-Public functions that take a scenario validate it first, with
-require_valid, and read the ValidScenario it returns. The checkers and
-the CLI take that value too, so that one command validates once.
+require_valid validates a scenario once and returns a ValidScenario,
+whose methods read each derived fact (totals, an element's fixed set and
+parity, the twisted b_plus) from the orbit structure that one pass
+found. The checkers and the CLI call it once per scenario.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional, Union
 
 from ._mat import identity, mat_neg
 from ._record import frozen, set_field
+from .index_parity import ParityClass, classify_parity
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -162,7 +164,8 @@ class FixedSetData:
 
     components holds (dimension, count) pairs, dimensions 0 and 2 only;
     counts are raw per-summand contributions (fixed-point connected sums
-    may merge 2-dimensional components, never isolated points). n_plus
+    may merge 2-dimensional components, never isolated points). parity is
+    classify_parity of the components, None for an empty fixed set. n_plus
     and n_minus are present exactly when every component is isolated.
     """
 
@@ -170,11 +173,13 @@ class FixedSetData:
         self,
         element: str,
         components: tuple[tuple[int, int], ...],
+        parity: Optional[ParityClass],
         n_plus: Optional[int] = None,
         n_minus: Optional[int] = None,
     ):
         set_field(self, "element", element)
         set_field(self, "components", components)
+        set_field(self, "parity", parity)
         set_field(self, "n_plus", n_plus)
         set_field(self, "n_minus", n_minus)
 
@@ -247,8 +252,13 @@ class ValidScenario:
         )
 
     def fixed_set(self, element: str) -> FixedSetData:
-        """Fixed set of a non-identity element from its local labels and
-        the merged sign overrides (see fixed_set_data)."""
+        """Fixed-set contributions and parity of a non-identity element,
+        per local label.
+
+        rotate_first / rotate_second contribute two 2-dimensional components
+        each; rotate_both contributes four isolated points split evenly into
+        positive and negative unless the scenario overrides the split.
+        """
         local = self.action(element)[1]
         labels = list(local.values())
         two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
@@ -260,14 +270,27 @@ class ValidScenario:
                 n_plus += np_ - 2
                 n_minus += nm - 2
         components = tuple(c for c in ((0, points), (2, two_dim)) if c[1])
+        parity = classify_parity(components)
         if points and not two_dim:
-            return FixedSetData(element, components, n_plus, n_minus)
-        return FixedSetData(element, components)
+            return FixedSetData(element, components, parity, n_plus, n_minus)
+        return FixedSetData(element, components, parity)
 
     def b_plus(self, elements) -> int:
-        """twisted_b_plus, orbit by orbit: an orbit counts when every given
-        element moves it, and each of its ids adds b_plus of its form over
-        the orbit size."""
+        """Positive index of the form on the joint fixed sublattice of the
+        sign-twisted operators of the non-identity `elements`, read from the
+        summand orbits of the subgroup H they generate.
+
+        Each twisted operator is minus a block permutation, so a jointly fixed
+        vector transforms under H by a sign character that is -1 on every given
+        element. None exists for all three non-identity elements of Z2 x Z2,
+        whose product is the identity, and then the sublattice is zero.
+        Otherwise the elements of sign -1 are exactly the given ones, and an
+        orbit of H carries one copy of its summand form (scaled by the orbit
+        size) when none of them fixes its summands, and nothing otherwise; so
+        each id of such an orbit adds b_plus of its form over the orbit size.
+        Equals b_plus_invariant of the induced_cohomology_action operators,
+        without building them.
+        """
         elements = set(elements)
         if not elements:
             raise ValueError("need one or more non-identity group elements")
@@ -558,45 +581,11 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
     return LatticeIsometry(total, mat_neg(rows))
 
 
-def fixed_set_data(s: ActionScenario, element: str) -> FixedSetData:
-    """Fixed-set contributions of a non-identity element, per local label.
-
-    rotate_first / rotate_second contribute two 2-dimensional components
-    each; rotate_both contributes four isolated points split evenly into
-    positive and negative unless the scenario overrides the split.
-    """
-    return require_valid(s).fixed_set(element)
-
-
-def total_invariants(s: ActionScenario) -> TotalInvariants:
-    """Rank, signature and evenness of the connected sum; each distinct
-    summand form is diagonalised once."""
-    return require_valid(s).totals()
-
-
-def twisted_b_plus(s: ActionScenario, elements) -> int:
-    """Positive index of the form on the joint fixed sublattice of the
-    sign-twisted operators of the non-identity `elements`, read from the
-    summand orbits of the subgroup H they generate.
-
-    Each twisted operator is minus a block permutation, so a jointly fixed
-    vector transforms under H by a sign character that is -1 on every given
-    element. None exists for all three non-identity elements of Z2 x Z2,
-    whose product is the identity, and then the sublattice is zero.
-    Otherwise the elements of sign -1 are exactly the given ones, and an
-    orbit of H carries one copy of its summand form (scaled by the orbit
-    size) when none of them fixes its summands, and nothing otherwise.
-    Equals b_plus_invariant of the induced_cohomology_action operators,
-    without building them.
-    """
-    return require_valid(s).b_plus(elements)
-
-
 def _invariants_of(x: Union[ActionScenario, IntegerLattice]) -> TotalInvariants:
     if isinstance(x, IntegerLattice):
         p = signature_profile(x)
         return TotalInvariants(x.rank, p.signature, is_even(x))
-    return total_invariants(x)
+    return require_valid(x).totals()
 
 
 def homeo_invariants_equal(

@@ -1,23 +1,21 @@
 """Parity of spin involutions from fixed-set data, and Dirac index arithmetic.
 
 Parity rule: a nonempty fixed set with a 2-dimensional component makes the
-involution odd; an all-0-dimensional fixed set makes it even. Free
-involutions are refused rather than guessed. All index quantities are
-exact rationals because half-integers must survive untouched.
+involution odd; an all-0-dimensional fixed set makes it even. A free
+involution gets no parity (None) rather than a guess. All index
+quantities are exact rationals because half-integers must survive
+untouched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from ._record import frozen, set_field
 
 ODD = "odd"
 EVEN = "even"
-
-
-class IndeterminateParityError(ValueError):
-    """Fixed set is empty: the fixed-set rule cannot decide the parity."""
 
 
 @frozen
@@ -28,14 +26,12 @@ class ParityClass:
         set_field(self, "mixed", mixed)
 
 
-def classify_parity(fixed) -> ParityClass:
-    """Decide odd/even from a FixedSetData-like object with components."""
-    components = tuple(fixed.components)
-    if not components or all(count == 0 for _, count in components):
-        raise IndeterminateParityError(
-            "empty fixed set: parity cannot be read off the fixed-set dimensions"
-        )
+def classify_parity(components) -> Optional[ParityClass]:
+    """Odd or even from (dimension, count) fixed-set components; None for
+    an empty fixed set, whose parity the dimensions cannot decide."""
     dims = {dim for dim, count in components if count > 0}
+    if not dims:
+        return None
     if 2 in dims:
         return ParityClass(ODD, mixed=(0 in dims))
     return ParityClass(EVEN)

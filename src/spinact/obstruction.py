@@ -20,21 +20,10 @@ from .equivariant_sum import (
     GEN2,
     ActionScenario,
     FixedSetData,
-    ValidScenario,
     Z2,
-    Z2XZ2,
     require_valid,
 )
-from .index_parity import (
-    EVEN,
-    ODD,
-    IndeterminateParityError,
-    ParityClass,
-    classify_parity,
-    k_klein,
-    k_odd,
-    lefschetz_index,
-)
+from .index_parity import EVEN, ODD, k_klein, k_odd, lefschetz_index
 from .templates import klein_admits, recognize_klein_template
 
 Z2_THEOREM = "z2_odd_involution"
@@ -57,16 +46,6 @@ class Hypothesis:
 
 
 @frozen
-class ElementReport:
-    def __init__(
-        self, element: str, fixed_set: FixedSetData, parity: Optional[ParityClass]
-    ):
-        set_field(self, "element", element)
-        set_field(self, "fixed_set", fixed_set)
-        set_field(self, "parity", parity)
-
-
-@frozen
 class ObstructionReport:
     def __init__(
         self,
@@ -75,7 +54,8 @@ class ObstructionReport:
         b: int,
         k: Fraction,
         verdict: str,
-        elements: tuple[ElementReport, ...],
+        # fixed set and parity of each non-identity element, in group order
+        elements: tuple[FixedSetData, ...],
         # the composition's twisted index on a Klein scenario whose
         # composition has isolated fixed points; None otherwise
         index_twisted: Optional[Fraction],
@@ -100,36 +80,23 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def element_reports(v: ValidScenario) -> tuple[ElementReport, ...]:
-    """Fixed set and parity of each non-identity element, in group order."""
-    reports = []
-    for element in v.table:
-        fs = v.fixed_set(element)
-        try:
-            parity = classify_parity(fs)
-        except IndeterminateParityError:
-            parity = None
-        reports.append(ElementReport(element, fs, parity))
-    return tuple(reports)
-
-
-def _parity_hypothesis(name: str, report: ElementReport, want: str) -> Hypothesis:
-    if report.parity is None:
-        return Hypothesis(
-            name, False, f"{report.element} acts freely; parity indeterminate"
-        )
-    detail = f"{report.element} is {report.parity.value}"
-    if report.parity.mixed:
+def _parity_hypothesis(name: str, fs: FixedSetData, want: str) -> Hypothesis:
+    if fs.parity is None:
+        return Hypothesis(name, False, f"{fs.element} acts freely; parity indeterminate")
+    detail = f"{fs.element} is {fs.parity.value}"
+    if fs.parity.mixed:
         detail += " (mixed fixed-set dimensions; 2-dimensional clause applied)"
-    return Hypothesis(name, report.parity.value == want, detail)
+    return Hypothesis(name, fs.parity.value == want, detail)
 
 
 def check(s: ActionScenario) -> ObstructionReport:
     """Certificate for either group: one validation, then a read of the
-    orbit structure it derived."""
+    orbit structure it derived. The inequality is b >= -signature/16 for
+    an odd involution, and b >= -signature/32 + |twisted index|/8 for a
+    Klein four-group action."""
     v = require_valid(s)
     inv = v.totals()
-    reports = element_reports(v)
+    fixed_sets = tuple(map(v.fixed_set, v.table))
     # the total form is the orthogonal sum of the summand forms
     unimodular = all(abs(p.determinant) == 1 for _, p, _ in v.forms.values())
     hypotheses = [
@@ -147,21 +114,21 @@ def check(s: ActionScenario) -> ObstructionReport:
     index_twisted = None
     if s.group == Z2:
         theorem = Z2_THEOREM
-        hypotheses.append(_parity_hypothesis("generator_odd", reports[0], ODD))
+        hypotheses.append(_parity_hypothesis("generator_odd", fixed_sets[0], ODD))
         b = v.b_plus([GEN1])
         k = k_odd(inv.signature)
         hints = ()
     else:
         theorem = KLEIN_THEOREM
         hypotheses += [
-            _parity_hypothesis("generator1_odd", reports[0], ODD),
-            _parity_hypothesis("generator2_odd", reports[1], ODD),
-            _parity_hypothesis("composition_even", reports[2], EVEN),
+            _parity_hypothesis("generator1_odd", fixed_sets[0], ODD),
+            _parity_hypothesis("generator2_odd", fixed_sets[1], ODD),
+            _parity_hypothesis("composition_even", fixed_sets[2], EVEN),
             # minus block permutations; validation rejects noncommuting ones
             Hypothesis("operators_commute", True, "induced operators commute"),
         ]
         b = v.b_plus([GEN1, GEN2])
-        comp_fs = reports[2].fixed_set
+        comp_fs = fixed_sets[2]
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
         # both lift signs are admissible, so the larger bound applies
@@ -183,26 +150,9 @@ def check(s: ActionScenario) -> ObstructionReport:
         b=b,
         k=k,
         verdict=verdict,
-        elements=reports,
+        elements=fixed_sets,
         index_twisted=index_twisted,
         b2=inv.b2,
         signature=inv.signature,
         subgroup_hints=hints,
     )
-
-
-def check_z2(s: ActionScenario) -> ObstructionReport:
-    """Certificate for the single-involution inequality b >= -signature/16."""
-    report = check(s)
-    if s.group != Z2:
-        raise ValueError(f"check_z2 expects a {Z2} scenario")
-    return report
-
-
-def check_z2xz2(s: ActionScenario) -> ObstructionReport:
-    """Certificate for the Klein four-group inequality
-    b >= -signature/32 + |twisted index|/8."""
-    report = check(s)
-    if s.group != Z2XZ2:
-        raise ValueError(f"check_z2xz2 expects a {Z2XZ2} scenario")
-    return report

@@ -26,7 +26,7 @@ from .equivariant_sum import (
     ValidScenario,
     Z2,
     Z2XZ2,
-    total_invariants,
+    require_valid,
 )
 from .lattice import standard_profile
 
@@ -215,7 +215,7 @@ def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:
     spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
     if spheres < 0:
         raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
-    constructed = total_invariants(klein_template(l1, l2, k))
+    constructed = require_valid(klein_template(l1, l2, k)).totals()
     h, k3 = standard_profile("hyperbolic"), standard_profile("k3")
     advertised = TotalInvariants(
         spheres * h.rank + 4 * k * k3.rank,

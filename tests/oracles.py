@@ -3,9 +3,9 @@ sign counts, which share no code with the library's decision paths, and
 reference implementations that spell out, one family at a time, what the
 library now derives from shared rules (the template sweep, the advertised
 family total built as one dense form), or compute it the long way (the
-full-matrix elimination, the validator that builds every element map
-before it checks, and the element actions that validation's table is
-checked against)."""
+full-matrix elimination, the dense matrix product, the validator that
+builds every element map before it checks, and the element actions that
+validation's table is checked against)."""
 
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from spinact.equivariant_sum import (
     TotalInvariants,
     Violation,
     compose_labels,
-    total_invariants,
+    require_valid,
 )
 from spinact.lattice import (
     SignatureProfile,
@@ -178,11 +178,15 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12):
     return u, uinv
 
 
-def matmul(a, b):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+def mat_mul_dense(a, b):
+    """The matrix product as the full triple loop: every entry of the result
+    is a dot product of a row of `a` and a column of `b`, zeros included."""
+    if a and b:
+        assert len(a[0]) == len(b)
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
 
 
 def random_involutive_isometry(rng: random.Random, max_rank: int = 12):
@@ -233,8 +237,8 @@ def random_involutive_isometry(rng: random.Random, max_rank: int = 12):
         off += size
     u, uinv = random_unimodular(rng, n)
     ut = [list(col) for col in zip(*u)]
-    gram_c = matmul(ut, matmul(gram, u))
-    op_c = matmul(uinv, matmul(op, u))
+    gram_c = mat_mul_dense(ut, mat_mul_dense(gram, u))
+    op_c = mat_mul_dense(uinv, mat_mul_dense(op, u))
     return gram_c, op_c
 
 
@@ -306,7 +310,7 @@ def klein_family_comparison_dense(l1: int, l2: int, k: int):
     """The Klein-family comparison with the advertised total assembled as one
     dense form, (2l1+2l2+1-6k) sphere products and 4k K3 pieces, and
     diagonalised by the library's dense engine."""
-    constructed = total_invariants(klein_template_reference(l1, l2, k))
+    constructed = require_valid(klein_template_reference(l1, l2, k)).totals()
     spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
     if spheres < 0:
         raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from spinact import cli
-from spinact.equivariant_sum import COMPOSITION, GEN1, GEN2, fixed_set_data
+from spinact.equivariant_sum import COMPOSITION, GEN1, GEN2
 from spinact.isometry import (
     LatticeIsometry,
     invariant_sublattice,
@@ -28,12 +28,9 @@ from spinact.obstruction import (
     SMOOTHABLE_BY_CONSTRUCTION,
     UNKNOWN,
     check,
-    check_z2,
-    check_z2xz2,
 )
 from spinact.rep_ring import VirtualRepZ4, bk_trace_and_integrality, tomdieck_trace
 from spinact.templates import klein_family_comparison, klein_template, z2_template
-from spinact.index_parity import classify_parity
 
 from oracles import (
     eigen_sign_profile,
@@ -49,7 +46,7 @@ def _report(n, name):
 
 def test_criterion_1_z2_reproduction():
     start = time.perf_counter()
-    report = check_z2(z2_template(3, 1))
+    report = check(z2_template(3, 1))
     assert report.b == 0
     assert report.k == Fraction(1)
     assert report.verdict == NONSMOOTHABLE
@@ -62,18 +59,17 @@ def test_criterion_1_z2_reproduction():
 def test_criterion_2_klein_reproduction():
     start = time.perf_counter()
     s = klein_template(3, 3, 1)
-    report = check_z2xz2(s)
+    report = check(s)
     assert report.b == 0
     assert report.index_twisted == Fraction(0)
     assert report.k == Fraction(1)
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
-    fs1 = fixed_set_data(s, GEN1)
-    fs2 = fixed_set_data(s, GEN2)
-    fsc = fixed_set_data(s, COMPOSITION)
-    assert classify_parity(fs1).value == "odd" and fs1.components[0][0] == 2
-    assert classify_parity(fs2).value == "odd" and fs2.components[0][0] == 2
-    assert classify_parity(fsc).value == "even"
+    fs1, fs2, fsc = report.elements
+    assert (fs1.element, fs2.element, fsc.element) == (GEN1, GEN2, COMPOSITION)
+    assert fs1.parity.value == "odd" and fs1.components[0][0] == 2
+    assert fs2.parity.value == "odd" and fs2.components[0][0] == 2
+    assert fsc.parity.value == "even"
     assert fsc.components == ((0, 4),)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"

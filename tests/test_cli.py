@@ -19,6 +19,11 @@ from hypothesis import strategies as st
 
 from spinact import cli
 from spinact.equivariant_sum import (
+    COMPOSITION,
+    GEN1,
+    GEN2,
+    Z2,
+    Z2XZ2,
     ActionScenario,
     GeneratorAction,
     parse_scenario,
@@ -927,6 +932,20 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _count_fixed_sets(monkeypatch):
+    from spinact.equivariant_sum import ValidScenario
+
+    calls = []
+    fixed_set = ValidScenario.fixed_set
+
+    def counted(self, element):
+        calls.append((self.scenario, element))
+        return fixed_set(self, element)
+
+    monkeypatch.setattr(ValidScenario, "fixed_set", counted)
+    return calls
+
+
 def _count_perm_maps(monkeypatch):
     from spinact.equivariant_sum import GeneratorAction
 
@@ -957,6 +976,7 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
     perm_maps = _count_perm_maps(monkeypatch)
+    fixed_sets = _count_fixed_sets(monkeypatch)
     dense = [
         _count_calls(monkeypatch, fn)
         for fn in (
@@ -973,6 +993,10 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     # pass, and every core reads the element table it hands back
     scenarios = [s for (s,) in validations]
     assert len(perm_maps) == sum(1 + (s.gen2 is not None) for s in scenarios)
+    # one fixed-set pass per non-identity element of each scenario, in
+    # group order, shared by the parity hypotheses and the report
+    elements = {Z2: (GEN1,), Z2XZ2: (GEN1, GEN2, COMPOSITION)}
+    assert fixed_sets == [(s, e) for s in scenarios for e in elements[s.group]]
     # a standard form is diagonalised once per process, not per point
     kinds = {sm.kind for s in scenarios for sm in s.summands}
     assert "custom" not in kinds

@@ -24,15 +24,12 @@ from spinact.equivariant_sum import (
     Summand,
     Violation,
     compose_labels,
-    fixed_set_data,
     homeo_invariants_equal,
     induced_cohomology_action,
     parse_scenario,
     require_valid,
     scenario_digest,
     serialize_scenario,
-    total_invariants,
-    twisted_b_plus,
     validate_scenario,
 )
 from spinact.isometry import b_plus_invariant, commute, verify_isometry
@@ -220,11 +217,12 @@ def test_klein_generators_commute_and_are_involutive(l1, l2, k):
 
 
 def test_fixed_set_of_factor_rotation():
-    assert fixed_set_data(single_sphere(ROTATE_FIRST), GEN1).components == ((2, 2),)
+    fs = require_valid(single_sphere(ROTATE_FIRST)).fixed_set(GEN1)
+    assert fs.components == ((2, 2),)
 
 
 def test_fixed_set_of_double_rotation():
-    fs = fixed_set_data(single_sphere(ROTATE_BOTH), GEN1)
+    fs = require_valid(single_sphere(ROTATE_BOTH)).fixed_set(GEN1)
     assert fs.components == ((0, 4),)
     assert (fs.n_plus, fs.n_minus) == (2, 2)
 
@@ -236,7 +234,7 @@ def test_fixed_set_override():
         GeneratorAction((), {"s0": ROTATE_BOTH}, {"s0": (4, 0)}),
     )
     assert validate_scenario(s) == []
-    fs = fixed_set_data(s, GEN1)
+    fs = require_valid(s).fixed_set(GEN1)
     assert (fs.n_plus, fs.n_minus) == (4, 0)
 
 
@@ -260,19 +258,20 @@ def test_stale_override_rejected():
 
 def test_fixed_set_of_free_element_is_empty():
     s = z2_template(0, 2)
-    fs = fixed_set_data(s, GEN1)
+    fs = require_valid(s).fixed_set(GEN1)
     assert fs.components == ()
     assert fs.n_plus is None
 
 
 def test_fixed_set_of_identity_element_errors():
+    valid = require_valid(z2_template(1, 0))
     with pytest.raises(ValueError):
-        fixed_set_data(z2_template(1, 0), IDENTITY_ELEMENT)
+        valid.fixed_set(IDENTITY_ELEMENT)
 
 
 def test_klein_composition_fixed_set_is_four_points_on_core():
     s = klein_template(2, 3, 1)
-    fs = fixed_set_data(s, COMPOSITION)
+    fs = require_valid(s).fixed_set(COMPOSITION)
     assert fs.components == ((0, 4),)
     assert (fs.n_plus, fs.n_minus) == (2, 2)
 
@@ -291,23 +290,24 @@ def test_fixed_sets_invariant_under_relabelling():
             {"x" + i: lbl for i, lbl in s.gen2.local.items()},
         ),
     )
+    valid, valid_renamed = require_valid(s), require_valid(renamed)
     for element in (GEN1, GEN2, COMPOSITION):
-        a = fixed_set_data(s, element)
-        b = fixed_set_data(renamed, element)
+        a = valid.fixed_set(element)
+        b = valid_renamed.fixed_set(element)
         assert a.components == b.components
         assert (a.n_plus, a.n_minus) == (b.n_plus, b.n_minus)
 
 
 def test_total_invariants_examples():
-    assert total_invariants(z2_template(3, 1)) == total_invariants(z2_template(3, 1))
-    inv = total_invariants(z2_template(3, 1))
+    inv = require_valid(z2_template(3, 1)).totals()
+    assert inv == require_valid(z2_template(3, 1)).totals()
     assert (inv.b2, inv.signature, inv.even) == (22, -16, True)
-    inv2 = total_invariants(klein_template(3, 3, 1))
+    inv2 = require_valid(klein_template(3, 3, 1)).totals()
     assert (inv2.b2, inv2.signature, inv2.even) == (58, -32, True)
     empty = ActionScenario("Z2", (), GeneratorAction())
-    assert total_invariants(empty) == total_invariants(empty)
-    assert (total_invariants(empty).b2, total_invariants(empty).signature) == (0, 0)
-    assert total_invariants(empty).even
+    inv0 = require_valid(empty).totals()
+    assert inv0 == require_valid(empty).totals()
+    assert (inv0.b2, inv0.signature, inv0.even) == (0, 0, True)
 
 
 def test_homeo_invariants_k3_versus_spheres_and_e8():
@@ -456,7 +456,7 @@ def test_random_scenarios_validate_round_trip_and_induce_isometries(s):
     assert verify_isometry(op)
     assert mat_mul(op.matrix, op.matrix) == identity(op.lattice.rank)
     if s.gen1.local:
-        fst = fixed_set_data(s, GEN1)
+        fst = require_valid(s).fixed_set(GEN1)
         total_points = sum(c for d, c in fst.components if d == 0)
         if fst.n_plus is not None:
             assert fst.n_plus + fst.n_minus == total_points
@@ -512,7 +512,7 @@ def _dense_b_plus(s, elements):
 @given(z2_scenarios())
 @settings(max_examples=15, deadline=None)
 def test_twisted_b_plus_matches_dense_engine_z2(s):
-    assert twisted_b_plus(s, [GEN1]) == _dense_b_plus(s, [GEN1])
+    assert require_valid(s).b_plus([GEN1]) == _dense_b_plus(s, [GEN1])
 
 
 @given(klein_scenarios())
@@ -523,14 +523,15 @@ def test_twisted_b_plus_matches_dense_engine_klein(s):
     assert_checker_premises(s)
     # every subset the checker and the invariants report read
     for elements in ([GEN1], [GEN2], [COMPOSITION], [GEN1, GEN2], [GEN1, GEN2, COMPOSITION]):
-        assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)
+        assert require_valid(s).b_plus(elements) == _dense_b_plus(s, elements)
 
 
 @given(st.one_of(z2_scenarios(), klein_scenarios()))
 @example(with_free_orbits(klein_template(1, 0, 1), ["k3", "hyperbolic"]))
 @settings(max_examples=20, deadline=None)
 def test_element_table_matches_element_action_and_the_dense_oracle(s):
-    table = require_valid(s).table
+    valid = require_valid(s)
+    table = valid.table
     assert list(table) == list(elements_of(s.group))
     for element in elements_of(s.group):
         assert table[element] == element_action(s, element)
@@ -540,10 +541,9 @@ def test_element_table_matches_element_action_and_the_dense_oracle(s):
     if s.gen2 is not None:
         # pairs whose product may fix an orbit, which then has two ids
         for elements in ([GEN1, COMPOSITION], [GEN2, COMPOSITION]):
-            assert twisted_b_plus(s, elements) == _dense_b_plus(s, elements)
-    assert [er.element for er in report.elements] == list(table)
-    for er in report.elements:
-        assert er.fixed_set == fixed_set_data(s, er.element)
+            assert valid.b_plus(elements) == _dense_b_plus(s, elements)
+    assert [fs.element for fs in report.elements] == list(table)
+    assert report.elements == tuple(map(valid.fixed_set, table))
 
 
 _KLEIN_GENS = (klein_template(1, 1, 1).gen1, klein_template(1, 1, 1).gen2)
@@ -672,16 +672,17 @@ def test_twisted_b_plus_counts_an_orbit_of_two_once(elements, expected):
     # (l2 = 1 pair for gen1, l1 = 2 for gen2), an orbit of two ids, and
     # moves the E8 and hyperbolic orbits of four ids
     s = with_free_orbits(klein_template(2, 1, 1), ["hyperbolic"])
-    assert twisted_b_plus(s, elements) == expected == _dense_b_plus(s, elements)
+    assert require_valid(s).b_plus(elements) == expected == _dense_b_plus(s, elements)
 
 
 def test_twisted_b_plus_rejects_identity_and_empty_sets():
-    s = klein_template(1, 1, 0)
+    valid = require_valid(klein_template(1, 1, 0))
     for elements in ([], [IDENTITY_ELEMENT], [GEN1, IDENTITY_ELEMENT]):
         with pytest.raises(ValueError):
-            twisted_b_plus(s, elements)
+            valid.b_plus(elements)
+    valid = require_valid(z2_template(1, 0))
     with pytest.raises(ValueError):
-        twisted_b_plus(z2_template(1, 0), [GEN2])
+        valid.b_plus([GEN2])
 
 
 # ids and labels that exercise every escape of the canonical text: quotes,

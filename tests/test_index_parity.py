@@ -1,14 +1,11 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinact.equivariant_sum import FixedSetData
 from spinact.index_parity import (
     EVEN,
     ODD,
-    IndeterminateParityError,
     classify_parity,
     k_klein,
     k_odd,
@@ -16,33 +13,27 @@ from spinact.index_parity import (
 )
 
 
-def fs(*components, n_plus=None, n_minus=None):
-    return FixedSetData("gen1", tuple(components), n_plus, n_minus)
-
-
 def test_two_dimensional_component_means_odd():
-    assert classify_parity(fs((2, 2))).value == ODD
+    assert classify_parity(((2, 2),)).value == ODD
 
 
 def test_isolated_points_mean_even():
-    assert classify_parity(fs((0, 4), n_plus=2, n_minus=2)).value == EVEN
+    assert classify_parity(((0, 4),)).value == EVEN
 
 
 def test_empty_fixed_set_is_indeterminate():
-    with pytest.raises(IndeterminateParityError):
-        classify_parity(fs())
-    with pytest.raises(IndeterminateParityError):
-        classify_parity(fs((2, 0)))
+    assert classify_parity(()) is None
+    assert classify_parity(((2, 0),)) is None
 
 
 def test_mixed_dimensions_warns_but_reports_odd():
-    p = classify_parity(fs((0, 4), (2, 2)))
+    p = classify_parity(((0, 4), (2, 2)))
     assert p.value == ODD and p.mixed
 
 
 @given(st.permutations([(2, 2), (0, 4), (2, 6)]))
 def test_parity_ignores_component_order(components):
-    p = classify_parity(fs(*components))
+    p = classify_parity(components)
     assert p.value == ODD and p.mixed
 
 

@@ -3,10 +3,10 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinact._mat import freeze, is_square, is_symmetric
+from spinact._mat import freeze, is_square, is_symmetric, mat_mul
 from spinact.lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -23,7 +23,7 @@ from oracles import (
     eigen_sign_profile,
     freeze_per_entry,
     is_symmetric_per_entry,
-    matmul,
+    mat_mul_dense,
     random_unimodular,
     signature_profile_full,
 )
@@ -184,6 +184,39 @@ def test_bulk_freeze_and_symmetry_match_the_per_entry_oracles(rows):
     assert is_symmetric(frozen) == is_symmetric_per_entry(frozen)
 
 
+@st.composite
+def product_pairs(draw, max_dim=6):
+    """Integer matrices a (m x n) and b (n x p), any of m, n, p possibly
+    zero, with small and multi-word entries and whole zero rows."""
+    m, n, p = draw(st.tuples(*[st.integers(0, max_dim)] * 3))
+    entries = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+
+    def matrix(rows, cols):
+        zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+        return tuple(
+            (0,) * cols
+            if i in zero_rows
+            else tuple(draw(st.lists(entries, min_size=cols, max_size=cols)))
+            for i in range(rows)
+        )
+
+    return matrix(m, n), matrix(n, p)
+
+
+@given(product_pairs())
+@example(((), ()))
+@example((((), ()), ()))
+@example((((1, 0, 2),), ((0,), (0,), (3,))))
+@example((((0, 0), (5, -1)), ((2, 0, 0), (0, 0, 7))))
+@settings(max_examples=200, deadline=None)
+def test_sparse_product_matches_the_dense_oracle(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert product == mat_mul_dense(a, b)
+    assert len(product) == len(a)
+    assert all(type(x) is int for row in product for x in row)
+
+
 def test_zero_diagonal_block_pivot_terminates():
     # pure hyperbolic pivots must be repaired, not looped on
     for k in range(1, 4):
@@ -223,7 +256,7 @@ def test_profile_invariant_under_unimodular_change(lat, seed):
         return
     u, _ = random_unimodular(random.Random(seed), n)
     ut = [list(col) for col in zip(*u)]
-    g2 = matmul(ut, matmul([list(r) for r in lat.gram], u))
+    g2 = mat_mul_dense(ut, mat_mul_dense(lat.gram, u))
     assert signature_profile(IntegerLattice(tuple(tuple(r) for r in g2))) == \
         signature_profile(lat)
 
@@ -237,7 +270,7 @@ def test_profile_of_scrambled_unimodular_forms(a, h, seed):
     gram = [list(row) for row in direct_sum_all(blocks).gram]
     n = len(gram)
     u, _ = random_unimodular(random.Random(seed), n, steps=4 * n)
-    g = matmul([list(col) for col in zip(*u)], matmul(gram, u))
+    g = mat_mul_dense(tuple(zip(*u)), mat_mul_dense(gram, u))
     assert 18 <= n <= 26 and max(abs(x) for row in g for x in row) >= 100
     p = signature_profile(IntegerLattice(tuple(map(tuple, g))))
     assert (p.b_plus, p.b_minus, p.b_zero, p.determinant) == (

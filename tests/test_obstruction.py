@@ -20,8 +20,6 @@ from spinact.obstruction import (
     SMOOTHABLE_BY_CONSTRUCTION,
     UNKNOWN,
     check,
-    check_z2,
-    check_z2xz2,
 )
 from spinact.rep_ring import bk_trace_and_integrality
 from spinact.templates import (
@@ -35,7 +33,7 @@ from oracles import klein_family_comparison_dense
 
 
 def test_z2_headline_example():
-    report = check_z2(z2_template(3, 1))
+    report = check(z2_template(3, 1))
     assert report.b == 0
     assert report.k == 1
     assert report.verdict == NONSMOOTHABLE
@@ -45,7 +43,7 @@ def test_z2_headline_example():
 
 
 def test_z2_no_e8_content_gives_no_obstruction():
-    report = check_z2(z2_template(3, 0))
+    report = check(z2_template(3, 0))
     assert report.b == 0 and report.k == 0
     assert report.verdict == NO_OBSTRUCTION
     assert report.all_hypotheses_pass
@@ -59,7 +57,7 @@ def test_z2_free_generator_is_a_hypothesis_failure():
         (Summand("s0", "s2xs2"), Summand("s1", "s2xs2")),
         GeneratorAction((("s0", "s1"),), {}),
     )
-    report = check_z2(s)
+    report = check(s)
     assert not report.all_hypotheses_pass
     failed = {h.name for h in report.hypotheses if not h.passed}
     assert failed == {"generator_odd"}
@@ -72,7 +70,7 @@ def test_z2_even_generator_is_a_hypothesis_failure():
         (Summand("s0", "s2xs2"),),
         GeneratorAction((), {"s0": ROTATE_BOTH}),
     )
-    report = check_z2(s)
+    report = check(s)
     failed = {h.name for h in report.hypotheses if not h.passed}
     assert failed == {"generator_odd"}
     assert report.verdict == NO_OBSTRUCTION
@@ -91,23 +89,16 @@ def test_z2_odd_form_fails_spin_hypothesis():
         ),
         GeneratorAction((("c0", "c1"),), {"s0": ROTATE_FIRST}),
     )
-    report = check_z2(s)
+    report = check(s)
     failed = {h.name for h in report.hypotheses if not h.passed}
     assert "intersection_form_even" in failed
     assert report.verdict == NO_OBSTRUCTION
 
 
-def test_z2_wrong_group_rejected():
-    with pytest.raises(ValueError):
-        check_z2(klein_template(1, 1, 1))
-    with pytest.raises(ValueError):
-        check_z2xz2(z2_template(1, 1))
-
-
 def test_z2_invalid_scenario_raises():
     s = ActionScenario("Z2", (Summand("w", "minus_e8"),), GeneratorAction())
     with pytest.raises(InvalidScenarioError):
-        check_z2(s)
+        check(s)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +106,7 @@ def test_z2_invalid_scenario_raises():
     [(l, k) for k in range(1, 5) for l in range(3 * k, 3 * k + 4)],
 )
 def test_z2_family_sweep_nonsmoothable(l, k):
-    report = check_z2(z2_template(l, k))
+    report = check(z2_template(l, k))
     assert report.verdict == NONSMOOTHABLE
     assert report.b == 0 and report.k == k
 
@@ -124,27 +115,27 @@ def test_z2_family_sweep_nonsmoothable(l, k):
 def test_z2_family_k_zero_never_obstructs(l):
     if l == 0:
         # no fixed set at all: hypothesis failure rather than certificate
-        report = check_z2(z2_template(0, 0))
+        report = check(z2_template(0, 0))
         assert report.verdict == NO_OBSTRUCTION
     else:
-        report = check_z2(z2_template(l, 0))
+        report = check(z2_template(l, 0))
         assert report.verdict == NO_OBSTRUCTION
         assert report.all_hypotheses_pass
 
 
 def test_klein_headline_example():
-    report = check_z2xz2(klein_template(3, 3, 1))
+    report = check(klein_template(3, 3, 1))
     assert report.b == 0
     assert report.k == 1
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
     assert report.index_twisted == 0
-    parities = {er.element: er.parity.value for er in report.elements}
+    parities = {fs.element: fs.parity.value for fs in report.elements}
     assert parities == {"gen1": "odd", "gen2": "odd", "composition": "even"}
 
 
 def test_klein_no_e8_content():
-    report = check_z2xz2(klein_template(3, 3, 0))
+    report = check(klein_template(3, 3, 0))
     assert report.b == 0 and report.k == 0
     assert report.verdict == NO_OBSTRUCTION
     assert report.all_hypotheses_pass
@@ -160,7 +151,7 @@ def test_klein_no_e8_content():
     ],
 )
 def test_klein_family_sweep_nonsmoothable(l1, l2, k):
-    report = check_z2xz2(klein_template(l1, l2, k))
+    report = check(klein_template(l1, l2, k))
     assert report.verdict == NONSMOOTHABLE
     assert report.b == 0 and report.k == k
     assert report.index_twisted == 0
@@ -172,7 +163,7 @@ def test_klein_asymmetric_points_shift_the_bound():
     s = klein_template(3, 3, 1)
     gen1 = GeneratorAction(s.gen1.permutation, dict(s.gen1.local), {"core": (4, 0)})
     s2 = ActionScenario(s.group, s.summands, gen1, s.gen2)
-    report = check_z2xz2(s2)
+    report = check(s2)
     assert report.index_twisted == 2
     assert report.k == Fraction(5, 4)
     assert report.verdict == NONSMOOTHABLE
@@ -192,14 +183,14 @@ def test_klein_verdict_invariant_under_relabelling():
             {"q" + i: lbl for i, lbl in s.gen2.local.items()},
         ),
     )
-    a = check_z2xz2(s)
-    b = check_z2xz2(renamed)
+    a = check(s)
+    b = check(renamed)
     assert (a.b, a.k, a.verdict) == (b.b, b.k, b.verdict)
 
 
 def test_trace_integral_exactly_when_no_obstruction():
     for l, k in [(3, 0), (3, 1), (6, 2), (9, 3)]:
-        report = check_z2(z2_template(l, k))
+        report = check(z2_template(l, k))
         if report.all_hypotheses_pass and report.k.denominator == 1:
             _, integral = bk_trace_and_integrality(report.b, int(report.k))
             assert integral == (report.b >= report.k)
@@ -247,7 +238,7 @@ def test_k3_swap_scenario_obstruction_does_not_fire():
         (Summand("s0", "s2xs2"), Summand("k0", "k3"), Summand("k1", "k3")),
         GeneratorAction((("k0", "k1"),), {"s0": ROTATE_FIRST}),
     )
-    report = check_z2(s)
+    report = check(s)
     assert report.all_hypotheses_pass
     assert (report.b2, report.signature) == (46, -32)
     assert report.b == 3

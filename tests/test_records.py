@@ -27,13 +27,12 @@ from spinact.equivariant_sum import (
 from spinact.index_parity import ParityClass
 from spinact.isometry import InvariantSublattice, LatticeIsometry
 from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProfile
-from spinact.obstruction import ElementReport, Hypothesis, ObstructionReport
+from spinact.obstruction import Hypothesis, ObstructionReport
 from spinact.rep_ring import GaussianValue, VirtualRepZ4
 from spinact.templates import FamilyComparison, KleinShape
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE = IntegerLattice(((1,),))
-FIXED = FixedSetData("gen1", ((0, 4),), 2, 2)
 
 # (record class, field values in declaration order, field names)
 RECORDS = [
@@ -56,10 +55,13 @@ RECORDS = [
         ("Z2", (Summand("a", "k3"),), GeneratorAction(), None),
         ("group", "summands", "gen1", "gen2"),
     ),
-    (FixedSetData, ("gen1", ((0, 4),), 2, 2), ("element", "components", "n_plus", "n_minus")),
+    (
+        FixedSetData,
+        ("gen1", ((0, 4),), ParityClass("even"), 2, 2),
+        ("element", "components", "parity", "n_plus", "n_minus"),
+    ),
     (TotalInvariants, (22, -16, True), ("b2", "signature", "even")),
     (Hypothesis, ("spin", False, "why"), ("name", "passed", "detail")),
-    (ElementReport, ("gen1", FIXED, ParityClass("even")), ("element", "fixed_set", "parity")),
     (
         ObstructionReport,
         (
@@ -68,7 +70,7 @@ RECORDS = [
             0,
             Fraction(1),
             "nonsmoothable",
-            (ElementReport("gen1", FIXED, None),),
+            (FixedSetData("gen1", (), None),),
             Fraction(2),
             22,
             -16,
@@ -153,7 +155,7 @@ def test_records_survive_copy_and_pickle(cls, values, names):
 def test_records_of_different_classes_never_compare_equal():
     assert KleinShape(1, 2, 3) != TotalInvariants(1, 2, 3)
     assert TotalInvariants(1, 2, 3) != KleinShape(1, 2, 3)
-    assert FixedSetData("gen1", ()) != Violation("gen1", ())
+    assert FixedSetData("gen1", (), None) != Violation("gen1", ())
 
     class Shape(KleinShape):
         pass
@@ -175,7 +177,7 @@ def test_defaults():
     assert ParityClass("even").mixed is False
     assert Violation("code", "message").subject is None
     assert Summand("a", "k3").custom_form is None
-    assert FixedSetData("gen1", ()).n_plus is None
+    assert FixedSetData("gen1", (), None).n_plus is None
     assert ActionScenario("Z2", (), GeneratorAction()).gen2 is None
     gen = GeneratorAction()
     assert (gen.permutation, gen.local, gen.overrides) == ((), {}, {})
