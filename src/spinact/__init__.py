@@ -33,7 +33,6 @@ from .equivariant_sum import (
     TotalInvariants,
     ValidScenario,
     Violation,
-    homeo_invariants_equal,
     induced_cohomology_action,
     parse_scenario,
     require_valid,
@@ -61,11 +60,10 @@ from .rep_ring import (
 )
 from .obstruction import ObstructionReport, check
 from .templates import (
-    FamilyComparison,
-    klein_family_comparison,
     klein_grid,
     klein_template,
     recognize_klein_template,
+    smooth_structure,
     z2_grid,
     z2_template,
 )

@@ -141,6 +141,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(fs) for fs in report.elements],
         "subgroup_hints": _subgroup_hints(report),
+        "smooth_structure": dict(zip(("answer", "reason"), report.smooth_structure)),
     }
 
 
@@ -176,6 +177,7 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
         lines.append(f"trace 2^(b-k) = {trace} ({integral} algebraic integer)")
     for sub, hint in report.subgroup_hints:
         lines.append(f"subgroup {sub}: {hint}")
+    lines.append("smooth structure: {} ({})".format(*report.smooth_structure))
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
 
@@ -243,9 +245,9 @@ def _sweep_points(
     `klein_grid`) at the corner that `_sweep_work` budgets makes the
     corner's summand records once; each point's scenario is made from
     prefixes of them when the point is reached, so one corner's records
-    and one point's scenario are alive at a time. A skipped total may
-    have no smooth structure, and then every action on it is vacuously
-    nonsmoothable."""
+    and one point's scenario are alive at a time. `z2_admits` keeps the totals
+    that `templates.smooth_structure` finds smoothable by construction; on a
+    total with no smooth structure, every action is vacuously nonsmoothable."""
     grid, admits = (z2_grid, z2_admits) if template == "z2" else (klein_grid, klein_admits)
     names = TEMPLATE_SUMMANDS[template][1]
     corner = _corner(r)

@@ -22,7 +22,7 @@ import json
 import sys
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _enc
-from typing import Optional, Union
+from typing import Optional
 
 from ._mat import identity, mat_neg
 from ._record import frozen, set_field
@@ -581,29 +581,27 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
     return LatticeIsometry(total, mat_neg(rows))
 
 
-def _invariants_of(x: Union[ActionScenario, IntegerLattice]) -> TotalInvariants:
-    if isinstance(x, IntegerLattice):
-        p = signature_profile(x)
-        return TotalInvariants(x.rank, p.signature, is_even(x))
-    return require_valid(x).totals()
-
-
-def homeo_invariants_equal(
-    a: Union[ActionScenario, IntegerLattice], b: Union[ActionScenario, IntegerLattice]
-) -> bool:
-    """Compare (b2, signature, evenness): the classifying data for simply
-    connected spin sums."""
-    return _invariants_of(a) == _invariants_of(b)
-
-
 # ---------------------------------------------------------------------------
 # scenario document format (JSON with a schema version field)
 # ---------------------------------------------------------------------------
 
 
+_DOCUMENT_FIELDS = frozenset(
+    ("schema_version", "group", "summands", "generator1", "generator2")
+)
+_GENERATOR_FIELDS = frozenset(("permutation", "local", "overrides"))
+
+
+def _unknown_field(doc: dict, fields) -> str:
+    """The error text naming the first key of `doc` outside `fields`."""
+    return f"unknown field {next(key for key in doc if key not in fields)!r}"
+
+
 def _parse_generator(doc, field_name: str) -> GeneratorAction:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("generator must be an object", field_name)
+    if not doc.keys() <= _GENERATOR_FIELDS:
+        raise ScenarioFormatError(_unknown_field(doc, _GENERATOR_FIELDS), field_name)
     pairs = doc.get("permutation", [])
     if not isinstance(pairs, list):
         raise ScenarioFormatError("permutation must be a list of id pairs", field_name)
@@ -631,11 +629,13 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
     for k, ov in overrides_doc.items():
         if not (
             isinstance(ov, dict)
+            and len(ov) == 2
             and type(ov.get("n_plus")) is int
             and type(ov.get("n_minus")) is int
         ):
             raise ScenarioFormatError(
-                f"override for {k!r} needs integer n_plus and n_minus", field_name
+                f"override for {k!r} needs integer n_plus and n_minus, nothing else",
+                field_name,
             )
         overrides[k] = (ov["n_plus"], ov["n_minus"])
     return GeneratorAction(tuple(perm), dict(local_doc), overrides)
@@ -662,6 +662,8 @@ def parse_scenario(text: str) -> ActionScenario:
         raise ScenarioFormatError(
             f"unsupported schema_version {version!r}", "schema_version"
         )
+    if not doc.keys() <= _DOCUMENT_FIELDS:
+        raise ScenarioFormatError(_unknown_field(doc, _DOCUMENT_FIELDS), "document")
     group = doc.get("group")
     if group not in (Z2, Z2XZ2):
         raise ScenarioFormatError(f"group must be Z2 or Z2xZ2, got {group!r}", "group")
@@ -706,6 +708,12 @@ def parse_scenario(text: str) -> ActionScenario:
                     raise ScenarioFormatError(
                         f"custom summand {entry['id']!r}: {exc}", "summands"
                     ) from exc
+        # id and kind are present, and gram is on a custom summand
+        if len(entry) != 2 + (custom is not None):
+            known = ("id", "kind", "gram") if custom is not None else ("id", "kind")
+            raise ScenarioFormatError(
+                f"summand {entry['id']!r} has {_unknown_field(entry, known)}", "summands"
+            )
         summands.append(Summand(entry["id"], kind, custom))
     if "generator1" not in doc:
         raise ScenarioFormatError("missing generator1", "generator1")

@@ -50,7 +50,10 @@ def k_odd(signature: int) -> Fraction:
 def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
     """Lower bound -signature/32 + index/8 in the Klein four-group inequality.
 
-    The bound grows with the index, so callers that may choose the sign
-    of the twisted index pass its absolute value.
+    The twisted index is taken for chosen lifts of the generators to the
+    spin structure. Negating one generator's lift negates the
+    composition's lift, and with it the index; both choices are lifts of
+    the same action, so a smooth action satisfies both inequalities. The
+    bound grows with the index, so callers pass its absolute value.
     """
     return (Fraction(-signature, 4) + Fraction(index_twisted)) / 8

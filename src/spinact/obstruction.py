@@ -24,7 +24,13 @@ from .equivariant_sum import (
     require_valid,
 )
 from .index_parity import EVEN, ODD, k_klein, k_odd, lefschetz_index
-from .templates import klein_admits, recognize_klein_template
+from .templates import (
+    SMOOTHABLE_BY_CONSTRUCTION,
+    UNKNOWN,
+    klein_admits,
+    recognize_klein_template,
+    smooth_structure,
+)
 
 Z2_THEOREM = "z2_odd_involution"
 KLEIN_THEOREM = "z2xz2_odd_pair"
@@ -32,8 +38,6 @@ KLEIN_THEOREM = "z2xz2_odd_pair"
 NONSMOOTHABLE = "nonsmoothable"
 NO_OBSTRUCTION = "no_obstruction"
 
-SMOOTHABLE_BY_CONSTRUCTION = "smoothable_by_construction"
-UNKNOWN = "unknown"
 SUBGROUPS = (GEN1, GEN2, "diagonal")
 
 
@@ -63,6 +67,8 @@ class ObstructionReport:
         signature: int,
         # (subgroup, hint) for each proper subgroup of a Klein scenario
         subgroup_hints: tuple[tuple[str, str], ...],
+        # (answer, reason) of templates.smooth_structure for the total form
+        smooth_structure: tuple[str, str],
     ):
         set_field(self, "theorem", theorem)
         set_field(self, "hypotheses", hypotheses)
@@ -74,6 +80,7 @@ class ObstructionReport:
         set_field(self, "b2", b2)
         set_field(self, "signature", signature)
         set_field(self, "subgroup_hints", subgroup_hints)
+        set_field(self, "smooth_structure", smooth_structure)
 
     @property
     def all_hypotheses_pass(self) -> bool:
@@ -155,4 +162,5 @@ def check(s: ActionScenario) -> ObstructionReport:
         b2=inv.b2,
         signature=inv.signature,
         subgroup_hints=hints,
+        smooth_structure=smooth_structure(inv.b2, inv.signature, inv.even and unimodular),
     )

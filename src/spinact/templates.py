@@ -22,13 +22,10 @@ from .equivariant_sum import (
     S2XS2,
     MINUS_E8,
     Summand,
-    TotalInvariants,
     ValidScenario,
     Z2,
     Z2XZ2,
-    require_valid,
 )
-from .lattice import standard_profile
 
 
 # summands one template point builds: a constant plus a coefficient per
@@ -43,6 +40,40 @@ def template_summands(template: str, params: dict[str, int]) -> int:
     """Summands of `template` at `params`: l + 2k, resp. 1 + 2l1 + 2l2 + 4k."""
     const, coeffs = TEMPLATE_SUMMANDS[template]
     return const + sum(c * params[name] for name, c in coeffs.items())
+
+
+SMOOTHABLE_BY_CONSTRUCTION = "smoothable_by_construction"
+NO_SMOOTH_STRUCTURE = "none"
+UNKNOWN = "unknown"
+
+
+def smooth_structure(b2: int, signature: int, even_unimodular: bool) -> tuple[str, str]:
+    """(answer, reason): has a closed simply connected 4-manifold with this
+    intersection form a smooth structure?
+
+    An indefinite even unimodular form with |signature| = 16m is aH + 2m(-E8)
+    or its negative, a = (b2 - 16m)/2 (Serre, A Course in Arithmetic, ch. V),
+    and by Freedman that is the homeomorphism type. With a >= 3m it is
+    smoothable_by_construction as #m K3 # (a-3m) S2xS2 (-K3 if the signature
+    is positive). There is none when the form is not even and unimodular,
+    when 16 does not divide the signature (Rokhlin), when it is definite
+    (|signature| = b2) and nonzero (Donaldson), or when b2 < 10/8 |signature|
+    + 2 (Furuta). The gap 10/8 |signature| + 2 <= b2 < 11/8 |signature| is
+    unknown.
+    """
+    if not even_unimodular:
+        return NO_SMOOTH_STRUCTURE, "not even and unimodular"
+    if signature % 16:
+        return NO_SMOOTH_STRUCTURE, "Rokhlin: 16 does not divide the signature"
+    if b2 == abs(signature) != 0:
+        return NO_SMOOTH_STRUCTURE, "Donaldson: definite and nonzero"
+    m, a = abs(signature) // 16, (b2 - abs(signature)) // 2
+    if a >= 3 * m:
+        k3 = "K3" if signature <= 0 else "-K3"
+        return SMOOTHABLE_BY_CONSTRUCTION, f"#{m} {k3} # {a - 3 * m} S2xS2"
+    if 8 * b2 < 10 * abs(signature) + 16:
+        return NO_SMOOTH_STRUCTURE, "Furuta: b2 < 10/8 |signature| + 2"
+    return UNKNOWN, "between the 10/8 and 11/8 bounds"
 
 
 _NEGATIVE = "template parameters must be nonnegative"
@@ -95,8 +126,8 @@ def z2_template(l: int, k: int) -> ActionScenario:
 
 
 def z2_admits(l: int, k: int) -> bool:
-    """Smoothable by construction: l(S2xS2) # 2k(-E8) is #k K3 # (l-3k)(S2xS2)."""
-    return l >= 3 * k
+    """The total lH + 2k(-E8) of the template is smoothable by construction."""
+    return smooth_structure(2 * l + 16 * k, -16 * k, True)[0] == SMOOTHABLE_BY_CONSTRUCTION
 
 
 def klein_grid(
@@ -195,31 +226,3 @@ def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
     if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:
         return None
     return KleinShape(chain1 // 2, chain2 // 2, e8 // 4)
-
-
-@frozen
-class FamilyComparison:
-    def __init__(
-        self, constructed: TotalInvariants, advertised: TotalInvariants, match: bool
-    ):
-        set_field(self, "constructed", constructed)
-        set_field(self, "advertised", advertised)
-        set_field(self, "match", match)
-
-
-def klein_family_comparison(l1: int, l2: int, k: int) -> FamilyComparison:
-    """Compare the constructed Klein-family total against the advertised
-    homeomorphism type; the two disagree for k >= 1 and the mismatch is
-    reported rather than silently repaired."""
-    _nonnegative(l1, l2, k)
-    spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
-    if spheres < 0:
-        raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
-    constructed = require_valid(klein_template(l1, l2, k)).totals()
-    h, k3 = standard_profile("hyperbolic"), standard_profile("k3")
-    advertised = TotalInvariants(
-        spheres * h.rank + 4 * k * k3.rank,
-        spheres * h.signature + 4 * k * k3.signature,
-        True,  # both forms are even
-    )
-    return FamilyComparison(constructed, advertised, constructed == advertised)

@@ -33,19 +33,10 @@ from spinact.equivariant_sum import (
     ActionScenario,
     GeneratorAction,
     Summand,
-    TotalInvariants,
     Violation,
     compose_labels,
-    require_valid,
 )
-from spinact.lattice import (
-    SignatureProfile,
-    direct_sum_all,
-    is_even,
-    make_standard,
-    signature_profile,
-)
-from spinact.templates import FamilyComparison
+from spinact.lattice import SignatureProfile
 
 
 def freeze_per_entry(rows):
@@ -304,20 +295,6 @@ def sweep_points_nested(template: str, r: dict[str, tuple[int, int]]):
                     if l1 >= 3 * k and l2 >= 3 * k:
                         points.append(((l1, l2, k), klein_template_reference(l1, l2, k)))
     return points
-
-
-def klein_family_comparison_dense(l1: int, l2: int, k: int):
-    """The Klein-family comparison with the advertised total assembled as one
-    dense form, (2l1+2l2+1-6k) sphere products and 4k K3 pieces, and
-    diagonalised by the library's dense engine."""
-    constructed = require_valid(klein_template_reference(l1, l2, k)).totals()
-    spheres = 2 * l1 + 2 * l2 + 1 - 6 * k
-    if spheres < 0:
-        raise ValueError("headline statement needs 2l1+2l2+1 >= 6k")
-    pieces = [make_standard("s2xs2")] * spheres + [make_standard("k3")] * (4 * k)
-    lat = direct_sum_all(pieces)
-    advertised = TotalInvariants(lat.rank, signature_profile(lat).signature, is_even(lat))
-    return FamilyComparison(constructed, advertised, constructed == advertised)
 
 
 def signature_profile_full(lat) -> SignatureProfile:

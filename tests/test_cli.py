@@ -244,6 +244,51 @@ def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "path,key,value,message",
+    [
+        ((), "note", "x", "document: unknown field 'note'"),
+        (("generator1",), "note", "x", "generator1: unknown field 'note'"),
+        (
+            ("summands", 0),
+            "gram",
+            [[0, 1], [1, 0]],
+            "summands: summand 's0' has unknown field 'gram'",
+        ),
+        (
+            ("generator1",),
+            "overrides",
+            {"s0": {"n_plus": 2, "n_minus": 2, "note": 0}},
+            "generator1: override for 's0' needs integer n_plus and n_minus, nothing else",
+        ),
+    ],
+    ids=["top-level", "generator", "gram-on-s2xs2", "override"],
+)
+def test_unknown_fields_exit_two_naming_the_field(tmp_path, capsys, path, key, value, message):
+    doc = json.loads((SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8"))
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    file = tmp_path / "extra.json"
+    file.write_text(json.dumps(doc))
+    status, output = run_main(["check", "--input", str(file)])
+    assert (status, output) == (2, "")
+    assert capsys.readouterr().err == f"error: malformed scenario: {message}\n"
+
+
+def test_a_repeated_key_still_parses_with_its_last_value(tmp_path):
+    # json.loads keeps the last of repeated keys; rejecting them is still open
+    text = (SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8")
+    path = tmp_path / "repeated.json"
+    repeated = text.replace('"group": "Z2"', '"group": "Z2xZ2", "group": "Z2"', 1)
+    assert repeated != text
+    path.write_text(repeated)
+    assert run_main(["check", "--input", str(path)]) == run_main(
+        ["check", "--input", str(SCENARIOS / "z2_l3_k1.json")]
+    )
+
+
 def test_missing_file_exits_two(capsys):
     status, _ = run_main(["check", "--input", "/nonexistent/file.json"])
     assert status == 2

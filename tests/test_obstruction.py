@@ -1,9 +1,10 @@
-import re
 from fractions import Fraction
 
 import pytest
 
 from spinact.equivariant_sum import (
+    S2XS2,
+    Z2XZ2,
     ActionScenario,
     GeneratorAction,
     InvalidScenarioError,
@@ -12,8 +13,11 @@ from spinact.equivariant_sum import (
     ROTATE_SECOND,
     Summand,
     require_valid,
+    scenario_lattice,
     validate_scenario,
 )
+from spinact.index_parity import k_klein
+from spinact.lattice import IntegerLattice, is_even, signature_profile
 from spinact.obstruction import (
     NONSMOOTHABLE,
     NO_OBSTRUCTION,
@@ -23,13 +27,12 @@ from spinact.obstruction import (
 )
 from spinact.rep_ring import bk_trace_and_integrality
 from spinact.templates import (
-    klein_family_comparison,
+    NO_SMOOTH_STRUCTURE,
     klein_template,
     recognize_klein_template,
+    smooth_structure,
     z2_template,
 )
-
-from oracles import klein_family_comparison_dense
 
 
 def test_z2_headline_example():
@@ -77,8 +80,6 @@ def test_z2_even_generator_is_a_hypothesis_failure():
 
 
 def test_z2_odd_form_fails_spin_hypothesis():
-    from spinact.lattice import IntegerLattice
-
     odd = IntegerLattice(((1,),))
     s = ActionScenario(
         "Z2",
@@ -247,16 +248,80 @@ def test_k3_swap_scenario_obstruction_does_not_fire():
     assert bk_trace_and_integrality(report.b, int(report.k)) == (2, True)
 
 
-def test_family_comparison_matches_the_dense_assembly():
-    # negative parameters fail on the constructed total first, then too few
-    # spheres for the advertised one
-    grid = [(l1, l2, k) for l1 in range(4) for l2 in range(4) for k in range(3)]
-    grid += [(-1, 0, 0), (0, 0, -1), (-1, 0, 1)]
-    for params in grid:
-        try:
-            expected = klein_family_comparison_dense(*params)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                klein_family_comparison(*params)
-        else:
-            assert klein_family_comparison(*params) == expected
+def _custom_pair(gram) -> ActionScenario:
+    """A rotated sphere product and a swapped pair of custom summands."""
+    form = IntegerLattice(gram)
+    return ActionScenario(
+        "Z2",
+        (
+            Summand("s0", "s2xs2"),
+            Summand("c0", "custom", form),
+            Summand("c1", "custom", form),
+        ),
+        GeneratorAction((("c0", "c1"),), {"s0": ROTATE_FIRST}),
+    )
+
+
+def test_smooth_structure_matches_the_dense_assembly():
+    # the templates reach all three answers (none by Donaldson and by
+    # Furuta); the custom pairs are odd, and even but not unimodular
+    scenarios = [z2_template(l, k) for l in range(5) for k in range(3)]
+    scenarios += [
+        klein_template(l1, l2, k) for l1 in range(4) for l2 in range(4) for k in range(2)
+    ]
+    scenarios += [_custom_pair(((1,),)), _custom_pair(((-2,),))]
+    answers = set()
+    for s in scenarios:
+        lat = scenario_lattice(s)
+        p = signature_profile(lat)
+        unimodular = abs(p.determinant) == 1
+        expected = smooth_structure(lat.rank, p.signature, is_even(lat) and unimodular)
+        assert check(s).smooth_structure == expected
+        answers.add(expected[0])
+    assert answers == {SMOOTHABLE_BY_CONSTRUCTION, NO_SMOOTH_STRUCTURE, UNKNOWN}
+
+
+FURUTA = (NO_SMOOTH_STRUCTURE, "Furuta: b2 < 10/8 |signature| + 2")
+
+
+@pytest.mark.parametrize(
+    "scenario,b2,expected",
+    [
+        (z2_template(1, 1), 18, FURUTA),
+        (z2_template(2, 1), 20, FURUTA),
+        (klein_template(1, 1, 1), 42, (UNKNOWN, "between the 10/8 and 11/8 bounds")),
+        (z2_template(3, 1), 22, (SMOOTHABLE_BY_CONSTRUCTION, "#1 K3 # 0 S2xS2")),
+        (klein_template(3, 3, 1), 58, (SMOOTHABLE_BY_CONSTRUCTION, "#2 K3 # 7 S2xS2")),
+    ],
+    ids=["z2-1-1", "z2-2-1", "klein-1-1-1", "z2-3-1", "klein-3-3-1"],
+)
+def test_smooth_structure_of_named_templates(scenario, b2, expected):
+    report = check(scenario)
+    assert report.b2 == b2
+    assert report.smooth_structure == expected
+    # report only: the verdict does not read the answer
+    assert report.verdict == NONSMOOTHABLE
+
+
+def test_klein_verdict_resting_on_the_larger_lift_sign_bound():
+    # klein_template(3, 3, 1) plus one free orbit of four sphere products,
+    # with the core's four isolated points all positive: the index is 2 for
+    # one choice of lifts and -2 for the other, and b = 1 lies between the
+    # two bounds
+    base = klein_template(3, 3, 1)
+    orbit = tuple(Summand(f"f{i}", S2XS2) for i in range(4))
+    gen1 = GeneratorAction(
+        base.gen1.permutation + (("f0", "f1"), ("f2", "f3")),
+        base.gen1.local,
+        {"core": (4, 0)},
+    )
+    gen2 = GeneratorAction(
+        base.gen2.permutation + (("f0", "f2"), ("f1", "f3")), base.gen2.local
+    )
+    report = check(ActionScenario(Z2XZ2, base.summands + orbit, gen1, gen2))
+    assert report.all_hypotheses_pass
+    assert (report.b2, report.signature) == (66, -32)
+    assert report.b == 1 and report.index_twisted == 2
+    assert k_klein(report.signature, -2) == Fraction(3, 4) <= report.b
+    assert report.k == k_klein(report.signature, 2) == Fraction(5, 4) > report.b
+    assert report.verdict == NONSMOOTHABLE

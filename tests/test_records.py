@@ -29,7 +29,7 @@ from spinact.isometry import InvariantSublattice, LatticeIsometry
 from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProfile
 from spinact.obstruction import Hypothesis, ObstructionReport
 from spinact.rep_ring import GaussianValue, VirtualRepZ4
-from spinact.templates import FamilyComparison, KleinShape
+from spinact.templates import KleinShape
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE = IntegerLattice(((1,),))
@@ -75,6 +75,7 @@ RECORDS = [
             22,
             -16,
             (("gen1", "unknown"),),
+            ("smoothable_by_construction", "#1 K3 # 0 S2xS2"),
         ),
         (
             "theorem",
@@ -87,14 +88,10 @@ RECORDS = [
             "b2",
             "signature",
             "subgroup_hints",
+            "smooth_structure",
         ),
     ),
     (KleinShape, (3, 3, 1), ("l1", "l2", "k")),
-    (
-        FamilyComparison,
-        (TotalInvariants(42, -32, True), TotalInvariants(42, -32, True), True),
-        ("constructed", "advertised", "match"),
-    ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from spinact import cli
 from spinact.equivariant_sum import ROTATE_SECOND, Summand, scenario_digest
-from spinact.templates import klein_family_comparison, klein_grid, z2_grid
+from spinact.templates import (
+    NO_SMOOTH_STRUCTURE,
+    SMOOTHABLE_BY_CONSTRUCTION,
+    UNKNOWN,
+    klein_grid,
+    smooth_structure,
+    z2_admits,
+    z2_grid,
+)
 
 from oracles import klein_template_reference, z2_template_reference
 
@@ -89,15 +97,6 @@ def test_points_share_no_label_dicts():
     assert point(2, 2, 1) == klein_template_reference(2, 2, 1)
 
 
-def test_family_comparison_checks_the_spheres_before_building(monkeypatch):
-    built = _count_summands(monkeypatch)
-    with pytest.raises(ValueError, match="headline statement needs"):
-        klein_family_comparison(0, 0, 1)
-    assert built == []
-    klein_family_comparison(3, 0, 1)
-    assert len(built) == 11
-
-
 def test_a_sweep_builds_its_corner_summands_once(monkeypatch):
     built = _count_summands(monkeypatch)
     argv = ["enumerate", "--template", "z2", "--sweep", "l=10..19,k=0..1"]
@@ -105,3 +104,42 @@ def test_a_sweep_builds_its_corner_summands_once(monkeypatch):
     # the corner (19, 1) has 19 sphere products and 2 E8 pieces; the 20
     # points hold 310 summands between them
     assert len(built) == 19 + 2 == len(set(built))
+
+
+@given(
+    a=st.integers(0, 80),
+    e8s=st.integers(0, 16),
+    orientation=st.sampled_from([-1, 1]),
+    even_unimodular=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_smooth_structure_follows_the_inequalities(a, e8s, orientation, even_unimodular):
+    # the form aH + e8s(-E8), or its negative: an odd e8s is a signature of an
+    # odd multiple of 8 (Rokhlin), a = 0 < e8s a nonzero definite form
+    b2, signature = 2 * a + 8 * e8s, -orientation * 8 * e8s
+    answer, reason = smooth_structure(b2, signature, even_unimodular)
+    furuta = signature != 0 and 8 * b2 < 10 * abs(signature) + 16
+    if not even_unimodular:
+        assert (answer, reason) == (NO_SMOOTH_STRUCTURE, "not even and unimodular")
+    elif signature % 16:
+        assert answer == NO_SMOOTH_STRUCTURE and reason.startswith("Rokhlin:")
+    elif b2 == abs(signature) != 0:
+        assert answer == NO_SMOOTH_STRUCTURE and reason.startswith("Donaldson:")
+    elif furuta:
+        assert answer == NO_SMOOTH_STRUCTURE and reason.startswith("Furuta:")
+    elif 8 * b2 < 11 * abs(signature):
+        # between the 10/8 bound, which holds, and the 11/8 bound, which fails
+        assert (answer, reason) == (UNKNOWN, "between the 10/8 and 11/8 bounds")
+    else:
+        m = e8s // 2
+        assert a >= 3 * m
+        k3 = "-K3" if signature > 0 else "K3"
+        assert (answer, reason) == (
+            SMOOTHABLE_BY_CONSTRUCTION,
+            f"#{m} {k3} # {a - 3 * m} S2xS2",
+        )
+
+
+def test_z2_admits_is_the_spheres_against_3k():
+    for l, k in itertools.product(range(40), range(12)):
+        assert z2_admits(l, k) == (l >= 3 * k)
