@@ -422,6 +422,11 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each command's parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="spinact",
         description="Exact nonsmoothability obstruction checker for involutions "
@@ -457,19 +462,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--jobs", type=int, default=1)
     for p in (p_check, p_inv, p_rep, p_enum):
         p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
-    return parser
+    return parser, {
+        "check": p_check,
+        "invariants": p_inv,
+        "repring": p_rep,
+        "enumerate": p_enum,
+    }
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser as it was, so one serves every main call
-    # of a process; a one-shot `spinact` command builds it once either way
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    # parse_args leaves a parser as it was, so one build serves every main
+    # call of a process; a one-shot `spinact` command builds it once either way
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace the top-level parser gives `argv`, parsed once: that
+    parser would hand every string after a command name to the command's
+    parser, so such a line goes to that parser alone. The full parse runs
+    when the first string names no command, when a `--` appears (its
+    handling differs between argparse versions) or when strings are left
+    over, so help, usage and errors are the top-level parser's."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and "--" not in argv:
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     runners = {
         "check": run_check,
         "invariants": run_invariants,

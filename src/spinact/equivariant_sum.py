@@ -131,17 +131,6 @@ class GeneratorAction:
         set_field(self, "local", {} if local is None else local)
         set_field(self, "overrides", {} if overrides is None else overrides)
 
-    def perm_map(self, ids) -> dict[str, str]:
-        """Each of `ids` to its image. A pair that is not two ids, which
-        validation reports as bad_pair, maps nothing."""
-        mapping = {i: i for i in ids}
-        for pair in self.permutation:
-            if len(pair) == 2:
-                a, b = pair
-                mapping[a] = b
-                mapping[b] = a
-        return mapping
-
 
 @frozen
 class ActionScenario:
@@ -218,15 +207,16 @@ def _form_key(sm: Summand):
 class ValidScenario:
     """A scenario that passed validation, with what that one pass derived;
     only require_valid builds it. `table` maps each non-identity element,
-    in group order, to its (permutation map, local labels); `moved` to the
-    set of ids it moves. `overrides` merges the generators' sign overrides,
-    `summands` maps ids to summands, and `forms` maps each distinct
-    _form_key to (form, signature profile, number of summands)."""
+    in group order, to its (images, local labels): `images` maps each id
+    the element moves to its image, and an id it fixes is absent, so
+    `images.get(i, i)` is the image of any id. `overrides` merges the
+    generators' sign overrides, `summands` maps ids to summands, and
+    `forms` maps each distinct _form_key to (form, signature profile,
+    number of summands)."""
 
-    def __init__(self, scenario, table, moved, overrides, summands, forms):
+    def __init__(self, scenario, table, overrides, summands, forms):
         set_field(self, "scenario", scenario)
         set_field(self, "table", table)
-        set_field(self, "moved", moved)
         set_field(self, "overrides", overrides)
         set_field(self, "summands", summands)
         set_field(self, "forms", forms)
@@ -269,7 +259,10 @@ class ValidScenario:
             if local.get(i) == ROTATE_BOTH:
                 n_plus += np_ - 2
                 n_minus += nm - 2
-        components = tuple(c for c in ((0, points), (2, two_dim)) if c[1])
+        if points:
+            components = ((0, points), (2, two_dim)) if two_dim else ((0, points),)
+        else:
+            components = ((2, two_dim),) if two_dim else ()
         parity = classify_parity(components)
         if points and not two_dim:
             return FixedSetData(element, components, parity, n_plus, n_minus)
@@ -294,17 +287,16 @@ class ValidScenario:
         elements = set(elements)
         if not elements:
             raise ValueError("need one or more non-identity group elements")
-        for element in elements:
-            self.action(element)  # raises for any element outside the table
-        if len(elements) == 3:
+        # action raises for any element outside the table
+        first, *rest = (self.action(e)[0] for e in elements)
+        if len(rest) == 2:
             return 0  # no sign character is -1 on all three
-        first, *rest = (self.moved[e] for e in elements)
         # one element has orbits of two ids; two generate the group, and the
         # third element fixes an orbit of two ids they move, or moves all four
-        third = self.moved[(self.moved.keys() - elements).pop()] if rest else ()
+        third = self.table[(self.table.keys() - elements).pop()][0] if rest else ()
         quarters = sum(
             self.forms[_form_key(self.summands[i])][1].b_plus * (1 if i in third else 2)
-            for i in (first & rest[0] if rest else first)
+            for i in (first.keys() & rest[0].keys() if rest else first)
         )
         return quarters // 4
 
@@ -346,10 +338,11 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     if v:
         return v
 
-    table, moved = {}, {}
+    table = {}
     gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
     for name, gen in gens:
-        seen: set[str] = set()
+        # only a well-formed pair moves ids: a degenerate one maps nothing
+        images: dict[str, str] = {}
         for pair in gen.permutation:
             if len(pair) != 2 or pair[0] == pair[1]:
                 v.append(
@@ -363,7 +356,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     v.append(
                         Violation("unknown_id", f"{name}: unknown summand id {x!r}", x)
                     )
-                elif x in seen:
+                elif x in images:
                     v.append(
                         Violation(
                             "overlapping_pairs",
@@ -371,8 +364,10 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                             x,
                         )
                     )
-                seen.add(x)
-            a, b = by_id.get(pair[0]), by_id.get(pair[1])
+            x, y = pair
+            images[x] = y
+            images[y] = x
+            a, b = by_id.get(x), by_id.get(y)
             # lattices compare their grams; parse_scenario gives equal grams
             # one lattice, which compares by identity first
             if (
@@ -383,11 +378,11 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 v.append(
                     Violation(
                         "kind_mismatch",
-                        f"{name}: swapped summands {pair[0]!r}, {pair[1]!r} differ in kind",
+                        f"{name}: swapped summands {x!r}, {y!r} differ in kind",
                     )
                 )
-        moved[name] = seen
-        pmap, local = table[name] = gen.perm_map(ids), gen.local
+        local = gen.local
+        table[name] = images, local
         for i, label in local.items():
             if i not in by_id:
                 v.append(Violation("unknown_id", f"{name}: label on unknown id {i!r}", i))
@@ -395,7 +390,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 v.append(
                     Violation("unknown_label", f"{name}: unknown label {label!r}", i)
                 )
-            elif pmap[i] != i:
+            elif i in images:
                 v.append(
                     Violation(
                         "label_on_moved",
@@ -428,7 +423,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 i,
             )
             for i in ids
-            if pmap[i] == i and i not in local and by_id[i].kind == S2XS2
+            if i not in images and i not in local and by_id[i].kind == S2XS2
         ]
     if v:
         return v
@@ -436,16 +431,19 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     if s.group == Z2XZ2:
         # one pass: commutation, the jointly fixed and the identically
         # swapped summands, and the composition's action
-        (p1, local1), (p2, local2) = table[GEN1], table[GEN2]
+        (m1, local1), (m2, local2) = table[GEN1], table[GEN2]
         comp, comp_local = {}, {}
         for i in ids:
-            a, b = p1[i], p2[i]
-            c = comp[i] = p1[b]
-            if c != p2[a]:
-                return [
-                    Violation("noncommuting", "generator permutations do not commute")
-                ]
+            a, b = m1.get(i, i), m2.get(i, i)
             if a != b:
+                # the images differ, so the composition moves i
+                c = comp[i] = m1.get(b, b)
+                if c != m2.get(a, a):
+                    return [
+                        Violation(
+                            "noncommuting", "generator permutations do not commute"
+                        )
+                    ]
                 continue
             if a != i:
                 v.append(
@@ -472,13 +470,12 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         if v:
             return v
         table[COMPOSITION] = comp, comp_local
-        moved[COMPOSITION] = moved[GEN1] | moved[GEN2]
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
     if counts.get(S2XS2, 0) < len(ids):
         others = [i for i in ids if by_id[i].kind != S2XS2]
-        for element, moved_ids in moved.items():
+        for element, (images, _) in table.items():
             v += [
                 Violation(
                     "fixed_non_sphere",
@@ -487,7 +484,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     i,
                 )
                 for i in others
-                if i not in moved_ids
+                if i not in images
             ]
 
     merged = _merged_overrides(s)
@@ -532,7 +529,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
             )
     if parts is not None:
         parts.update(
-            table=table, moved=moved, overrides=merged, summands=by_id, forms=counts
+            table=table, overrides=merged, summands=by_id, forms=counts
         )
     return v
 
@@ -570,12 +567,12 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
     n = total.rank
     if element == IDENTITY_ELEMENT:
         return LatticeIsometry(total, identity(n))
-    pmap, _ = v.action(element)
+    images, _ = v.action(element)
     ranks = [sm.form().rank for sm in s.summands]
     offsets = dict(zip((sm.id for sm in s.summands), accumulate(ranks, initial=0)))
     rows = [[0] * n for _ in range(n)]
     for sm, rank in zip(s.summands, ranks):
-        src, dst = offsets[sm.id], offsets[pmap[sm.id]]
+        src, dst = offsets[sm.id], offsets[images.get(sm.id, sm.id)]
         for t in range(rank):
             rows[dst + t][src + t] = 1
     return LatticeIsometry(total, mat_neg(rows))

@@ -26,6 +26,12 @@ class ParityClass:
         set_field(self, "mixed", mixed)
 
 
+# records are immutable, so every classification shares these three
+_ODD_CLASS = ParityClass(ODD)
+_ODD_MIXED_CLASS = ParityClass(ODD, mixed=True)
+_EVEN_CLASS = ParityClass(EVEN)
+
+
 def classify_parity(components) -> Optional[ParityClass]:
     """Odd or even from (dimension, count) fixed-set components; None for
     an empty fixed set, whose parity the dimensions cannot decide."""
@@ -33,8 +39,8 @@ def classify_parity(components) -> Optional[ParityClass]:
     if not dims:
         return None
     if 2 in dims:
-        return ParityClass(ODD, mixed=(0 in dims))
-    return ParityClass(EVEN)
+        return _ODD_MIXED_CLASS if 0 in dims else _ODD_CLASS
+    return _EVEN_CLASS
 
 
 def lefschetz_index(n_plus: int, n_minus: int) -> Fraction:
@@ -56,4 +62,6 @@ def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
     the same action, so a smooth action satisfies both inequalities. The
     bound grows with the index, so callers pass its absolute value.
     """
-    return (Fraction(-signature, 4) + Fraction(index_twisted)) / 8
+    # one normalisation: (4n/d - signature)/32 with index n/d
+    n, d = index_twisted.numerator, index_twisted.denominator
+    return Fraction(4 * n - signature * d, 32 * d)

@@ -139,8 +139,7 @@ def check(s: ActionScenario) -> ObstructionReport:
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
         # both lift signs are admissible, so the larger bound applies
-        effective_index = index_twisted if index_twisted is not None else Fraction(0)
-        k = k_klein(inv.signature, abs(effective_index))
+        k = k_klein(inv.signature, 0 if index_twisted is None else abs(index_twisted))
         # the same one-sided hint for every proper subgroup
         shape = recognize_klein_template(v)
         admitted = shape is not None and klein_admits(shape.l1, shape.l2, shape.k)

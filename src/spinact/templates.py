@@ -210,7 +210,8 @@ def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
     pairwise by the other, and negative-E8 summands in free four-element
     orbits split evenly by both generators. Anything else returns None.
     Validation puts labels exactly on the fixed spheres and every other
-    summand in free orbits, so the labels and the moved sets decide it.
+    summand in free orbits, so the labels and the ids each generator
+    moves (the keys of its images in `v.table`) decide it.
     """
     s = v.scenario
     if s.group != Z2XZ2 or not v.forms.keys() <= {S2XS2, MINUS_E8}:
@@ -222,7 +223,7 @@ def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
     chain1, chain2 = len(local1) - core, len(local2) - core
     e8 = v.forms[MINUS_E8][2] if MINUS_E8 in v.forms else 0
     # ids both generators move lie in orbits of four, so e8 is a multiple of 4
-    free = len(v.moved[GEN1] & v.moved[GEN2])
+    free = len(v.table[GEN1][0].keys() & v.table[GEN2][0].keys())
     if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:
         return None
     return KleinShape(chain1 // 2, chain2 // 2, e8 // 4)

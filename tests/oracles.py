@@ -338,8 +338,24 @@ def elements_of(group: str) -> tuple[str, ...]:
     return (GEN1, GEN2, COMPOSITION)
 
 
+def _dense_permutation(ids, gen) -> dict[str, str]:
+    """Every id, and every id a pair names, to its image under `gen`.
+    Only a pair of two distinct ids moves anything."""
+    mapping = {i: i for i in ids}
+    for pair in gen.permutation:
+        if len(pair) == 2 and pair[0] != pair[1]:
+            mapping[pair[0]], mapping[pair[1]] = pair[1], pair[0]
+    return mapping
+
+
+def _moved_only(mapping: dict[str, str]) -> dict[str, str]:
+    return {i: j for i, j in mapping.items() if i != j}
+
+
 def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
-    """Effective (permutation map, local labels on fixed summands) of an element.
+    """Effective (images of the moved ids, local labels on fixed summands)
+    of an element, as ValidScenario.table holds it: built as a map of
+    every id, then cut down to the ids it moves.
 
     For the composition of a Klein four-group scenario the permutation is
     the product of the generator permutations and labels on jointly fixed
@@ -349,16 +365,16 @@ def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
     """
     ids = [sm.id for sm in s.summands]
     if element == IDENTITY_ELEMENT:
-        return {i: i for i in ids}, {}
+        return {}, {}
     if element == GEN1:
-        return s.gen1.perm_map(ids), dict(s.gen1.local)
+        return _moved_only(_dense_permutation(ids, s.gen1)), dict(s.gen1.local)
     if element not in (GEN2, COMPOSITION):
         raise ValueError(f"unknown group element {element!r}")
     if s.gen2 is None:
         raise ValueError("scenario has no second generator")
     if element == GEN2:
-        return s.gen2.perm_map(ids), dict(s.gen2.local)
-    p1, p2 = s.gen1.perm_map(ids), s.gen2.perm_map(ids)
+        return _moved_only(_dense_permutation(ids, s.gen2)), dict(s.gen2.local)
+    p1, p2 = _dense_permutation(ids, s.gen1), _dense_permutation(ids, s.gen2)
     comp = {i: p1[p2[i]] for i in ids}
     local = {
         i: compose_labels(
@@ -368,7 +384,7 @@ def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
         for i in ids
         if p1[i] == i and p2[i] == i
     }
-    return comp, local
+    return _moved_only(comp), local
 
 
 def _kind_key(sm):
@@ -378,8 +394,9 @@ def _kind_key(sm):
 def validate_scenario_reference(s):
     """(violations, element table) of a scenario: the validator with one
     loop per check, each element map built before the checks that read it.
-    The table, {element: (permutation map, local labels)}, is complete when
-    the list is empty."""
+    The table, {element: (images of the moved ids, local labels)}, is
+    complete when the list is empty. A pair that is not two distinct ids
+    is a bad_pair and moves nothing."""
     v = []
     table = {}
     ids = [sm.id for sm in s.summands]
@@ -450,7 +467,7 @@ def validate_scenario_reference(s):
                 v.append(
                     Violation("unknown_label", f"{name}: unknown label {label!r}", i)
                 )
-            elif pmap[i] != i:
+            elif i in pmap:
                 v.append(
                     Violation(
                         "label_on_moved",
@@ -477,7 +494,7 @@ def validate_scenario_reference(s):
                     )
                 )
         for i in ids:
-            if pmap[i] == i and by_id[i].kind == S2XS2 and i not in gen.local:
+            if i not in pmap and by_id[i].kind == S2XS2 and i not in gen.local:
                 v.append(
                     Violation(
                         "missing_label",
@@ -489,7 +506,8 @@ def validate_scenario_reference(s):
         return v, table
 
     if s.group == Z2XZ2:
-        p1, p2 = table[GEN1][0], table[GEN2][0]
+        p1 = {i: table[GEN1][0].get(i, i) for i in ids}
+        p2 = {i: table[GEN2][0].get(i, i) for i in ids}
         if any(p1[p2[i]] != p2[p1[i]] for i in ids):
             v.append(
                 Violation("noncommuting", "generator permutations do not commute")
@@ -525,7 +543,7 @@ def validate_scenario_reference(s):
     for element, (pmap, local) in table.items():
         rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
         for i in ids:
-            if pmap[i] == i and by_id[i].kind != S2XS2:
+            if i not in pmap and by_id[i].kind != S2XS2:
                 v.append(
                     Violation(
                         "fixed_non_sphere",

@@ -32,7 +32,7 @@ from spinact.equivariant_sum import (
 from spinact.lattice import make_standard
 from spinact.templates import TEMPLATE_SUMMANDS, klein_template, z2_template
 
-from oracles import sweep_points_nested
+from oracles import sweep_points_nested, validate_scenario_reference
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -991,20 +991,6 @@ def _count_fixed_sets(monkeypatch):
     return calls
 
 
-def _count_perm_maps(monkeypatch):
-    from spinact.equivariant_sum import GeneratorAction
-
-    calls = []
-    perm_map = GeneratorAction.perm_map
-
-    def counted(self, ids):
-        calls.append(self)
-        return perm_map(self, ids)
-
-    monkeypatch.setattr(GeneratorAction, "perm_map", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "argv,points",
     [
@@ -1020,7 +1006,6 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     lattice.standard_profile.cache_clear()
     validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
-    perm_maps = _count_perm_maps(monkeypatch)
     fixed_sets = _count_fixed_sets(monkeypatch)
     dense = [
         _count_calls(monkeypatch, fn)
@@ -1034,10 +1019,7 @@ def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, poin
     assert status == 0
     assert len(validations) == points
     assert dense == [[], [], []]
-    # each generator's permutation map is built once, by the validation
-    # pass, and every core reads the element table it hands back
     scenarios = [s for (s,) in validations]
-    assert len(perm_maps) == sum(1 + (s.gen2 is not None) for s in scenarios)
     # one fixed-set pass per non-identity element of each scenario, in
     # group order, shared by the parity hypotheses and the report
     elements = {Z2: (GEN1,), Z2XZ2: (GEN1, GEN2, COMPOSITION)}
@@ -1067,49 +1049,129 @@ def test_custom_forms_are_diagonalised_once_per_command(monkeypatch, tmp_path, c
     path.write_text(json.dumps(doc))
     lattice.standard_profile.cache_clear()
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
-    perm_maps = _count_perm_maps(monkeypatch)
     first = run_main([command, "--input", str(path)])
     # nothing derived from the input outlives its command
     assert run_main([command, "--input", str(path)]) == first
     assert first[0] == 0
-    assert len(perm_maps) == 2
     # two custom forms per command, the two standard kinds once per process
     grams = [lat.gram for (lat,) in profiles]
     assert len(grams) == 2 + 2 + 2
     assert sorted(map(len, grams)) == [2, 2, 2, 4, 4, 8]
 
 
+_LABEL_ON_MOVED = (
+    "violation [label_on_moved] gen1: label on summand 'b' that the permutation moves\n"
+)
+
+
+@pytest.mark.parametrize(
+    "local,expected",
+    [
+        ({}, ""),
+        ({"b": "rotate_first"}, _LABEL_ON_MOVED),
+    ],
+    ids=["no-spurious-missing-label", "label-on-moved-still-reported"],
+)
+def test_a_degenerate_pair_moves_nothing(tmp_path, local, expected):
+    # ("b", "b") beside the real pair ("a", "b") is a bad_pair and maps
+    # nothing, so b stays moved: it needs no label and may carry none
+    doc = {
+        "schema_version": 1,
+        "group": "Z2",
+        "summands": [{"id": "a", "kind": "s2xs2"}, {"id": "b", "kind": "s2xs2"}],
+        "generator1": {"permutation": [["a", "b"], ["b", "b"]], "local": local},
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    status, output = run_main(["check", "--input", str(path)])
+    assert status == 2
+    bad_pair = "violation [bad_pair] gen1: permutation pair ('b', 'b') is degenerate\n"
+    assert output == bad_pair + expected
+    violations, _ = validate_scenario_reference(parse_scenario(json.dumps(doc)))
+    assert output == "".join(f"violation [{v.code}] {v.message}\n" for v in violations)
+
+
+# command lines for the dispatch contract; SCENARIO stands for a bundled file
+_SWEEP = ["enumerate", "--template", "z2", "--sweep", "l=3..4,k=0..1"]
+_DISPATCH_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["chec", "--input", "SCENARIO"],
+    ["check", "-h"],
+    ["enumerate", "--help"],
+    ["check"],
+    ["check", "--format", "structured"],
+    ["check", "--input", "SCENARIO"],
+    ["check", "--input", "SCENARIO", "--format", "xml"],
+    _SWEEP + ["--jobs", "two"],
+    ["repring", "--rep", "1,0,0,0", "--element", "7"],
+    ["repring", "--rep", "1,0,0,0", "--element", "x"],
+    ["check", "--inp", "SCENARIO"],
+    ["check", "--he"],
+    ["check", "--input=SCENARIO", "--format=structured"],
+    ["invariants", "--input", "missing.json", "--input", "SCENARIO"],
+    _SWEEP + ["--jobs", "2", "--jobs", "1"],
+    ["check", "--input", "SCENARIO", "extra"],
+    ["check", "--input", "SCENARIO", "--bogus"],
+    ["check", "--", "--input", "SCENARIO"],
+    ["check", "--input", "SCENARIO", "--"],
+    ["--", "check", "--input", "SCENARIO"],
+    ["check", "--input", "--", "SCENARIO"],
+    ["repring", "--rep", "1,0,0,0", "--", "--element", "2"],
+    ["-x", "check", "--input", "SCENARIO"],
+]
+
+
+def _run_main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv, out=out)
+        except SystemExit as exc:
+            status = exc.code
+    return out.getvalue(), err.getvalue(), status
+
+
+@pytest.mark.parametrize(
+    "argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "empty"
+)
+def test_main_parses_like_the_top_level_parser(monkeypatch, argv):
+    # main hands a command line that starts with a command name to that
+    # command's parser alone; stdout, stderr and the exit status must be
+    # those of the full top-level parse
+    scenario = str(SCENARIOS / "z2_l3_k1.json")
+    argv = [arg.replace("SCENARIO", scenario) for arg in argv]
+    fast = _run_main_captured(list(argv))
+    monkeypatch.setattr(cli, "_parse_args", cli.build_parser().parse_args)
+    assert fast == _run_main_captured(list(argv))
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch):
+    argv = ["check", "--input", str(SCENARIOS / "z2_l3_k1.json")]
+    monkeypatch.setattr(sys, "argv", ["spinact"] + argv)
+    assert _run_main_captured(None) == _run_main_captured(argv)
+
+
 def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
-    cli._parser.cache_clear()
-    builds = _count_calls(monkeypatch, cli.build_parser)
+    # one build makes the top-level parser and every command's parser
+    cli._parsers.cache_clear()
+    builds = _count_calls(monkeypatch, cli._build_parsers)
     argv = ["check", "--input", str(SCENARIOS / "klein_l3_l3_k1.json")]
     first = run_main(argv)
     with pytest.raises(SystemExit) as exc:
         run_main(["check", "--format", "structured"])
     assert exc.value.code == 2
     assert "--input" in capsys.readouterr().err
+    # strings the command's parser leaves over go to the top-level parser
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv + ["extra"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
     assert run_main(argv) == first
     assert first[0] == 0
     assert len(builds) == 1
-
-
-def test_validation_builds_each_element_action_once(monkeypatch):
-    from spinact import equivariant_sum
-
-    ids = [f"s{i}" for i in range(50)]
-    doc = {
-        "schema_version": 1,
-        "group": "Z2",
-        "summands": [{"id": i, "kind": "s2xs2"} for i in ids],
-        "generator1": {
-            "local": {i: "rotate_both" for i in ids},
-            "overrides": {i: {"n_plus": 1, "n_minus": 3} for i in ids},
-        },
-    }
-    s = parse_scenario(json.dumps(doc))
-    perm_maps = _count_perm_maps(monkeypatch)
-    assert equivariant_sum.validate_scenario(s) == []
-    assert perm_maps == [s.gen1]
 
 
 def test_a_klein_certificate_lists_ids_and_merges_overrides_once_per_pass(monkeypatch):

@@ -147,6 +147,17 @@ def test_a_pair_of_other_than_two_ids_is_a_bad_pair(pair):
     assert list(err.value.violations) == expected
 
 
+def test_the_element_table_holds_the_images_of_moved_ids_only():
+    # klein_template(3, 3, 1): each generator swaps the other's chain pairs
+    # (6 ids) and two pairs of E8 summands; the composition moves both
+    # chains and all four E8 summands; every element fixes the core
+    s = klein_template(3, 3, 1)
+    table = require_valid(s).table
+    assert [len(images) for images, _ in table.values()] == [10, 10, 16]
+    assert not any("core" in images for images, _ in table.values())
+    assert table == {e: element_action(s, e) for e in elements_of(s.group)}
+
+
 def test_an_action_is_read_only_from_the_element_table():
     v = require_valid(z2_template(3, 1))
     assert v.action(GEN1) is v.table[GEN1]
@@ -448,8 +459,11 @@ def assert_checker_premises(s):
     for element in elements_of(s.group):
         assert IDENTITY_LABEL not in element_action(s, element)[1].values()
     if s.gen2 is not None:
-        p1, p2 = element_action(s, GEN1)[0], element_action(s, GEN2)[0]
-        assert all(p1[p2[i]] == p2[p1[i]] for i in p1)
+        ids = [sm.id for sm in s.summands]
+        p1, p2 = (
+            {i: element_action(s, g)[0].get(i, i) for i in ids} for g in (GEN1, GEN2)
+        )
+        assert all(p1[p2[i]] == p2[p1[i]] for i in ids)
     report = check(s)
     passed = {h.name: h.passed for h in report.hypotheses}
     if passed["intersection_form_even"] and passed["intersection_form_unimodular"]:
@@ -665,10 +679,7 @@ def test_validation_matches_the_reference_validator(s):
     assert validate_scenario(s) == violations
     if violations:
         return
-    valid = require_valid(s)
-    assert valid.table == table
-    for element, (pmap, _) in table.items():
-        assert valid.moved[element] == {i for i, j in pmap.items() if i != j}
+    assert require_valid(s).table == table
 
 
 @pytest.mark.parametrize(
