@@ -125,9 +125,16 @@ class GeneratorAction:
         local: Optional[dict[str, str]] = None,
         overrides: Optional[dict[str, tuple[int, int]]] = None,
     ):
-        # canonical pair order so serialization round-trips exactly
-        pairs = tuple(sorted(tuple(sorted(p)) for p in permutation))
-        set_field(self, "permutation", pairs)
+        # canonical pair order so serialization round-trips exactly; a
+        # pair already given as an ordered tuple of two ids is kept as is
+        pairs = [
+            p
+            if type(p) is tuple and len(p) == 2 and p[0] <= p[1]
+            else tuple(sorted(p))
+            for p in permutation
+        ]
+        pairs.sort()
+        set_field(self, "permutation", tuple(pairs))
         set_field(self, "local", {} if local is None else local)
         set_field(self, "overrides", {} if overrides is None else overrides)
 
@@ -234,12 +241,13 @@ class ValidScenario:
     def totals(self) -> TotalInvariants:
         """Rank, signature and evenness of the connected sum, which add over
         its orthogonal summands."""
-        entries = self.forms.values()
-        return TotalInvariants(
-            sum(count * p.rank for _, p, count in entries),
-            sum(count * p.signature for _, p, count in entries),
-            all(is_even(form) for form, _, _ in entries),
-        )
+        b2 = signature = 0
+        even = True
+        for form, p, count in self.forms.values():
+            b2 += count * p.rank
+            signature += count * p.signature
+            even = even and is_even(form)
+        return TotalInvariants(b2, signature, even)
 
     def fixed_set(self, element: str) -> FixedSetData:
         """Fixed-set contributions and parity of a non-identity element,
@@ -311,11 +319,15 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     ids = _ids(s)
     by_id = {}
     counts: dict = {}
+    # the ids of the summands with no local involution data, in order
+    others = []
     for sm in s.summands:
         if sm.id in by_id:
             v.append(Violation("duplicate_id", f"duplicate summand id {sm.id!r}", sm.id))
         by_id[sm.id] = sm
         kind = sm.kind
+        if kind != S2XS2:
+            others.append(sm.id)
         if kind == CUSTOM:
             if sm.custom_form is None:
                 v.append(
@@ -473,8 +485,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
 
     # every non-spherical summand must sit in a free orbit of every
     # non-identity element (no local involution data exists for them)
-    if counts.get(S2XS2, 0) < len(ids):
-        others = [i for i in ids if by_id[i].kind != S2XS2]
+    if others:
         for element, (images, _) in table.items():
             v += [
                 Violation(

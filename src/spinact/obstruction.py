@@ -16,6 +16,7 @@ from typing import Optional
 
 from ._record import frozen, set_field
 from .equivariant_sum import (
+    COMPOSITION,
     GEN1,
     GEN2,
     ActionScenario,
@@ -23,7 +24,15 @@ from .equivariant_sum import (
     Z2,
     require_valid,
 )
-from .index_parity import EVEN, ODD, k_klein, k_odd, lefschetz_index
+from .index_parity import (
+    EVEN,
+    ODD,
+    ParityClass,
+    classify_parity,
+    k_klein,
+    k_odd,
+    lefschetz_index,
+)
 from .templates import (
     SMOOTHABLE_BY_CONSTRUCTION,
     UNKNOWN,
@@ -87,13 +96,55 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def _parity_hypothesis(name: str, fs: FixedSetData, want: str) -> Hypothesis:
-    if fs.parity is None:
-        return Hypothesis(name, False, f"{fs.element} acts freely; parity indeterminate")
-    detail = f"{fs.element} is {fs.parity.value}"
-    if fs.parity.mixed:
+def _parity_hypothesis(
+    name: str, element: str, parity: Optional[ParityClass], want: str
+) -> Hypothesis:
+    if parity is None:
+        return Hypothesis(name, False, f"{element} acts freely; parity indeterminate")
+    detail = f"{element} is {parity.value}"
+    if parity.mixed:
         detail += " (mixed fixed-set dimensions; 2-dimensional clause applied)"
-    return Hypothesis(name, fs.parity.value == want, detail)
+    return Hypothesis(name, parity.value == want, detail)
+
+
+# Records are immutable, so reports share each hypothesis and hint whose
+# text holds no number of the scenario: one per truth value, per parity
+# class (built once by _parity_hypothesis) or per admitted flag.
+_EVEN_FORM = tuple(
+    Hypothesis("intersection_form_even", passed, "total form is even (spin)")
+    for passed in (False, True)
+)
+_UNIMODULAR_FORM = tuple(
+    Hypothesis(
+        "intersection_form_unimodular",
+        passed,
+        "every summand form has determinant 1 or -1",
+    )
+    for passed in (False, True)
+)
+_B1_ZERO = Hypothesis("b1_zero", True, "summands are simply connected by construction")
+# minus block permutations; validation rejects noncommuting ones
+_OPERATORS_COMMUTE = Hypothesis("operators_commute", True, "induced operators commute")
+# None and the three classes classify_parity returns: free, odd, odd
+# with isolated points too, even
+_PARITY_CLASSES = tuple(
+    map(classify_parity, ((), ((2, 2),), ((0, 4), (2, 2)), ((0, 4),)))
+)
+_PARITY_HYPOTHESES = {
+    (name, parity): _parity_hypothesis(name, element, parity, want)
+    for name, element, want in (
+        ("generator_odd", GEN1, ODD),
+        ("generator1_odd", GEN1, ODD),
+        ("generator2_odd", GEN2, ODD),
+        ("composition_even", COMPOSITION, EVEN),
+    )
+    for parity in _PARITY_CLASSES
+}
+# the same one-sided hint for every proper subgroup, by klein_admits
+_SUBGROUP_HINTS = tuple(
+    tuple((sub, hint) for sub in SUBGROUPS)
+    for hint in (UNKNOWN, SMOOTHABLE_BY_CONSTRUCTION)
+)
 
 
 def check(s: ActionScenario) -> ObstructionReport:
@@ -106,53 +157,48 @@ def check(s: ActionScenario) -> ObstructionReport:
     fixed_sets = tuple(map(v.fixed_set, v.table))
     # the total form is the orthogonal sum of the summand forms
     unimodular = all(abs(p.determinant) == 1 for _, p, _ in v.forms.values())
-    hypotheses = [
-        Hypothesis("intersection_form_even", inv.even, "total form is even (spin)"),
-        Hypothesis(
-            "intersection_form_unimodular",
-            unimodular,
-            "every summand form has determinant 1 or -1",
-        ),
+    hypotheses = (
+        _EVEN_FORM[inv.even],
+        _UNIMODULAR_FORM[unimodular],
         Hypothesis(
             "signature_nonpositive", inv.signature <= 0, f"signature {inv.signature}"
         ),
-        Hypothesis("b1_zero", True, "summands are simply connected by construction"),
-    ]
+        _B1_ZERO,
+    )
     index_twisted = None
     if s.group == Z2:
         theorem = Z2_THEOREM
-        hypotheses.append(_parity_hypothesis("generator_odd", fixed_sets[0], ODD))
+        hypotheses += (_PARITY_HYPOTHESES["generator_odd", fixed_sets[0].parity],)
         b = v.b_plus([GEN1])
         k = k_odd(inv.signature)
         hints = ()
     else:
         theorem = KLEIN_THEOREM
-        hypotheses += [
-            _parity_hypothesis("generator1_odd", fixed_sets[0], ODD),
-            _parity_hypothesis("generator2_odd", fixed_sets[1], ODD),
-            _parity_hypothesis("composition_even", fixed_sets[2], EVEN),
-            # minus block permutations; validation rejects noncommuting ones
-            Hypothesis("operators_commute", True, "induced operators commute"),
-        ]
+        hypotheses += (
+            _PARITY_HYPOTHESES["generator1_odd", fixed_sets[0].parity],
+            _PARITY_HYPOTHESES["generator2_odd", fixed_sets[1].parity],
+            _PARITY_HYPOTHESES["composition_even", fixed_sets[2].parity],
+            _OPERATORS_COMMUTE,
+        )
         b = v.b_plus([GEN1, GEN2])
         comp_fs = fixed_sets[2]
         if comp_fs.n_plus is not None:
             index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
         # both lift signs are admissible, so the larger bound applies
         k = k_klein(inv.signature, 0 if index_twisted is None else abs(index_twisted))
-        # the same one-sided hint for every proper subgroup
         shape = recognize_klein_template(v)
-        admitted = shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
-        hint = SMOOTHABLE_BY_CONSTRUCTION if admitted else UNKNOWN
-        hints = tuple((sub, hint) for sub in SUBGROUPS)
+        hints = _SUBGROUP_HINTS[
+            shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
+        ]
+    # the inequality first: it is one comparison, the hypotheses a scan
     verdict = (
         NONSMOOTHABLE
-        if all(h.passed for h in hypotheses) and b < k
+        if b < k and all(h.passed for h in hypotheses)
         else NO_OBSTRUCTION
     )
     return ObstructionReport(
         theorem=theorem,
-        hypotheses=tuple(hypotheses),
+        hypotheses=hypotheses,
         b=b,
         k=k,
         verdict=verdict,

@@ -3,9 +3,9 @@ sign counts, which share no code with the library's decision paths, and
 reference implementations that spell out, one family at a time, what the
 library now derives from shared rules (the template sweep, the advertised
 family total built as one dense form), or compute it the long way (the
-full-matrix elimination, the dense matrix product, the validator that
-builds every element map before it checks, and the element actions that
-validation's table is checked against)."""
+full-matrix elimination, the dense matrix product, the canonical pair
+order, the validator that builds every element map before it checks,
+and the element actions that validation's table is checked against)."""
 
 from __future__ import annotations
 
@@ -336,6 +336,12 @@ def elements_of(group: str) -> tuple[str, ...]:
     if group == Z2:
         return (GEN1,)
     return (GEN1, GEN2, COMPOSITION)
+
+
+def canonical_permutation(permutation) -> tuple[tuple, ...]:
+    """GeneratorAction's pair order, the long way: every pair sorted into
+    a tuple, then the pairs sorted."""
+    return tuple(sorted(tuple(sorted(p)) for p in permutation))
 
 
 def _dense_permutation(ids, gen) -> dict[str, str]:

@@ -571,6 +571,23 @@ def test_element_table_matches_element_action_and_the_dense_oracle(s):
 
 
 _KLEIN_GENS = (klein_template(1, 1, 1).gen1, klein_template(1, 1, 1).gen2)
+# klein_template(1, 1, 0) with two E8 pairs between its spheres: gen2
+# swaps x0, x1 and gen1 fixes them, gen1 swaps y0, y1 and gen2 fixes
+# them, so fixed_non_sphere names x0, x1 for gen1, then y1, y0 for gen2
+_KLEIN_110 = klein_template(1, 1, 0)
+_FIXED_E8_PAIRS = ActionScenario(
+    "Z2xZ2",
+    tuple(
+        Summand(i, "minus_e8" if i[0] in "xy" else "s2xs2")
+        for i in ("x0", "core", "y1", "a0", "x1", "a1", "y0", "b0", "b1")
+    ),
+    GeneratorAction(
+        _KLEIN_110.gen1.permutation + (("y0", "y1"),), _KLEIN_110.gen1.local
+    ),
+    GeneratorAction(
+        _KLEIN_110.gen2.permutation + (("x0", "x1"),), _KLEIN_110.gen2.local
+    ),
+)
 
 
 def _mutated(draw, s):
@@ -673,6 +690,7 @@ def mutated_scenarios(draw):
 @given(mutated_scenarios())
 @example(ActionScenario("Z2", klein_template(1, 1, 1).summands, *_KLEIN_GENS))
 @example(ActionScenario("Z3", (), GeneratorAction()))
+@example(_FIXED_E8_PAIRS)
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_reference_validator(s):
     violations, table = validate_scenario_reference(s)

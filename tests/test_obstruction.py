@@ -23,6 +23,7 @@ from spinact.obstruction import (
     NO_OBSTRUCTION,
     SMOOTHABLE_BY_CONSTRUCTION,
     UNKNOWN,
+    Hypothesis,
     check,
 )
 from spinact.rep_ring import bk_trace_and_integrality
@@ -325,3 +326,158 @@ def test_klein_verdict_resting_on_the_larger_lift_sign_bound():
     assert k_klein(report.signature, -2) == Fraction(3, 4) <= report.b
     assert report.k == k_klein(report.signature, 2) == Fraction(5, 4) > report.b
     assert report.verdict == NONSMOOTHABLE
+
+
+def _rotated_spheres(*labels) -> ActionScenario:
+    """An involution that fixes one sphere product per label."""
+    ids = [f"s{i}" for i in range(len(labels))]
+    return ActionScenario(
+        "Z2",
+        tuple(Summand(i, S2XS2) for i in ids),
+        GeneratorAction((), dict(zip(ids, labels))),
+    )
+
+
+def _jointly_fixed(*label_pairs) -> ActionScenario:
+    """A Klein action fixing one sphere product per (gen1, gen2) label
+    pair; the composition rotates it by the composed label."""
+    ids = [f"s{i}" for i in range(len(label_pairs))]
+    return ActionScenario(
+        Z2XZ2,
+        tuple(Summand(i, S2XS2) for i in ids),
+        GeneratorAction((), {i: pair[0] for i, pair in zip(ids, label_pairs)}),
+        GeneratorAction((), {i: pair[1] for i, pair in zip(ids, label_pairs)}),
+    )
+
+
+_SPHERES = tuple(Summand(f"s{i}", S2XS2) for i in range(4))
+# the parity classes None, odd, odd with isolated points too, and even,
+# reached by each element that a parity hypothesis reads
+HYPOTHESIS_SCENARIOS = {
+    "z2-free": ActionScenario("Z2", _SPHERES[:2], GeneratorAction((("s0", "s1"),))),
+    "z2-first": _rotated_spheres(ROTATE_FIRST),
+    "z2-mixed-labels": _rotated_spheres(ROTATE_FIRST, ROTATE_BOTH),
+    "z2-both": _rotated_spheres(ROTATE_BOTH),
+    # one free orbit of four: every element acts freely
+    "klein-free": ActionScenario(
+        Z2XZ2,
+        _SPHERES,
+        GeneratorAction((("s0", "s1"), ("s2", "s3"))),
+        GeneratorAction((("s0", "s2"), ("s1", "s3"))),
+    ),
+    # the composition is rotate_both on the core and moves the chains
+    "klein-template": klein_template(1, 1, 0),
+    "klein-first-both": _jointly_fixed((ROTATE_FIRST, ROTATE_BOTH)),
+    "klein-both-first": _jointly_fixed((ROTATE_BOTH, ROTATE_FIRST)),
+    "klein-mixed-labels-1": _jointly_fixed(
+        (ROTATE_FIRST, ROTATE_SECOND), (ROTATE_BOTH, ROTATE_FIRST)
+    ),
+    "klein-mixed-labels-2": _jointly_fixed(
+        (ROTATE_FIRST, ROTATE_BOTH), (ROTATE_SECOND, ROTATE_FIRST)
+    ),
+    "z2-odd-form": _custom_pair(((1,),)),
+    "z2-determinant-2": _custom_pair(((-2,),)),
+}
+HYPOTHESIS_ORDER = {
+    "Z2": (
+        "intersection_form_even",
+        "intersection_form_unimodular",
+        "signature_nonpositive",
+        "b1_zero",
+        "generator_odd",
+    ),
+    Z2XZ2: (
+        "intersection_form_even",
+        "intersection_form_unimodular",
+        "signature_nonpositive",
+        "b1_zero",
+        "generator1_odd",
+        "generator2_odd",
+        "composition_even",
+        "operators_commute",
+    ),
+}
+
+
+# (scenario, hypothesis, passed, detail)
+SHARED_HYPOTHESES = [
+    ("z2-free", "generator_odd", False, "gen1 acts freely; parity indeterminate"),
+    ("z2-first", "generator_odd", True, "gen1 is odd"),
+    (
+        "z2-mixed-labels",
+        "generator_odd",
+        True,
+        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+    ),
+    ("z2-both", "generator_odd", False, "gen1 is even"),
+    ("klein-free", "generator1_odd", False, "gen1 acts freely; parity indeterminate"),
+    ("klein-template", "generator1_odd", True, "gen1 is odd"),
+    (
+        "klein-mixed-labels-1",
+        "generator1_odd",
+        True,
+        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+    ),
+    ("klein-both-first", "generator1_odd", False, "gen1 is even"),
+    ("klein-free", "generator2_odd", False, "gen2 acts freely; parity indeterminate"),
+    ("klein-template", "generator2_odd", True, "gen2 is odd"),
+    (
+        "klein-mixed-labels-2",
+        "generator2_odd",
+        True,
+        "gen2 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+    ),
+    ("klein-first-both", "generator2_odd", False, "gen2 is even"),
+    (
+        "klein-free",
+        "composition_even",
+        False,
+        "composition acts freely; parity indeterminate",
+    ),
+    ("klein-first-both", "composition_even", False, "composition is odd"),
+    (
+        "klein-mixed-labels-1",
+        "composition_even",
+        False,
+        "composition is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+    ),
+    ("klein-template", "composition_even", True, "composition is even"),
+    ("z2-odd-form", "intersection_form_even", False, "total form is even (spin)"),
+    ("z2-first", "intersection_form_even", True, "total form is even (spin)"),
+    (
+        "z2-determinant-2",
+        "intersection_form_unimodular",
+        False,
+        "every summand form has determinant 1 or -1",
+    ),
+    (
+        "z2-first",
+        "intersection_form_unimodular",
+        True,
+        "every summand form has determinant 1 or -1",
+    ),
+    (
+        "klein-free",
+        "b1_zero",
+        True,
+        "summands are simply connected by construction",
+    ),
+    (
+        "klein-template",
+        "operators_commute",
+        True,
+        "induced operators commute",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,name,passed,detail",
+    SHARED_HYPOTHESES,
+    ids=[f"{scenario}-{name}" for scenario, name, _, _ in SHARED_HYPOTHESES],
+)
+def test_shared_hypotheses_keep_their_wording(scenario, name, passed, detail):
+    s = HYPOTHESIS_SCENARIOS[scenario]
+    report = check(s)
+    assert tuple(h.name for h in report.hypotheses) == HYPOTHESIS_ORDER[s.group]
+    assert {h.name: h for h in report.hypotheses}[name] == Hypothesis(name, passed, detail)

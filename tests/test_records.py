@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinact.equivariant_sum import (
     ActionScenario,
@@ -30,6 +32,8 @@ from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProf
 from spinact.obstruction import Hypothesis, ObstructionReport
 from spinact.rep_ring import GaussianValue, VirtualRepZ4
 from spinact.templates import KleinShape
+
+from oracles import canonical_permutation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE = IntegerLattice(((1,),))
@@ -196,6 +200,25 @@ def test_post_init_checks_and_coercions_run():
     assert value == GaussianValue(Fraction(1), 0)
     gen = GeneratorAction(permutation=[("d", "c"), ("b", "a")])
     assert gen.permutation == (("a", "b"), ("c", "d"))
+
+
+# "a10" sorts before "a9": an ordered pair by index is not always in order
+_PAIR_IDS = st.lists(st.sampled_from(["a", "b", "c", "a9", "a10"]), min_size=1, max_size=3)
+
+
+@given(st.lists(st.one_of(_PAIR_IDS, _PAIR_IDS.map(tuple)), max_size=8), st.booleans())
+@example([("a", "b"), ("b", "a"), ["a", "b"], ["b", "a"], ("a9", "a10")], False)
+@example([("c", "c"), ("a",), ["b"], ("c", "b", "a"), ["a", "c", "b"]], True)
+@example([("a", "b"), ("a", "b"), ("a", "b")], True)
+def test_generator_pairs_take_the_canonical_order(pairs, as_tuple):
+    # tuple and list pairs, either order, equal ids, one or three ids,
+    # repeats; a kept pair must already be the tuple the rule makes
+    permutation = tuple(pairs) if as_tuple else pairs
+    expected = canonical_permutation(permutation)
+    gen = GeneratorAction(permutation)
+    assert gen.permutation == expected
+    assert all(type(pair) is tuple for pair in gen.permutation)
+    assert hash(gen.permutation) == hash(expected)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
