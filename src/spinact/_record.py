@@ -6,7 +6,10 @@ parameters of that `__init__` after `self` are the record's fields, in
 order; they are declared nowhere else. `frozen` reads them once and
 gives the class equality only with instances of the exact same class, a
 hash of the field tuple, a `Name(field=value, ...)` repr, and attribute
-assignment and deletion that raise `FrozenRecordError`. These methods
+assignment and deletion that raise `FrozenRecordError`. The hash needs
+hashable fields: a record that holds a dict (`GeneratorAction`, and
+`ActionScenario` and `ValidScenario` through it or their own dicts)
+raises `TypeError` when hashed, though it still compares. These methods
 are shared by every record and read the fields through one
 `operator.attrgetter` per class, so no method is generated from source
 text: the constructors are cached as bytecode with their modules, and

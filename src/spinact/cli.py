@@ -43,8 +43,11 @@ SWEEP_BUDGET = 10**6
 # ceil(max entry bits / 64)^2, the cost of one product of its entries in
 # 64-bit words, so a form whose entries fit in 64 bits costs rank^3. The
 # largest admitted dense forms with random entries take about 0.4 s with
-# 9-bit entries (rank 125), 8.5 s with 62-bit ones (rank 125), 3.7 s with
-# 128-bit ones (rank 79) and 0.16 s with 1024-bit ones (rank 19).
+# 9-bit entries (rank 125), 3.7 s with 128-bit ones (rank 79) and 0.16 s
+# with 1024-bit ones (rank 19). With 62-bit ones (rank 125) two runs took
+# 7.2 s (ROADMAP.md, baseline) and 17.2 s (CHANGES.md, the FOUND line on
+# this budget): the budget does not bound the time it admits (ROADMAP
+# item 6).
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
 # bound on the sum of |multiplicities| of one repring flag: the lambda_-1

@@ -194,17 +194,6 @@ def compose_labels(a: str, b: str) -> str:
     return _BITS_LABEL[((x1 + x2) % 2, (y1 + y2) % 2)]
 
 
-def _ids(s: ActionScenario) -> list[str]:
-    return [sm.id for sm in s.summands]
-
-
-def _merged_overrides(s: ActionScenario) -> dict[str, tuple[int, int]]:
-    merged = dict(s.gen1.overrides)
-    if s.gen2 is not None:
-        merged.update(s.gen2.overrides)
-    return merged
-
-
 def _form_key(sm: Summand):
     """The kind of a standard summand, the lattice of a custom one."""
     return sm.custom_form if sm.kind == CUSTOM else sm.kind
@@ -316,7 +305,6 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     receives the other ValidScenario fields, complete when the list is empty.
     """
     v: list[Violation] = []
-    ids = _ids(s)
     by_id = {}
     counts: dict = {}
     # the ids of the summands with no local involution data, in order
@@ -434,7 +422,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 f"{name}: fixed s2xs2 summand {i!r} has no local label",
                 i,
             )
-            for i in ids
+            for i in by_id
             if i not in images and i not in local and by_id[i].kind == S2XS2
         ]
     if v:
@@ -445,7 +433,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         # swapped summands, and the composition's action
         (m1, local1), (m2, local2) = table[GEN1], table[GEN2]
         comp, comp_local = {}, {}
-        for i in ids:
+        for i in by_id:
             a, b = m1.get(i, i), m2.get(i, i)
             if a != b:
                 # the images differ, so the composition moves i
@@ -498,10 +486,11 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 if i not in images
             ]
 
-    merged = _merged_overrides(s)
+    # gen2's split wins; a different one from gen1 is reported in gen2's order
+    merged = dict(s.gen1.overrides)
     if s.gen2 is not None:
-        for i in set(s.gen1.overrides) & set(s.gen2.overrides):
-            if s.gen1.overrides[i] != s.gen2.overrides[i]:
+        for i, split in s.gen2.overrides.items():
+            if merged.get(i, split) != split:
                 v.append(
                     Violation(
                         "conflicting_override",
@@ -509,6 +498,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                         i,
                     )
                 )
+            merged[i] = split
     if merged:
         rotated_both = {
             i

@@ -11,6 +11,7 @@ exploring scenarios can see which hypothesis broke.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +29,6 @@ from .index_parity import (
     EVEN,
     ODD,
     ParityClass,
-    classify_parity,
     k_klein,
     k_odd,
     lefschetz_index,
@@ -96,6 +96,13 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
+# Records are immutable, so reports share each hypothesis whose text holds
+# no number of the scenario: one per name and truth value, and one per
+# parity hypothesis and parity class
+_shared = functools.cache(Hypothesis)
+
+
+@functools.cache
 def _parity_hypothesis(
     name: str, element: str, parity: Optional[ParityClass], want: str
 ) -> Hypothesis:
@@ -107,39 +114,6 @@ def _parity_hypothesis(
     return Hypothesis(name, parity.value == want, detail)
 
 
-# Records are immutable, so reports share each hypothesis and hint whose
-# text holds no number of the scenario: one per truth value, per parity
-# class (built once by _parity_hypothesis) or per admitted flag.
-_EVEN_FORM = tuple(
-    Hypothesis("intersection_form_even", passed, "total form is even (spin)")
-    for passed in (False, True)
-)
-_UNIMODULAR_FORM = tuple(
-    Hypothesis(
-        "intersection_form_unimodular",
-        passed,
-        "every summand form has determinant 1 or -1",
-    )
-    for passed in (False, True)
-)
-_B1_ZERO = Hypothesis("b1_zero", True, "summands are simply connected by construction")
-# minus block permutations; validation rejects noncommuting ones
-_OPERATORS_COMMUTE = Hypothesis("operators_commute", True, "induced operators commute")
-# None and the three classes classify_parity returns: free, odd, odd
-# with isolated points too, even
-_PARITY_CLASSES = tuple(
-    map(classify_parity, ((), ((2, 2),), ((0, 4), (2, 2)), ((0, 4),)))
-)
-_PARITY_HYPOTHESES = {
-    (name, parity): _parity_hypothesis(name, element, parity, want)
-    for name, element, want in (
-        ("generator_odd", GEN1, ODD),
-        ("generator1_odd", GEN1, ODD),
-        ("generator2_odd", GEN2, ODD),
-        ("composition_even", COMPOSITION, EVEN),
-    )
-    for parity in _PARITY_CLASSES
-}
 # the same one-sided hint for every proper subgroup, by klein_admits
 _SUBGROUP_HINTS = tuple(
     tuple((sub, hint) for sub in SUBGROUPS)
@@ -158,27 +132,36 @@ def check(s: ActionScenario) -> ObstructionReport:
     # the total form is the orthogonal sum of the summand forms
     unimodular = all(abs(p.determinant) == 1 for _, p, _ in v.forms.values())
     hypotheses = (
-        _EVEN_FORM[inv.even],
-        _UNIMODULAR_FORM[unimodular],
+        _shared("intersection_form_even", inv.even, "total form is even (spin)"),
+        _shared(
+            "intersection_form_unimodular",
+            unimodular,
+            "every summand form has determinant 1 or -1",
+        ),
         Hypothesis(
             "signature_nonpositive", inv.signature <= 0, f"signature {inv.signature}"
         ),
-        _B1_ZERO,
+        _shared("b1_zero", True, "summands are simply connected by construction"),
     )
     index_twisted = None
     if s.group == Z2:
         theorem = Z2_THEOREM
-        hypotheses += (_PARITY_HYPOTHESES["generator_odd", fixed_sets[0].parity],)
+        hypotheses += (
+            _parity_hypothesis("generator_odd", GEN1, fixed_sets[0].parity, ODD),
+        )
         b = v.b_plus([GEN1])
         k = k_odd(inv.signature)
         hints = ()
     else:
         theorem = KLEIN_THEOREM
         hypotheses += (
-            _PARITY_HYPOTHESES["generator1_odd", fixed_sets[0].parity],
-            _PARITY_HYPOTHESES["generator2_odd", fixed_sets[1].parity],
-            _PARITY_HYPOTHESES["composition_even", fixed_sets[2].parity],
-            _OPERATORS_COMMUTE,
+            _parity_hypothesis("generator1_odd", GEN1, fixed_sets[0].parity, ODD),
+            _parity_hypothesis("generator2_odd", GEN2, fixed_sets[1].parity, ODD),
+            _parity_hypothesis(
+                "composition_even", COMPOSITION, fixed_sets[2].parity, EVEN
+            ),
+            # minus block permutations; validation rejects noncommuting ones
+            _shared("operators_commute", True, "induced operators commute"),
         )
         b = v.b_plus([GEN1, GEN2])
         comp_fs = fixed_sets[2]

@@ -561,16 +561,17 @@ def validate_scenario_reference(s):
 
     merged = dict(s.gen1.overrides)
     if s.gen2 is not None:
+        # in gen2's order; gen2's split is the one kept
+        v += [
+            Violation(
+                "conflicting_override",
+                f"generators give conflicting sign overrides for {i!r}",
+                i,
+            )
+            for i, split in s.gen2.overrides.items()
+            if s.gen1.overrides.get(i, split) != split
+        ]
         merged.update(s.gen2.overrides)
-        for i in set(s.gen1.overrides) & set(s.gen2.overrides):
-            if s.gen1.overrides[i] != s.gen2.overrides[i]:
-                v.append(
-                    Violation(
-                        "conflicting_override",
-                        f"generators give conflicting sign overrides for {i!r}",
-                        i,
-                    )
-                )
     for i, (np_, nm) in merged.items():
         if i not in by_id:
             v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))

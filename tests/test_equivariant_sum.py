@@ -29,6 +29,7 @@ from spinact.equivariant_sum import (
     parse_scenario,
     require_valid,
     scenario_digest,
+    scenario_lattice,
     serialize_scenario,
     validate_scenario,
 )
@@ -255,6 +256,46 @@ def test_fixed_set_override():
     assert (fs.n_plus, fs.n_minus) == (4, 0)
 
 
+def _jointly_fixed_spheres(ids, overrides1, overrides2) -> ActionScenario:
+    """A Klein scenario of spheres that both generators fix, gen1 rotating
+    the first factor and gen2 the second, so the composition rotates both."""
+    return ActionScenario(
+        "Z2xZ2",
+        tuple(Summand(i, "s2xs2") for i in ids),
+        GeneratorAction((), dict.fromkeys(ids, ROTATE_FIRST), overrides1),
+        GeneratorAction((), dict.fromkeys(ids, ROTATE_SECOND), overrides2),
+    )
+
+
+def test_an_override_given_only_on_gen2_reaches_the_composition():
+    s = _jointly_fixed_spheres(("s0", "s1"), {}, {"s1": (4, 0)})
+    fs = require_valid(s).fixed_set(COMPOSITION)
+    assert fs.components == ((0, 8),)
+    assert (fs.n_plus, fs.n_minus) == (2 + 4, 2 + 0)
+    assert check(s).index_twisted == 2
+
+
+# every sphere's overrides conflict; gen2 lists them in an order of its
+# own and splits s0 invalidly, so a merge that kept gen1's valid (1, 3)
+# would report no bad_override
+_CONFLICTING_OVERRIDES = _jointly_fixed_spheres(
+    ("s0", "s1", "s2"),
+    {"s0": (1, 3), "s1": (1, 3), "s2": (1, 3)},
+    {"s2": (3, 1), "s0": (5, -1), "s1": (3, 1)},
+)
+
+
+def test_conflicting_overrides_follow_gen2_and_keep_its_split():
+    violations = validate_scenario(_CONFLICTING_OVERRIDES)
+    assert [v.subject for v in violations if v.code == "conflicting_override"] == [
+        "s2",
+        "s0",
+        "s1",
+    ]
+    assert [(v.code, v.subject) for v in violations[3:]] == [("bad_override", "s0")]
+    assert "got (5, -1)" in violations[3].message
+
+
 def test_override_must_split_four_points():
     s = ActionScenario(
         "Z2",
@@ -413,6 +454,14 @@ def test_parse_errors_name_the_field():
             '{"schema_version": 1, "group": "Z2", "summands": [{"id": "a", "kind": "nope"}]}'
         )
     assert err.value.field_name == "summands"
+
+
+def test_the_lattice_of_a_custom_summand_without_a_form_names_it():
+    s = ActionScenario("Z2", (Summand("c", CUSTOM),), GeneratorAction())
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_lattice(s)
+    assert str(err.value) == "c: custom summand needs a gram matrix"
+    assert err.value.field_name == "c"
 
 
 def test_invalid_scenario_error_lists_violations():
@@ -691,6 +740,7 @@ def mutated_scenarios(draw):
 @example(ActionScenario("Z2", klein_template(1, 1, 1).summands, *_KLEIN_GENS))
 @example(ActionScenario("Z3", (), GeneratorAction()))
 @example(_FIXED_E8_PAIRS)
+@example(_CONFLICTING_OVERRIDES)
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_reference_validator(s):
     violations, table = validate_scenario_reference(s)

@@ -18,6 +18,7 @@ from spinact.equivariant_sum import (
 )
 from spinact.index_parity import k_klein
 from spinact.lattice import IntegerLattice, is_even, signature_profile
+from spinact import obstruction
 from spinact.obstruction import (
     NONSMOOTHABLE,
     NO_OBSTRUCTION,
@@ -481,3 +482,19 @@ def test_shared_hypotheses_keep_their_wording(scenario, name, passed, detail):
     report = check(s)
     assert tuple(h.name for h in report.hypotheses) == HYPOTHESIS_ORDER[s.group]
     assert {h.name: h for h in report.hypotheses}[name] == Hypothesis(name, passed, detail)
+
+
+def test_shared_hypotheses_are_cached_per_value_not_per_scenario():
+    obstruction._shared.cache_clear()
+    obstruction._parity_hypothesis.cache_clear()
+    # signatures 0, -16, ..., -80 and every parity class of every element
+    scenarios = [z2_template(3 * k, k) for k in range(6)]
+    scenarios += [klein_template(1, 2, k) for k in range(3)]
+    scenarios += HYPOTHESIS_SCENARIOS.values()
+    reports = [check(s) for s in scenarios]
+    # even and unimodular per truth value, b1_zero, operators_commute
+    assert obstruction._shared.cache_info().currsize <= 6
+    # four parity hypotheses, each per parity class or None
+    assert obstruction._parity_hypothesis.cache_info().currsize <= 16
+    b1_zero = [h for r in reports for h in r.hypotheses if h.name == "b1_zero"]
+    assert b1_zero[0] is b1_zero[-1]

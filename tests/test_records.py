@@ -3,7 +3,9 @@
 Every result and input type of the library is a frozen record: built by
 position or keyword, with defaults, equal only to an instance of the
 exact same class with equal fields, hashed as the tuple of its fields,
-shown as `Name(field=value, ...)`, and immutable after `__post_init__`.
+shown as `Name(field=value, ...)`, and immutable once its `__init__`
+returns. A record that holds a dict (`GeneratorAction`, `ActionScenario`,
+`ValidScenario`) does not hash.
 """
 
 import copy
