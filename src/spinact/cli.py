@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 
 from . import equivariant_sum as eq
 from . import obstruction as ob
@@ -57,20 +56,18 @@ DEGREE_DIGITS = 1000  # degree times trace (at most 3011 digits) prints in < 430
 TRACE_EXACT_EXPONENT = 14284  # 2^14284 has 4300 digits, the default int text limit
 
 
-def _frac(x) -> str:
-    return rr.fraction_text(Fraction(x))
-
-
 def _load_scenario(path: str) -> eq.ActionScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        s = eq.parse_scenario(fh.read())
+    # one UTF-8 decode of the bytes: a BOM stays in the text, and bad bytes
+    # raise the UnicodeDecodeError that a text-mode read raises
+    with open(path, "rb") as fh:
+        s = eq.parse_scenario(fh.read().decode("utf-8"))
     if len(s.summands) > SUMMAND_BUDGET:
         raise ValueError(
             f"scenario too large: {len(s.summands)} summands"
             f" exceed the budget of {SUMMAND_BUDGET}"
         )
-    grams = {sm.custom_form.gram for sm in s.summands if sm.custom_form is not None}
-    work = sum(len(gram) ** 3 * _word_weight(gram) for gram in grams)
+    forms = {sm.custom_form for sm in s.summands if sm.custom_form is not None}
+    work = sum(lat.rank**3 * _word_weight(lat.gram) for lat in forms)
     if work > BAREISS_BUDGET:
         raise ValueError(
             f"scenario too large: its custom forms need {work} elimination steps"
@@ -104,10 +101,11 @@ def _trace_text(report: ob.ObstructionReport) -> str | None:
     """The trace 2^(b-k), or None when k is not an integer."""
     if report.k.denominator != 1:
         return None
-    e = report.b - int(report.k)
+    e = report.b - report.k.numerator
     if abs(e) > TRACE_EXACT_EXPONENT:
         return f"2^{e}"
-    return _frac(rr.bk_trace_and_integrality(report.b, int(report.k))[0])
+    power = rr.decimal_text(1 << abs(e))
+    return power if e >= 0 else f"1/{power}"
 
 
 def _parity_text(fs: eq.FixedSetData) -> str:
@@ -139,7 +137,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
             for h in report.hypotheses
         ],
         "b": report.b,
-        "k": _frac(report.k),
+        "k": rr.fraction_text(report.k),
         "trace": _trace_text(report),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(fs) for fs in report.elements],
@@ -170,13 +168,13 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
     # the index is reported only under the theorems' standing assumption
     # that the signature is nonpositive
     if report.signature <= 0 and report.index_twisted is not None:
-        lines.append(f"twisted index: {_frac(report.index_twisted)}")
+        lines.append(f"twisted index: {rr.fraction_text(report.index_twisted)}")
     lines.append(f"b_plus on fixed sublattice: {report.b}")
-    lines.append(f"lower bound k: {_frac(report.k)}")
+    lines.append(f"lower bound k: {rr.fraction_text(report.k)}")
     trace = _trace_text(report)
     if trace is not None:
         # a rational algebraic integer is an integer: 2^(b-k) is one iff b >= k
-        integral = "an" if report.b >= report.k else "NOT an"
+        integral = "an" if report.b >= report.k.numerator else "NOT an"
         lines.append(f"trace 2^(b-k) = {trace} ({integral} algebraic integer)")
     for sub, hint in report.subgroup_hints:
         lines.append(f"subgroup {sub}: {hint}")
@@ -299,7 +297,7 @@ def run_enumerate(args, out) -> int:
             row.update(
                 {
                     "b": report.b,
-                    "k_bound": _frac(report.k),
+                    "k_bound": rr.fraction_text(report.k),
                     "verdict": report.verdict,
                 }
             )
@@ -316,7 +314,8 @@ def run_enumerate(args, out) -> int:
     else:
         for params, report in results:
             cells = " ".join(f"{n}={v}" for n, v in zip(names, params))
-            line = f"{cells} b={report.b} k_bound={_frac(report.k)} verdict={report.verdict}"
+            bound = rr.fraction_text(report.k)
+            line = f"{cells} b={report.b} k_bound={bound} verdict={report.verdict}"
             if report.subgroup_hints:
                 line += " subgroups=" + ",".join(
                     f"{sub}:{hint}" for sub, hint in report.subgroup_hints

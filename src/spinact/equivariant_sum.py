@@ -34,7 +34,7 @@ from .lattice import (
     is_even,
     make_standard,
     signature_profile,
-    standard_profile,
+    standard_facts,
 )
 from .isometry import LatticeIsometry
 
@@ -208,7 +208,7 @@ class ValidScenario:
     `images.get(i, i)` is the image of any id. `overrides` merges the
     generators' sign overrides, `summands` maps ids to summands, and
     `forms` maps each distinct _form_key to (form, signature profile,
-    number of summands)."""
+    evenness, number of summands)."""
 
     def __init__(self, scenario, table, overrides, summands, forms):
         set_field(self, "scenario", scenario)
@@ -232,10 +232,10 @@ class ValidScenario:
         its orthogonal summands."""
         b2 = signature = 0
         even = True
-        for form, p, count in self.forms.values():
+        for _, p, form_even, count in self.forms.values():
             b2 += count * p.rank
             signature += count * p.signature
-            even = even and is_even(form)
+            even = even and form_even
         return TotalInvariants(b2, signature, even)
 
     def fixed_set(self, element: str) -> FixedSetData:
@@ -339,10 +339,13 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         return v
 
     table = {}
+    spheres = counts.get(S2XS2, 0)
     gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
     for name, gen in gens:
+        found = len(v)
         # only a well-formed pair moves ids: a degenerate one maps nothing
         images: dict[str, str] = {}
+        sphere_pairs = 0
         for pair in gen.permutation:
             if len(pair) != 2 or pair[0] == pair[1]:
                 v.append(
@@ -368,19 +371,19 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
             images[x] = y
             images[y] = x
             a, b = by_id.get(x), by_id.get(y)
+            if a is None or b is None:
+                continue
             # lattices compare their grams; parse_scenario gives equal grams
             # one lattice, which compares by identity first
-            if (
-                a is not None
-                and b is not None
-                and (a.kind != b.kind or a.custom_form != b.custom_form)
-            ):
+            if a.kind != b.kind or a.custom_form != b.custom_form:
                 v.append(
                     Violation(
                         "kind_mismatch",
                         f"{name}: swapped summands {x!r}, {y!r} differ in kind",
                     )
                 )
+            if a.kind == S2XS2:
+                sphere_pairs += 1
         local = gen.local
         table[name] = images, local
         for i, label in local.items():
@@ -416,15 +419,19 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                         i,
                     )
                 )
-        v += [
-            Violation(
-                "missing_label",
-                f"{name}: fixed s2xs2 summand {i!r} has no local label",
-                i,
-            )
-            for i in by_id
-            if i not in images and i not in local and by_id[i].kind == S2XS2
-        ]
+        # without a violation so far, every label sits on a distinct fixed
+        # sphere and the pairs move 2 * sphere_pairs spheres, so as many
+        # labels as fixed spheres leave none without one
+        if len(v) > found or len(local) != spheres - 2 * sphere_pairs:
+            v += [
+                Violation(
+                    "missing_label",
+                    f"{name}: fixed s2xs2 summand {i!r} has no local label",
+                    i,
+                )
+                for i in by_id
+                if i not in images and i not in local and by_id[i].kind == S2XS2
+            ]
     if v:
         return v
 
@@ -537,15 +544,16 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
 
 def require_valid(s: ActionScenario) -> ValidScenario:
     """Validate once; return the scenario with what validation derived. A
-    custom form is diagonalised here, a standard one once per process."""
+    custom form is diagonalised and its evenness read here, a standard
+    one's once per process."""
     parts: dict = {}
     violations = validate_scenario(s, parts=parts)
     if violations:
         raise InvalidScenarioError(violations)
     parts["forms"] = {
-        key: (key, signature_profile(key), n)
+        key: (key, signature_profile(key), is_even(key), n)
         if isinstance(key, IntegerLattice)
-        else (make_standard(key), standard_profile(key), n)
+        else (*standard_facts(key), n)
         for key, n in parts["forms"].items()
     }
     return ValidScenario(s, **parts)
@@ -608,7 +616,8 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
         if not (
             isinstance(pair, list)
             and len(pair) == 2
-            and all(isinstance(x, str) for x in pair)
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
         ):
             raise ScenarioFormatError(
                 f"permutation entry {pair!r} is not an id pair", field_name
@@ -639,14 +648,29 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
     return GeneratorAction(tuple(perm), dict(local_doc), overrides)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a format error, since
+    json.loads would keep its last value and drop the rest unseen."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioFormatError(f"repeated key {key!r}", "document")
+            seen.add(key)
+    return doc
+
+
 def parse_scenario(text: str) -> ActionScenario:
     """Parse the JSON scenario document; raises ScenarioFormatError on bad shape."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"not valid JSON ({exc.msg})", "document") from exc
     except RecursionError as exc:
         raise ScenarioFormatError("JSON nested too deeply", "document") from exc
+    except ScenarioFormatError:
+        raise
     except ValueError as exc:
         # the interpreter's cap on the digits of an integer literal
         raise ScenarioFormatError(
@@ -773,14 +797,19 @@ def serialize_scenario(s: ActionScenario) -> str:
     grams: dict = {}
     summands = []
     for sm in s.summands:
-        fields = f'"id": {_enc(sm.id)},\n      "kind": {_enc(sm.kind)}'
-        if sm.custom_form is not None:
-            gram = sm.custom_form.gram
-            text = grams.get(id(gram))
-            if text is None:
-                text = grams[id(gram)] = _gram_text(gram)
-            fields = f'"gram": {text},\n      {fields}'
-        summands.append(f"{{\n      {fields}\n    }}")
+        if sm.custom_form is None:
+            summands.append(
+                f'{{\n      "id": {_enc(sm.id)},\n      "kind": {_enc(sm.kind)}\n    }}'
+            )
+            continue
+        gram = sm.custom_form.gram
+        text = grams.get(id(gram))
+        if text is None:
+            text = grams[id(gram)] = _gram_text(gram)
+        summands.append(
+            f'{{\n      "gram": {text},\n      "id": {_enc(sm.id)},'
+            f'\n      "kind": {_enc(sm.kind)}\n    }}'
+        )
     summands = f"[\n    {_SEP4.join(summands)}\n  ]" if summands else "[]"
     gen2 = ""
     if s.gen2 is not None:

@@ -23,17 +23,26 @@ class MalformedLatticeError(ValueError):
 
 @frozen
 class IntegerLattice:
-    """Symmetric integer Gram matrix; rank is the matrix dimension."""
+    """Symmetric integer Gram matrix; rank is the matrix dimension.
+
+    The record hash of the gram is kept from construction: a lattice is a
+    dict key at every scenario lookup of its form, and a tuple does not
+    cache its hash."""
 
     def __init__(self, gram: IntMatrix):
         gram = freeze(gram)
         if not is_symmetric(gram):
             raise MalformedLatticeError("gram matrix must be square and symmetric")
         set_field(self, "gram", gram)
+        set_field(self, "_gram_hash", hash((gram,)))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+
+# after `frozen`, which sets the record hash of the field tuple
+IntegerLattice.__hash__ = lambda self: self._gram_hash
 
 
 @frozen
@@ -96,13 +105,15 @@ def _standard(kind: str) -> IntegerLattice:
 
 
 @cache
-def standard_profile(kind: str) -> SignatureProfile:
-    """signature_profile(make_standard(kind)), computed once per process.
+def standard_facts(kind: str) -> tuple[IntegerLattice, SignatureProfile, bool]:
+    """(make_standard(kind), its signature_profile, is_even of it), computed
+    once per process.
 
     The key is a kind name, never a gram, so at most one entry per
     standard form is kept; an unknown kind raises and caches nothing.
     """
-    return signature_profile(make_standard(kind))
+    lat = make_standard(kind)
+    return lat, signature_profile(lat), is_even(lat)
 
 
 def direct_sum(a: IntegerLattice, b: IntegerLattice) -> IntegerLattice:

@@ -130,7 +130,7 @@ def check(s: ActionScenario) -> ObstructionReport:
     inv = v.totals()
     fixed_sets = tuple(map(v.fixed_set, v.table))
     # the total form is the orthogonal sum of the summand forms
-    unimodular = all(abs(p.determinant) == 1 for _, p, _ in v.forms.values())
+    unimodular = all(abs(p.determinant) == 1 for _, p, _, _ in v.forms.values())
     hypotheses = (
         _shared("intersection_form_even", inv.even, "total form is even (spin)"),
         _shared(
@@ -173,10 +173,10 @@ def check(s: ActionScenario) -> ObstructionReport:
         hints = _SUBGROUP_HINTS[
             shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
         ]
-    # the inequality first: it is one comparison, the hypotheses a scan
+    # the inequality first: b < k in integers, the hypotheses a scan
     verdict = (
         NONSMOOTHABLE
-        if b < k and all(h.passed for h in hypotheses)
+        if b * k.denominator < k.numerator and all(h.passed for h in hypotheses)
         else NO_OBSTRUCTION
     )
     return ObstructionReport(

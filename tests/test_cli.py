@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact import cli
+from spinact import rep_ring as rr
 from spinact.equivariant_sum import (
     COMPOSITION,
     GEN1,
@@ -283,16 +284,76 @@ def test_unknown_fields_exit_two_naming_the_field(tmp_path, capsys, path, key, v
     assert capsys.readouterr().err == f"error: malformed scenario: {message}\n"
 
 
-def test_a_repeated_key_still_parses_with_its_last_value(tmp_path):
-    # json.loads keeps the last of repeated keys; rejecting them is still open
-    text = (SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8")
-    path = tmp_path / "repeated.json"
-    repeated = text.replace('"group": "Z2"', '"group": "Z2xZ2", "group": "Z2"', 1)
-    assert repeated != text
-    path.write_text(repeated)
-    assert run_main(["check", "--input", str(path)]) == run_main(
-        ["check", "--input", str(SCENARIOS / "z2_l3_k1.json")]
-    )
+class _Pairs(list):
+    """A JSON object kept as its (key, value) pairs, repeats included."""
+
+
+def _json_text(x) -> str:
+    if isinstance(x, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_json_text, x)) + "]"
+    return json.dumps(x)
+
+
+@pytest.mark.parametrize(
+    "path,key",
+    [
+        ((), "group"),
+        (("summands", 0), "kind"),
+        (("generator1",), "permutation"),
+        (("generator1", "local"), "s0"),
+        (("generator1", "overrides"), "s0"),
+        (("generator1", "overrides", "s0"), "n_plus"),
+    ],
+    ids=["document", "summand", "generator", "local", "overrides", "override"],
+)
+def test_a_repeated_key_exits_two_naming_it(tmp_path, capsys, path, key):
+    doc = json.loads((SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8"))
+    doc["generator1"]["local"]["s0"] = "rotate_both"
+    doc["generator1"]["overrides"] = {"s0": {"n_plus": 3, "n_minus": 1}}
+    doc = json.loads(json.dumps(doc), object_pairs_hook=_Pairs)
+    file = tmp_path / "repeated.json"
+    file.write_text(_json_text(doc))
+    assert run_main(["check", "--input", str(file)])[0] == 0
+    target = doc
+    for step in path:
+        target = dict(target)[step] if isinstance(target, _Pairs) else target[step]
+    # the same key with the same value, placed after the first
+    target.append((key, dict(target)[key]))
+    file.write_text(_json_text(doc))
+    capsys.readouterr()
+    status, output = run_main(["check", "--input", str(file)])
+    assert (status, output) == (2, "")
+    message = f"error: malformed scenario: document: repeated key {key!r}\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (
+            b"\xef\xbb\xbf" + (SCENARIOS / "z2_l3_k1.json").read_bytes(),
+            "malformed scenario: document: not valid JSON"
+            " (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+        ),
+        (
+            b'{"group": "Z\xff2"}',
+            "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+        ),
+        (
+            b'{"x": "' + b"a" * 20000 + b'\xc3\x28"}',
+            "'utf-8' codec can't decode byte 0xc3 in position 20007:"
+            " invalid continuation byte",
+        ),
+    ],
+    ids=["bom", "bad-byte", "bad-byte-past-a-read-buffer"],
+)
+def test_a_bom_or_bad_utf8_exits_two(tmp_path, capsys, data, message):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(data)
+    assert run_main(["check", "--input", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -968,6 +1029,29 @@ def test_a_decided_certificate_prints_a_trace_past_4300_digits(
     assert capsys.readouterr().err == ""
 
 
+@given(st.integers(0, 15000), st.integers(0, 15000))
+@example(0, 0)
+@example(cli.TRACE_EXACT_EXPONENT, 0)
+@example(0, cli.TRACE_EXACT_EXPONENT)
+@example(cli.TRACE_EXACT_EXPONENT + 1, 0)
+@example(0, cli.TRACE_EXACT_EXPONENT + 1)
+@settings(max_examples=40, deadline=None)
+def test_the_trace_text_equals_its_fraction_rendering(b, k):
+    # under the lowest digit limit the interpreter accepts, as with
+    # PYTHONINTMAXSTRDIGITS=640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = cli._trace_text(SimpleNamespace(b=b, k=Fraction(k)))
+        if abs(b - k) > cli.TRACE_EXACT_EXPONENT:
+            want = f"2^{b - k}"
+        else:
+            want = rr.fraction_text(rr.bk_trace_and_integrality(b, k)[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+
+
 @pytest.mark.parametrize("exponent", [0, 1, -1, 14284, -14284, 14285, -14285])
 def test_the_trace_is_exact_while_it_has_at_most_4300_digits(exponent):
     assert cli.TRACE_EXACT_EXPONENT == 14284
@@ -1050,7 +1134,7 @@ def _count_fixed_sets(monkeypatch):
 def test_one_validation_per_scenario_and_no_dense_engine(monkeypatch, argv, points):
     from spinact import equivariant_sum, isometry, lattice
 
-    lattice.standard_profile.cache_clear()
+    lattice.standard_facts.cache_clear()
     validations = _count_calls(monkeypatch, equivariant_sum.validate_scenario)
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
     fixed_sets = _count_fixed_sets(monkeypatch)
@@ -1094,7 +1178,7 @@ def test_custom_forms_are_diagonalised_once_per_command(monkeypatch, tmp_path, c
     doc["generator1"]["local"] = {"s0": "rotate_first"}
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(doc))
-    lattice.standard_profile.cache_clear()
+    lattice.standard_facts.cache_clear()
     profiles = _count_calls(monkeypatch, lattice.signature_profile)
     first = run_main([command, "--input", str(path)])
     # nothing derived from the input outlives its command

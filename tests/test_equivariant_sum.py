@@ -41,7 +41,7 @@ from spinact.lattice import (
     make_standard,
     signature_profile,
 )
-from spinact.obstruction import check
+from spinact.obstruction import NO_OBSTRUCTION, NONSMOOTHABLE, check
 from spinact.templates import klein_template, z2_template
 
 from oracles import element_action, elements_of, validate_scenario_reference
@@ -578,6 +578,28 @@ def klein_scenarios(draw):
     return ActionScenario(s.group, tuple(summands), *gens)
 
 
+@st.composite
+def klein_scenarios_with_a_split(draw):
+    """A klein_scenarios draw whose core gets a sign split on gen2, so the
+    twisted index, and with it k, need not be an integer."""
+    s = draw(klein_scenarios())
+    (core,) = s.gen1.local.keys() & s.gen2.local.keys()
+    n_plus = draw(st.integers(0, 4))
+    gen2 = GeneratorAction(s.gen2.permutation, s.gen2.local, {core: (n_plus, 4 - n_plus)})
+    return ActionScenario(s.group, s.summands, s.gen1, gen2)
+
+
+@given(st.one_of(z2_scenarios(), klein_scenarios(), klein_scenarios_with_a_split()))
+@example(_jointly_fixed_spheres(("s0", "s1"), {}, {"s1": (4, 0)}))
+@settings(max_examples=60, deadline=None)
+def test_the_verdict_is_the_fraction_comparison_of_b_and_k(s):
+    report = check(s)
+    below = report.b < report.k  # an int against a Fraction
+    assert report.verdict == (
+        NONSMOOTHABLE if below and report.all_hypotheses_pass else NO_OBSTRUCTION
+    )
+
+
 def _dense_b_plus(s, elements):
     return b_plus_invariant([induced_cohomology_action(s, e) for e in elements])
 
@@ -736,11 +758,35 @@ def mutated_scenarios(draw):
     return _mutated(draw, draw(st.one_of(z2_scenarios(), klein_scenarios())))
 
 
+def _spheres_and(extra, permutation, local) -> ActionScenario:
+    """A Z2 scenario of spheres s0, s1, s2 then `extra` (id, kind) summands."""
+    summands = [Summand(i, "s2xs2") for i in ("s0", "s1", "s2")]
+    summands += [Summand(i, kind) for i, kind in extra]
+    return ActionScenario("Z2", tuple(summands), GeneratorAction(permutation, local))
+
+
+# scenarios with a violation in which the labels still number the fixed
+# spheres (spheres minus twice the pairs whose first id is a sphere), so
+# only the violation found first sends validation on to the missing-label
+# scan that names s2
+_COUNTS_MATCH_BESIDE_A_VIOLATION = (
+    # s0 is moved and labelled, s2 is fixed and unlabelled: 3 - 2 = 1 label
+    _spheres_and((), (("s0", "s1"),), {"s0": ROTATE_FIRST}),
+    # s1 pairs with a minus_e8, which counts as a pair of spheres: 3 - 2 = 1
+    _spheres_and((("w0", "minus_e8"),), (("s1", "w0"),), {"s0": ROTATE_FIRST}),
+    # a label on an unknown id stands in for s2's: 3 - 0 = 3 labels
+    _spheres_and((), (), {"s0": ROTATE_FIRST, "s1": ROTATE_FIRST, "ghost": ROTATE_FIRST}),
+)
+
+
 @given(mutated_scenarios())
 @example(ActionScenario("Z2", klein_template(1, 1, 1).summands, *_KLEIN_GENS))
 @example(ActionScenario("Z3", (), GeneratorAction()))
 @example(_FIXED_E8_PAIRS)
 @example(_CONFLICTING_OVERRIDES)
+@example(_COUNTS_MATCH_BESIDE_A_VIOLATION[0])
+@example(_COUNTS_MATCH_BESIDE_A_VIOLATION[1])
+@example(_COUNTS_MATCH_BESIDE_A_VIOLATION[2])
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_reference_validator(s):
     violations, table = validate_scenario_reference(s)

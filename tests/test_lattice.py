@@ -16,7 +16,7 @@ from spinact.lattice import (
     is_even,
     make_standard,
     signature_profile,
-    standard_profile,
+    standard_facts,
 )
 
 from oracles import (
@@ -81,15 +81,30 @@ def test_standard_forms_are_built_once():
 
 def test_standard_profiles_are_computed_once():
     for kind in ("hyperbolic", "s2xs2", "minus_e8", "k3"):
-        assert standard_profile(kind) == signature_profile(make_standard(kind))
-        assert standard_profile(kind) is standard_profile(kind)
-    cached = standard_profile.cache_info().currsize
+        lat = make_standard(kind)
+        assert standard_facts(kind) == (lat, signature_profile(lat), is_even(lat))
+        assert standard_facts(kind)[0] is lat
+        assert standard_facts(kind) is standard_facts(kind)
+    cached = standard_facts.cache_info().currsize
     assert cached <= 4
     # a failed computation caches nothing
     for _ in range(2):
         with pytest.raises(ValueError):
-            standard_profile("nope")
-    assert standard_profile.cache_info().currsize == cached
+            standard_facts("nope")
+    assert standard_facts.cache_info().currsize == cached
+
+
+@given(symmetric_lattices(), symmetric_lattices())
+@settings(max_examples=50, deadline=None)
+def test_a_lattice_keeps_the_record_hash_of_its_gram(a, b):
+    # the field-tuple hash every other record computes on each call
+    assert hash(a) == hash((a.gram,))
+    # an equal gram given as lists is a different object, equal and
+    # hashed alike
+    twin = IntegerLattice([list(row) for row in a.gram])
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert len({a, twin}) == 1
+    assert (a == b) == (a.gram == b.gram)
 
 
 def test_hyperbolic_signature():
