@@ -47,17 +47,6 @@ from .index_parity import (
     k_odd,
     lefschetz_index,
 )
-from .rep_ring import (
-    FixedVectorError,
-    GaussianValue,
-    VirtualRepZ4,
-    bk_trace_and_integrality,
-    character_value,
-    lambda_minus_one_trace,
-    line,
-    rep_spaces_from_data,
-    tomdieck_trace,
-)
 from .obstruction import ObstructionReport, check
 from .templates import (
     klein_grid,

@@ -1,4 +1,4 @@
-"""Command-line front end: check scenarios, sweep template grids, evaluate traces.
+"""Command-line front end: check scenarios and sweep template grids.
 
 Exit status contract: 0 = ran to completion (either verdict), 2 = the
 input failed validation or a theorem hypothesis, 1 = internal error.
@@ -16,10 +16,10 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from fractions import Fraction
 
 from . import equivariant_sum as eq
 from . import obstruction as ob
-from . import rep_ring as rr
 from .templates import (
     TEMPLATE_SUMMANDS,
     klein_admits,
@@ -49,11 +49,11 @@ SWEEP_BUDGET = 10**6
 # item 6).
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
-# bound on the sum of |multiplicities| of one repring flag: the lambda_-1
-# trace takes one exact product per unit (10^4 of them about 0.2 s)
-REP_BUDGET = 10**4
-DEGREE_DIGITS = 1000  # degree times trace (at most 3011 digits) prints in < 4300
 TRACE_EXACT_EXPONENT = 14284  # 2^14284 has 4300 digits, the default int text limit
+# digits per chunk of decimal_text: below 640, the lowest int-to-str digit
+# limit the interpreter accepts (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _load_scenario(path: str) -> eq.ActionScenario:
@@ -93,6 +93,27 @@ def _flag_int(text: str, flag: str) -> int:
         raise ValueError(f"{flag} value {text!r} is not an integer") from None
 
 
+def decimal_text(n: int) -> str:
+    """`str(n)`, converted in chunks so that it prints under any digit limit."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def fraction_text(x: Fraction) -> str:
+    """`str(x)` with both terms rendered by `decimal_text`."""
+    if x.denominator == 1:
+        return decimal_text(x.numerator)
+    return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+
+
 def _components_text(components) -> str:
     return ", ".join(f"dim {d} x{c}" for d, c in components) or "empty"
 
@@ -104,7 +125,7 @@ def _trace_text(report: ob.ObstructionReport) -> str | None:
     e = report.b - report.k.numerator
     if abs(e) > TRACE_EXACT_EXPONENT:
         return f"2^{e}"
-    power = rr.decimal_text(1 << abs(e))
+    power = decimal_text(1 << abs(e))
     return power if e >= 0 else f"1/{power}"
 
 
@@ -137,7 +158,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
             for h in report.hypotheses
         ],
         "b": report.b,
-        "k": rr.fraction_text(report.k),
+        "k": fraction_text(report.k),
         "trace": _trace_text(report),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(fs) for fs in report.elements],
@@ -168,9 +189,9 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
     # the index is reported only under the theorems' standing assumption
     # that the signature is nonpositive
     if report.signature <= 0 and report.index_twisted is not None:
-        lines.append(f"twisted index: {rr.fraction_text(report.index_twisted)}")
+        lines.append(f"twisted index: {fraction_text(report.index_twisted)}")
     lines.append(f"b_plus on fixed sublattice: {report.b}")
-    lines.append(f"lower bound k: {rr.fraction_text(report.k)}")
+    lines.append(f"lower bound k: {fraction_text(report.k)}")
     trace = _trace_text(report)
     if trace is not None:
         # a rational algebraic integer is an integer: 2^(b-k) is one iff b >= k
@@ -297,7 +318,7 @@ def run_enumerate(args, out) -> int:
             row.update(
                 {
                     "b": report.b,
-                    "k_bound": rr.fraction_text(report.k),
+                    "k_bound": fraction_text(report.k),
                     "verdict": report.verdict,
                 }
             )
@@ -314,7 +335,7 @@ def run_enumerate(args, out) -> int:
     else:
         for params, report in results:
             cells = " ".join(f"{n}={v}" for n, v in zip(names, params))
-            bound = rr.fraction_text(report.k)
+            bound = fraction_text(report.k)
             line = f"{cells} b={report.b} k_bound={bound} verdict={report.verdict}"
             if report.subgroup_hints:
                 line += " subgroups=" + ",".join(
@@ -323,85 +344,6 @@ def run_enumerate(args, out) -> int:
             out.write(line + "\n")
         summary = " ".join(f"{k}={n}" for k, n in counts.items()) or "empty"
         out.write(f"summary: total={len(results)} {summary}\n")
-    return 0
-
-
-def _parse_mult(text: str, flag: str) -> rr.VirtualRepZ4:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"{flag} needs four comma-separated multiplicities")
-    mult = tuple(_flag_int(p, flag) for p in parts)
-    return _within_rep_budget(rr.VirtualRepZ4(mult), flag)
-
-
-def _within_rep_budget(r: rr.VirtualRepZ4, what: str) -> rr.VirtualRepZ4:
-    size = sum(map(abs, r.mult))
-    if size > REP_BUDGET:
-        raise ValueError(
-            f"{what} too large: its multiplicities sum to {size} in absolute"
-            f" value, over the budget of {REP_BUDGET}"
-        )
-    return r
-
-
-def run_repring(args, out) -> int:
-    element = args.element
-    if args.rep is not None:
-        # --degree, --w-perp and --v-perp belong to the tom Dieck trace
-        others = [
-            flag
-            for flag, value in (
-                ("--w-perp", args.w_perp),
-                ("--v-perp", args.v_perp),
-                ("--degree", args.degree),
-            )
-            if value is not None
-        ]
-        if others:
-            raise ValueError(f"--rep cannot be combined with {', '.join(others)}")
-    if args.w_perp or args.v_perp:
-        if not (args.w_perp and args.v_perp):
-            raise ValueError("--w-perp and --v-perp must be given together")
-        w = _parse_mult(args.w_perp, "--w-perp")
-        v = _parse_mult(args.v_perp, "--v-perp")
-        _within_rep_budget(w - v, "--w-perp minus --v-perp")
-        degree = 1 if args.degree is None else args.degree
-        if abs(degree) >= 10**DEGREE_DIGITS:
-            raise ValueError(f"--degree has more than {DEGREE_DIGITS} digits")
-        value = rr.tomdieck_trace(degree, w, v, element)
-        doc = {
-            "element": element,
-            "degree": degree,
-            "trace": str(value),
-            "is_algebraic_integer": value.is_gaussian_integer,
-        }
-        if args.format == STRUCTURED:
-            out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        else:
-            out.write(
-                f"tom Dieck trace at element {element}: {value}"
-                f" ({'an' if value.is_gaussian_integer else 'NOT an'} algebraic integer)\n"
-            )
-        return 0
-    if not args.rep:
-        raise ValueError("repring needs --rep or --w-perp/--v-perp")
-    r = _parse_mult(args.rep, "--rep")
-    chi = rr.character_value(r, element)
-    try:
-        lam = str(rr.lambda_minus_one_trace(r, element))
-    except rr.FixedVectorError as exc:
-        lam = f"undefined ({exc})"
-    if args.format == STRUCTURED:
-        doc = {
-            "element": element,
-            "mult": list(r.mult),
-            "character": str(chi),
-            "lambda_minus_one": lam,
-        }
-        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        out.write(f"character at element {element}: {chi}\n")
-        out.write(f"lambda_-1 trace at element {element}: {lam}\n")
     return 0
 
 
@@ -442,17 +384,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     p_inv = sub.add_parser("invariants", help="report invariants of a scenario")
     p_inv.add_argument("--input", required=True)
 
-    p_rep = sub.add_parser("repring", help="evaluate representation-ring traces")
-    p_rep.add_argument("--rep", help="multiplicities m0,m1,m2,m3")
-    p_rep.add_argument("--w-perp", help="target multiplicities m0,m1,m2,m3")
-    p_rep.add_argument("--v-perp", help="domain multiplicities m0,m1,m2,m3")
-    p_rep.add_argument(
-        "--degree", type=int, help="fixed-part degree of the tom Dieck trace (default 1)"
-    )
-    p_rep.add_argument(
-        "--element", type=int, choices=range(4), default=1, help="group element 0..3"
-    )
-
     p_enum = sub.add_parser("enumerate", help="sweep a template parameter grid")
     p_enum.add_argument("--template", choices=("z2", "klein"), required=True)
     p_enum.add_argument(
@@ -462,12 +393,11 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     )
     # accepted so existing command lines keep working; points run serially
     p_enum.add_argument("--jobs", type=int, default=1)
-    for p in (p_check, p_inv, p_rep, p_enum):
+    for p in (p_check, p_inv, p_enum):
         p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
     return parser, {
         "check": p_check,
         "invariants": p_inv,
-        "repring": p_rep,
         "enumerate": p_enum,
     }
 
@@ -504,7 +434,6 @@ def main(argv=None, out=None) -> int:
     runners = {
         "check": run_check,
         "invariants": run_invariants,
-        "repring": run_repring,
         "enumerate": run_enumerate,
     }
     try:

@@ -648,6 +648,10 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
     return GeneratorAction(tuple(perm), dict(local_doc), overrides)
 
 
+class _RepeatedKey(Exception):
+    """A JSON object gives a key twice; `args[0]` is the key."""
+
+
 def _object(pairs: list) -> dict:
     """A JSON object as a dict; a key given twice is a format error, since
     json.loads would keep its last value and drop the rest unseen."""
@@ -656,9 +660,52 @@ def _object(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ScenarioFormatError(f"repeated key {key!r}", "document")
+                raise _RepeatedKey(key)
             seen.add(key)
     return doc
+
+
+def _repeat_path(node, path=()):
+    """The path to the first object that repeats a key, in the order
+    json.loads closes them (a child before its parent); objects are
+    tuples of pairs and arrays are lists."""
+    if type(node) is not tuple and type(node) is not list:
+        return None
+    for step, value in enumerate(node) if type(node) is list else node:
+        found = _repeat_path(value, path + (step,))
+        if found is not None:
+            return found
+    if type(node) is tuple and len(dict(node)) != len(node):
+        return path
+    return None
+
+
+def _repeated_key_error(text: str, key: str) -> ScenarioFormatError:
+    """The format error for a key given twice, naming the object that holds
+    it. The object is found by a second parse that keeps every object as
+    its pairs and every integer as its text, made only once the first
+    parse has failed; when the text after the repeat is not JSON, the
+    error names the document alone."""
+    try:
+        doc = json.loads(text, object_pairs_hook=tuple, parse_int=str)
+        path = _repeat_path(doc) or ()
+    except (ValueError, RecursionError):
+        path = ()
+    field, where = "document", path
+    if path and path[0] in ("summands", "generator1", "generator2"):
+        field, where = path[0], path[1:]
+    generator = field != "summands" and field != "document"
+    if not where:
+        place = ""
+    elif field == "summands" and len(where) == 1 and type(where[0]) is int:
+        place = f" in summand {where[0]}"
+    elif generator and where in (("local",), ("overrides",)):
+        place = f" in {where[0]}"
+    elif generator and len(where) == 2 and where[0] == "overrides":
+        place = f" in the override for {where[1]!r}"
+    else:
+        place = " at " + "".join(f"[{step!r}]" for step in path)
+    return ScenarioFormatError(f"repeated key {key!r}{place}", field)
 
 
 def parse_scenario(text: str) -> ActionScenario:
@@ -669,8 +716,8 @@ def parse_scenario(text: str) -> ActionScenario:
         raise ScenarioFormatError(f"not valid JSON ({exc.msg})", "document") from exc
     except RecursionError as exc:
         raise ScenarioFormatError("JSON nested too deeply", "document") from exc
-    except ScenarioFormatError:
-        raise
+    except _RepeatedKey as exc:
+        raise _repeated_key_error(text, exc.args[0]) from None
     except ValueError as exc:
         # the interpreter's cap on the digits of an integer literal
         raise ScenarioFormatError(

@@ -30,14 +30,16 @@ from spinact.obstruction import (
     UNKNOWN,
     check,
 )
-from spinact.rep_ring import VirtualRepZ4, bk_trace_and_integrality, tomdieck_trace
 from spinact.templates import klein_template, smooth_structure, z2_template
 
 from oracles import (
+    VirtualRepZ4,
+    bk_trace_and_integrality,
     eigen_sign_profile,
     random_involutive_isometry,
     rational_nullspace,
     spans_equal,
+    tomdieck_trace,
 )
 
 

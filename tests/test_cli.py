@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact import cli
-from spinact import rep_ring as rr
 from spinact.equivariant_sum import (
     COMPOSITION,
     GEN1,
@@ -27,13 +26,18 @@ from spinact.equivariant_sum import (
     Z2XZ2,
     ActionScenario,
     GeneratorAction,
+    ScenarioFormatError,
     parse_scenario,
     serialize_scenario,
 )
 from spinact.lattice import make_standard
 from spinact.templates import TEMPLATE_SUMMANDS, klein_template, z2_template
 
-from oracles import sweep_points_nested, validate_scenario_reference
+from oracles import (
+    bk_trace_and_integrality,
+    sweep_points_nested,
+    validate_scenario_reference,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -297,18 +301,22 @@ def _json_text(x) -> str:
 
 
 @pytest.mark.parametrize(
-    "path,key",
+    "path,key,message",
     [
-        ((), "group"),
-        (("summands", 0), "kind"),
-        (("generator1",), "permutation"),
-        (("generator1", "local"), "s0"),
-        (("generator1", "overrides"), "s0"),
-        (("generator1", "overrides", "s0"), "n_plus"),
+        ((), "group", "document: repeated key 'group'"),
+        (("summands", 0), "kind", "summands: repeated key 'kind' in summand 0"),
+        (("generator1",), "permutation", "generator1: repeated key 'permutation'"),
+        (("generator1", "local"), "s0", "generator1: repeated key 's0' in local"),
+        (("generator1", "overrides"), "s0", "generator1: repeated key 's0' in overrides"),
+        (
+            ("generator1", "overrides", "s0"),
+            "n_plus",
+            "generator1: repeated key 'n_plus' in the override for 's0'",
+        ),
     ],
     ids=["document", "summand", "generator", "local", "overrides", "override"],
 )
-def test_a_repeated_key_exits_two_naming_it(tmp_path, capsys, path, key):
+def test_a_repeated_key_exits_two_naming_it(tmp_path, capsys, path, key, message):
     doc = json.loads((SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8"))
     doc["generator1"]["local"]["s0"] = "rotate_both"
     doc["generator1"]["overrides"] = {"s0": {"n_plus": 3, "n_minus": 1}}
@@ -325,8 +333,32 @@ def test_a_repeated_key_exits_two_naming_it(tmp_path, capsys, path, key):
     capsys.readouterr()
     status, output = run_main(["check", "--input", str(file)])
     assert (status, output) == (2, "")
-    message = f"error: malformed scenario: document: repeated key {key!r}\n"
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: malformed scenario: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"x": {"a": 1, "a": 2}}', "document: repeated key 'a' at ['x']"),
+        # the inner object closes first, so its repeat is the one reported
+        ('{"x": {"y": {"a": 1, "a": 2}, "y": 0}}', "document: repeated key 'a' at ['x']['y']"),
+        (
+            '{"summands": [{"id": "a", "gram": [[{"q": 1, "q": 2}]]}]}',
+            "summands: repeated key 'q' at ['summands'][0]['gram'][0][0]",
+        ),
+        (
+            '{"generator2": {"local": {"s0": "a", "s0": "b"}}, "n": ' + "7" * 5000 + "}",
+            "generator2: repeated key 's0' in local",
+        ),
+        ('{"generator2": {"local": {"s0": "a", "s0": "b"}}, "n": 1e}', "document: repeated key 's0'"),
+    ],
+    ids=["unknown-field", "inner-first", "inside-a-gram", "long-integer-after", "not-json-after"],
+)
+def test_a_repeated_key_is_placed_by_the_path_to_its_object(text, message):
+    # the repeat comes first in the text, so it is the error reported
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -669,146 +701,24 @@ def test_enumerate_keeps_one_template_alive_at_a_time(monkeypatch):
     assert alive == [0] * len(sweep_points_nested("z2", {"l": (0, 30), "k": (0, 2)}))
 
 
-def test_repring_character_and_lambda():
-    status, output = run_main(["repring", "--rep", "0,1,0,1", "--element", "1"])
-    assert status == 0
-    assert "character at element 1: 0" in output
-    assert "lambda_-1 trace at element 1: 2" in output
-    status, output = run_main(["repring", "--rep", "1,0,0,-1", "--element", "0"])
-    assert status == 0
-    assert output.endswith(
-        "lambda_-1 trace at element 0: undefined (element 0 fixes a vector of the"
-        " subtracted representation)\n"
-    )
-
-
-def test_repring_tomdieck():
-    status, output = run_main(
-        ["repring", "--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--degree", "1"]
-    )
-    assert status == 0
-    assert "4" in output and "an algebraic integer" in output
-
-
-def test_repring_structured():
-    status, output = run_main(
-        [
-            "repring",
-            "--w-perp",
-            "0,0,0,0",
-            "--v-perp",
-            "0,1,0,1",
-            "--element",
-            "1",
-            "--format",
-            "structured",
-        ]
-    )
-    assert status == 0
-    doc = json.loads(output)
-    assert doc["trace"] == "1/2"
-    assert doc["is_algebraic_integer"] is False
-    status, output = run_main(["repring", "--rep", "0,1,0,1", "--format", "structured"])
-    assert status == 0
-    assert json.loads(output) == {
-        "character": "0",
-        "element": 1,
-        "lambda_minus_one": "2",
-        "mult": [0, 1, 0, 1],
-    }
-
-
-@pytest.mark.parametrize("element", ["-1", "4", "7"])
-def test_repring_rejects_an_element_outside_zero_to_three(capsys, element):
+def test_the_removed_repring_command_is_an_invalid_choice(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_main(["repring", "--rep", "0,1,0,1", "--element", element])
+        run_main(["repring", "--rep", "0,1,0,1"])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: spinact ")
+    assert "error: argument command: invalid choice: 'repring'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [
-        ["--rep", "{}", "--element", "1"],
-        ["--w-perp", "{}", "--v-perp", "0,0,0,0"],
-        ["--w-perp", "0,0,0,0", "--v-perp", "{}"],
-    ],
-    ids=["rep", "w-perp", "v-perp"],
+    "n",
+    [0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(2**10000), 3**8000],
 )
-def test_repring_bounds_the_multiplicities_before_multiplying(
-    monkeypatch, capsys, flags
-):
-    def argv(mult):
-        return ["repring"] + [mult if f == "{}" else f for f in flags]
-
-    flag = flags[flags.index("{}") - 1]
-    assert cli.REP_BUDGET == 10**4
-    with monkeypatch.context() as m:
-        m.setattr(cli, "REP_BUDGET", 3)
-        status, output = run_main(argv("0,1,0,-2"))
-        assert status == 0 and "trace" in output
-
-    def unbudgeted(*_args):
-        raise AssertionError("lambda_minus_one_trace ran before the size budget check")
-
-    # a check made after the product would exit 1 here instead of hanging
-    monkeypatch.setattr(cli.rr, "lambda_minus_one_trace", unbudgeted)
-    for budget, mult in ((10**4, "1,1,1,1000000000"), (3, "0,1,0,-3")):
-        monkeypatch.setattr(cli, "REP_BUDGET", budget)
-        status, output = run_main(argv(mult))
-        assert status == 2 and output == ""
-        err = capsys.readouterr().err
-        assert f"error: {flag} too large" in err and f"budget of {budget}" in err
-
-
-def test_repring_prints_every_admitted_degree_and_difference():
-    # the largest numerator (2^10^4) and denominator at the largest degrees
-    top = "9" * cli.DEGREE_DIGITS
-    for w, v, degree in (("0,0,10000,0", "0,0,0,0", top), ("0,0,0,0", "0,0,10000,0", "-" + top)):
-        status, output = run_main(
-            ["repring", "--w-perp", w, "--v-perp", v, "--degree", degree, "--element", "1"]
-        )
-        assert status == 0
-        digits = output.split(": ")[1].split(" (")[0].lstrip("-").split("/")
-        assert max(map(len, digits)) < 4300
-
-
-@pytest.mark.parametrize(
-    "flags,named",
-    [
-        (["--rep", "0,1,0,1", "--degree", "5"], ("--rep", "--degree")),
-        (["--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--rep", "1,0,0,0"], ("--rep", "--w-perp")),
-        (["--rep", "1,0,0,0", "--v-perp", "0,1,0,1"], ("--rep", "--v-perp")),
-        (["--rep", "1,2,3"], ("error: --rep needs four comma-separated multiplicities\n",)),
-        (["--w-perp", "0,0,3,0"], ("error: --w-perp and --v-perp must be given together\n",)),
-        ([], ("error: repring needs --rep or --w-perp/--v-perp\n",)),
-    ],
-    ids=["rep-degree", "rep-w-perp-v-perp", "rep-v-perp", "rep-of-three", "w-perp-alone",
-         "neither"],
-)
-def test_repring_refuses_flags_it_would_ignore(monkeypatch, capsys, flags, named):
-    def computed(*_args):
-        raise AssertionError("repring computed a trace before refusing its flags")
-
-    for name in ("character_value", "lambda_minus_one_trace", "tomdieck_trace"):
-        monkeypatch.setattr(cli.rr, name, computed)
-    status, output = run_main(["repring", *flags])
-    err = capsys.readouterr().err
-    assert status == 2 and output == ""
-    assert all(flag in err for flag in named)
-    assert "Traceback" not in err and "internal error" not in err
-
-
-def test_repring_tomdieck_degree_defaults_to_one():
-    argv = ["repring", "--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--format", "structured"]
-    status, output = run_main(argv)
-    assert status == 0 and json.loads(output)["degree"] == 1
-    assert run_main(argv + ["--degree", "1"]) == (status, output)
-
-
-def test_repring_fixed_vector_error(capsys):
-    status, _ = run_main(["repring", "--w-perp", "0,0,0,0", "--v-perp", "1,0,0,0"])
-    assert status == 2
+def test_decimal_text_is_str(n):
+    assert cli.decimal_text(n) == str(n)
+    assert cli.fraction_text(Fraction(1, n or 1)) == str(Fraction(1, n or 1))
 
 
 def test_console_entry_point_runs():
@@ -961,16 +871,8 @@ _LONG = "1" * 5000
         (["enumerate", "--template", "z2", "--sweep", f"l=0..0,k={_LONG}..{_LONG}"], "--sweep 'k'"),
         (["enumerate", "--template", "z2", "--sweep", f"l=0..{'9' * 4000},k=0..{'9' * 4000}"],
          "--sweep grid too large"),
-        (["repring", "--rep", f"0,{_LONG},0,0"], "--rep"),
-        (["repring", "--w-perp", f"{_LONG},0,0,0", "--v-perp", "0,0,0,0"], "--w-perp"),
-        (["repring", "--w-perp", "0,0,0,0", "--v-perp", f"0,0,0,{_LONG}"], "--v-perp"),
-        (["repring", "--w-perp", "0,0,10000,0", "--v-perp", "0,0,-10000,0", "--element", "1"],
-         "--w-perp minus --v-perp too large"),
-        (["repring", "--w-perp", "0,0,3,0", "--v-perp", "0,1,0,1", "--degree", "9" * 4000],
-         "--degree has more than 1000 digits"),
     ],
-    ids=["sweep-bound", "sweep-both-bounds", "sweep-grid-of-4000-digit-bounds", "rep",
-         "w-perp", "v-perp", "traced-difference", "degree"],
+    ids=["sweep-bound", "sweep-both-bounds", "sweep-grid-of-4000-digit-bounds"],
 )
 def test_over_long_cli_numbers_exit_two_naming_the_flag(capsys, argv, flag):
     status, output = run_main(argv)
@@ -984,11 +886,10 @@ def test_over_long_cli_numbers_exit_two_naming_the_flag(capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["repring", "--rep", "a,0,0,0"], "--rep value 'a' is not an integer"),
         (["enumerate", "--template", "z2", "--sweep", "l=x..3,k=0..0"],
          "--sweep 'l' value 'x' is not an integer"),
     ],
-    ids=["rep", "sweep"],
+    ids=["sweep"],
 )
 def test_cli_numbers_that_are_not_integers_exit_two_naming_the_flag(capsys, argv, message):
     status, output = run_main(argv)
@@ -1046,7 +947,7 @@ def test_the_trace_text_equals_its_fraction_rendering(b, k):
         if abs(b - k) > cli.TRACE_EXACT_EXPONENT:
             want = f"2^{b - k}"
         else:
-            want = rr.fraction_text(rr.bk_trace_and_integrality(b, k)[0])
+            want = cli.fraction_text(bk_trace_and_integrality(b, k)[0])
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want
@@ -1064,11 +965,8 @@ def test_the_trace_is_exact_while_it_has_at_most_4300_digits(exponent):
 @pytest.mark.parametrize("fmt", [cli.TEXT, cli.STRUCTURED])
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["check", "--input", "PAIRS"],
-        ["repring", "--w-perp", "0,0,10000,0", "--v-perp", "0,0,0,0", "--element", "1"],
-    ],
-    ids=["check-trace-2^-3000", "repring-trace-2^10000"],
+    [["check", "--input", "PAIRS"]],
+    ids=["check-trace-2^-3000"],
 )
 def test_output_does_not_depend_on_the_int_digit_limit(tmp_path, argv, fmt):
     path = tmp_path / "pairs.json"
@@ -1237,8 +1135,8 @@ _DISPATCH_CORPUS = [
     ["check", "--input", "SCENARIO"],
     ["check", "--input", "SCENARIO", "--format", "xml"],
     _SWEEP + ["--jobs", "two"],
-    ["repring", "--rep", "1,0,0,0", "--element", "7"],
-    ["repring", "--rep", "1,0,0,0", "--element", "x"],
+    ["repring", "--rep", "1,0,0,0", "--element", "7"],  # a removed command
+    ["enumerate", "--template", "z3", "--sweep", "l=3..4,k=0..1"],
     ["check", "--inp", "SCENARIO"],
     ["check", "--he"],
     ["check", "--input=SCENARIO", "--format=structured"],
@@ -1250,7 +1148,7 @@ _DISPATCH_CORPUS = [
     ["check", "--input", "SCENARIO", "--"],
     ["--", "check", "--input", "SCENARIO"],
     ["check", "--input", "--", "SCENARIO"],
-    ["repring", "--rep", "1,0,0,0", "--", "--element", "2"],
+    _SWEEP + ["--", "--jobs", "2"],
     ["-x", "check", "--input", "SCENARIO"],
 ]
 

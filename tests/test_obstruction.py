@@ -27,7 +27,6 @@ from spinact.obstruction import (
     Hypothesis,
     check,
 )
-from spinact.rep_ring import bk_trace_and_integrality
 from spinact.templates import (
     NO_SMOOTH_STRUCTURE,
     klein_template,
@@ -35,6 +34,8 @@ from spinact.templates import (
     smooth_structure,
     z2_template,
 )
+
+from oracles import bk_trace_and_integrality
 
 
 def test_z2_headline_example():

@@ -32,10 +32,9 @@ from spinact.index_parity import ParityClass
 from spinact.isometry import InvariantSublattice, LatticeIsometry
 from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProfile
 from spinact.obstruction import Hypothesis, ObstructionReport
-from spinact.rep_ring import GaussianValue, VirtualRepZ4
 from spinact.templates import KleinShape
 
-from oracles import canonical_permutation
+from oracles import GaussianValue, VirtualRepZ4, canonical_permutation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE = IntegerLattice(((1,),))

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinact.rep_ring import (
+from oracles import (
     FixedVectorError,
     TRIVIAL,
     VirtualRepZ4,
     ZERO_REP,
     bk_trace_and_integrality,
     character_value,
-    decimal_text,
-    fraction_text,
     gaussian,
     lambda_minus_one_trace,
     line,
@@ -135,11 +133,3 @@ def test_gaussian_value_arithmetic():
     with pytest.raises(ZeroDivisionError):
         gaussian(1) / gaussian(0)
 
-
-@pytest.mark.parametrize(
-    "n",
-    [0, 7, -7, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(2**10000), 3**8000],
-)
-def test_decimal_text_is_str(n):
-    assert decimal_text(n) == str(n)
-    assert fraction_text(Fraction(1, n or 1)) == str(Fraction(1, n or 1))
