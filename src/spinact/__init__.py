@@ -1,6 +1,8 @@
 """Exact-arithmetic nonsmoothability certificates for involutions and
 Klein four-group actions on simply connected spin 4-manifolds."""
 
+from types import ModuleType as _ModuleType
+
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -57,4 +59,4 @@ from .templates import (
     z2_template,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _ModuleType)]

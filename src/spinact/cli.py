@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 
 from . import equivariant_sum as eq
 from . import obstruction as ob
@@ -49,11 +48,6 @@ SWEEP_BUDGET = 10**6
 # item 6).
 SUMMAND_BUDGET = 10**5
 BAREISS_BUDGET = 2 * 10**6
-TRACE_EXACT_EXPONENT = 14284  # 2^14284 has 4300 digits, the default int text limit
-# digits per chunk of decimal_text: below 640, the lowest int-to-str digit
-# limit the interpreter accepts (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits)
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
 
 
 def _load_scenario(path: str) -> eq.ActionScenario:
@@ -93,27 +87,6 @@ def _flag_int(text: str, flag: str) -> int:
         raise ValueError(f"{flag} value {text!r} is not an integer") from None
 
 
-def decimal_text(n: int) -> str:
-    """`str(n)`, converted in chunks so that it prints under any digit limit."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    if n < 0:
-        return "-" + decimal_text(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
-def fraction_text(x: Fraction) -> str:
-    """`str(x)` with both terms rendered by `decimal_text`."""
-    if x.denominator == 1:
-        return decimal_text(x.numerator)
-    return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
-
-
 def _components_text(components) -> str:
     return ", ".join(f"dim {d} x{c}" for d, c in components) or "empty"
 
@@ -122,11 +95,7 @@ def _trace_text(report: ob.ObstructionReport) -> str | None:
     """The trace 2^(b-k), or None when k is not an integer."""
     if report.k.denominator != 1:
         return None
-    e = report.b - report.k.numerator
-    if abs(e) > TRACE_EXACT_EXPONENT:
-        return f"2^{e}"
-    power = decimal_text(1 << abs(e))
-    return power if e >= 0 else f"1/{power}"
+    return f"2^{report.b - report.k.numerator}"
 
 
 def _parity_text(fs: eq.FixedSetData) -> str:
@@ -158,7 +127,7 @@ def _report_doc(s: eq.ActionScenario, report: ob.ObstructionReport) -> dict:
             for h in report.hypotheses
         ],
         "b": report.b,
-        "k": fraction_text(report.k),
+        "k": str(report.k),
         "trace": _trace_text(report),
         "verdict": report.verdict,
         "fixed_sets": [_fixed_set_doc(fs) for fs in report.elements],
@@ -189,9 +158,9 @@ def _render_report_text(s: eq.ActionScenario, report: ob.ObstructionReport) -> s
     # the index is reported only under the theorems' standing assumption
     # that the signature is nonpositive
     if report.signature <= 0 and report.index_twisted is not None:
-        lines.append(f"twisted index: {fraction_text(report.index_twisted)}")
+        lines.append(f"twisted index: {report.index_twisted}")
     lines.append(f"b_plus on fixed sublattice: {report.b}")
-    lines.append(f"lower bound k: {fraction_text(report.k)}")
+    lines.append(f"lower bound k: {report.k}")
     trace = _trace_text(report)
     if trace is not None:
         # a rational algebraic integer is an integer: 2^(b-k) is one iff b >= k
@@ -318,7 +287,7 @@ def run_enumerate(args, out) -> int:
             row.update(
                 {
                     "b": report.b,
-                    "k_bound": fraction_text(report.k),
+                    "k_bound": str(report.k),
                     "verdict": report.verdict,
                 }
             )
@@ -335,8 +304,7 @@ def run_enumerate(args, out) -> int:
     else:
         for params, report in results:
             cells = " ".join(f"{n}={v}" for n, v in zip(names, params))
-            bound = fraction_text(report.k)
-            line = f"{cells} b={report.b} k_bound={bound} verdict={report.verdict}"
+            line = f"{cells} b={report.b} k_bound={report.k} verdict={report.verdict}"
             if report.subgroup_hints:
                 line += " subgroups=" + ",".join(
                     f"{sub}:{hint}" for sub, hint in report.subgroup_hints

@@ -727,7 +727,7 @@ def parse_scenario(text: str) -> ActionScenario:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("document must be an object", "document")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioFormatError(
             f"unsupported schema_version {version!r}", "schema_version"
         )

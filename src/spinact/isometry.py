@@ -1,12 +1,14 @@
 """Integer isometries of lattices and their joint fixed sublattices.
 
 The fixed sublattice of a set of operators is the integer kernel of the
-stacked matrices (M - Id). Kernels of integer matrices are saturated, so
-the positive index of the restricted form equals the real-coefficient
-positive index the obstruction inequalities consume.
+stacked matrices (M - Id), which is saturated: the restricted form's
+determinant and parity need that, while its positive index is the same
+on any full-rank sublattice of the fixed space (Sylvester's law).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from ._mat import IntMatrix, freeze, identity, is_square, mat_mul, transpose, xgcd
 from ._record import frozen, set_field
@@ -195,8 +197,6 @@ def smith_invariant_factors(vectors) -> list[int]:
         changed = False
         for i in range(len(factors) - 1):
             if factors[i + 1] % factors[i] != 0:
-                from math import gcd
-
                 g = gcd(factors[i], factors[i + 1])
                 factors[i], factors[i + 1] = g, factors[i] * factors[i + 1] // g
                 changed = True
