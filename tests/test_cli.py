@@ -956,17 +956,35 @@ def test_the_trace_text_is_the_power_of_two_at_every_size(b, k):
         assert Fraction(2) ** (b - k) == bk_trace_and_integrality(b, k)[0]
 
 
-def test_output_does_not_depend_on_the_int_digit_limit(tmp_path):
-    # every golden command line, and a certificate whose trace is 2^-3000
-    path = tmp_path / "pairs.json"
-    path.write_text(json.dumps(_z2_pairs_doc("minus_e8", 3000)))
-    pairs = ["check", "--input", str(path)]
-    argvs = [*GOLDEN_CASES.values(), pairs, [*pairs, "--format", cli.STRUCTURED]]
+def _under_both_digit_limits(argvs) -> list[tuple[int, str]]:
+    """`_main_in_child` on `argvs` under the default digit limit, after
+    asserting that the lowest limit (640) gives the same results."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     default = _main_in_child(argvs, env)
     assert _main_in_child(argvs, dict(env, PYTHONINTMAXSTRDIGITS="640")) == default
     assert [status for status, _ in default] == [0] * len(argvs)
-    assert "trace 2^(b-k) = 2^-3000 (NOT an algebraic integer)\n" in default[-2][1]
+    return default
+
+
+@pytest.mark.parametrize("fmt", [cli.TEXT, cli.STRUCTURED])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--input", "PAIRS"]],
+    ids=["check-trace-2^-3000"],
+)
+def test_output_does_not_depend_on_the_int_digit_limit(tmp_path, argv, fmt):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(_z2_pairs_doc("minus_e8", 3000)))
+    argv = [str(path) if arg == "PAIRS" else arg for arg in argv] + ["--format", fmt]
+    [(_, output)] = _under_both_digit_limits([argv])
+    if fmt == cli.TEXT:
+        assert "trace 2^(b-k) = 2^-3000 (NOT an algebraic integer)\n" in output
+    else:
+        assert json.loads(output)["trace"] == "2^-3000"
+
+
+def test_golden_output_does_not_depend_on_the_int_digit_limit():
+    _under_both_digit_limits(list(GOLDEN_CASES.values()))
 
 
 def _count_calls(monkeypatch, fn):
