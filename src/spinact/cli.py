@@ -4,7 +4,7 @@ Exit status contract: 0 = ran to completion (either verdict), 2 = the
 input failed validation or a theorem hypothesis, 1 = internal error.
 Verdicts are never encoded in exit codes. Output is deterministic:
 identical input and flags give byte-identical output. `enumerate` accepts
-`--jobs` and evaluates its points serially at any value.
+a `--jobs` count and evaluates its points serially at any count.
 """
 
 from __future__ import annotations
@@ -77,14 +77,18 @@ def _word_weight(gram) -> int:
 
 
 def _flag_int(text: str, flag: str) -> int:
+    # an optional sign and ASCII digits, nothing else: int() would also take
+    # spaces, underscores and other scripts' digits
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{flag} value {text!r} is not an integer")
     try:
         return int(text)
     except ValueError:
-        # int() reports the digit limit before it looks at the other characters
+        # only the digit limit refuses such text; interpreters before 3.10.7
+        # have no limit and no get_int_max_str_digits, and never get here
         limit = sys.get_int_max_str_digits()
-        if 0 < limit < sum(map(str.isdecimal, text)):
-            raise ValueError(f"{flag} needs integers of at most {limit} digits") from None
-        raise ValueError(f"{flag} value {text!r} is not an integer") from None
+        raise ValueError(f"{flag} needs integers of at most {limit} digits") from None
 
 
 def _components_text(components) -> str:
@@ -262,6 +266,9 @@ def _sweep_work(template: str, r: dict[str, tuple[int, int]]) -> int:
 
 
 def run_enumerate(args, out) -> int:
+    # ASCII digits worth at least 1, though the points run serially at any count
+    if not (args.jobs.isascii() and args.jobs.isdigit() and args.jobs.strip("0")):
+        raise ValueError(f"--jobs value {args.jobs!r} is not a positive integer")
     sweep = _parse_sweep(args.sweep)
     names = tuple(TEMPLATE_SUMMANDS[args.template][1])
     if set(sweep) != set(names):
@@ -359,8 +366,9 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         required=True,
         help="ranges like l=3..9,k=0..3 (z2) or l1=3..4,l2=3..4,k=1..2 (klein)",
     )
-    # accepted so existing command lines keep working; points run serially
-    p_enum.add_argument("--jobs", type=int, default=1)
+    # accepted so existing command lines keep working; points run serially,
+    # so run_enumerate only checks that the value is a count
+    p_enum.add_argument("--jobs", default="1")
     for p in (p_check, p_inv, p_enum):
         p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
     return parser, {
@@ -378,22 +386,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The namespace the top-level parser gives `argv`, parsed once: that
-    parser would hand every string after a command name to the command's
-    parser, so such a line goes to that parser alone. The full parse runs
-    when the first string names no command, when a `--` appears (its
-    handling differs between argparse versions) or when strings are left
-    over, so help, usage and errors are the top-level parser's."""
+    """The namespace for `argv`, parsed once. A line whose first string
+    names a command goes to that command's parser alone, so its help,
+    usage and errors are the command's, `spinact check: error: ...` for
+    strings it leaves over among them. Every other line (no strings, a
+    help flag, an unknown command, a leading option or `--`) goes to the
+    top-level parser."""
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
-    if command is not None and "--" not in argv:
-        args, extras = command.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0])
-        )
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv=None, out=None) -> int:

@@ -207,8 +207,8 @@ class ValidScenario:
     the element moves to its image, and an id it fixes is absent, so
     `images.get(i, i)` is the image of any id. `overrides` merges the
     generators' sign overrides, `summands` maps ids to summands, and
-    `forms` maps each distinct _form_key to (form, signature profile,
-    evenness, number of summands)."""
+    `forms` maps each distinct _form_key to (signature profile, evenness,
+    number of summands)."""
 
     def __init__(self, scenario, table, overrides, summands, forms):
         set_field(self, "scenario", scenario)
@@ -232,7 +232,7 @@ class ValidScenario:
         its orthogonal summands."""
         b2 = signature = 0
         even = True
-        for _, p, form_even, count in self.forms.values():
+        for p, form_even, count in self.forms.values():
             b2 += count * p.rank
             signature += count * p.signature
             even = even and form_even
@@ -292,7 +292,7 @@ class ValidScenario:
         # third element fixes an orbit of two ids they move, or moves all four
         third = self.table[(self.table.keys() - elements).pop()][0] if rest else ()
         quarters = sum(
-            self.forms[_form_key(self.summands[i])][1].b_plus * (1 if i in third else 2)
+            self.forms[_form_key(self.summands[i])][0].b_plus * (1 if i in third else 2)
             for i in (first.keys() & rest[0].keys() if rest else first)
         )
         return quarters // 4
@@ -551,9 +551,9 @@ def require_valid(s: ActionScenario) -> ValidScenario:
     if violations:
         raise InvalidScenarioError(violations)
     parts["forms"] = {
-        key: (key, signature_profile(key), is_even(key), n)
+        key: (signature_profile(key), is_even(key), n)
         if isinstance(key, IntegerLattice)
-        else (*standard_facts(key), n)
+        else (*standard_facts(key)[1:], n)
         for key, n in parts["forms"].items()
     }
     return ValidScenario(s, **parts)

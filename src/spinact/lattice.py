@@ -69,10 +69,6 @@ def empty_lattice() -> IntegerLattice:
     return IntegerLattice(())
 
 
-def _hyperbolic_gram() -> IntMatrix:
-    return ((0, 1), (1, 0))
-
-
 def _minus_e8_gram() -> IntMatrix:
     g = [[0] * 8 for _ in range(8)]
     for i in range(8):
@@ -83,36 +79,32 @@ def _minus_e8_gram() -> IntMatrix:
 
 
 def make_standard(kind: str) -> IntegerLattice:
-    """One of the standard forms: hyperbolic/s2xs2, minus_e8, or k3.
-
-    k3 is the rank-22 direct sum of three hyperbolic planes and two copies
-    of the negative E8 form. Each form is built once per process and
-    shared; lattices are immutable, and s2xs2 is the hyperbolic object.
-    """
-    return _standard("hyperbolic" if kind == "s2xs2" else kind)
-
-
-@cache
-def _standard(kind: str) -> IntegerLattice:
-    if kind == "hyperbolic":
-        return IntegerLattice(_hyperbolic_gram())
-    if kind == "minus_e8":
-        return IntegerLattice(_minus_e8_gram())
-    if kind == "k3":
-        h, e = _standard("hyperbolic"), _standard("minus_e8")
-        return direct_sum_all([h, h, h, e, e])
-    raise ValueError(f"unknown standard lattice kind: {kind!r}")
+    """One of the standard forms: hyperbolic/s2xs2, minus_e8, or k3, as
+    `standard_facts` keeps it."""
+    return standard_facts(kind)[0]
 
 
 @cache
 def standard_facts(kind: str) -> tuple[IntegerLattice, SignatureProfile, bool]:
-    """(make_standard(kind), its signature_profile, is_even of it), computed
-    once per process.
+    """(lattice, signature_profile, is_even) of a standard form, computed
+    once per process and shared; lattices are immutable.
 
-    The key is a kind name, never a gram, so at most one entry per
-    standard form is kept; an unknown kind raises and caches nothing.
+    k3 is the rank-22 direct sum of three hyperbolic planes and two copies
+    of the negative E8 form, and s2xs2 is the hyperbolic entry itself. The
+    key is a kind name, never a gram, so at most four entries are kept;
+    an unknown kind raises and caches nothing.
     """
-    lat = make_standard(kind)
+    if kind == "s2xs2":
+        return standard_facts("hyperbolic")
+    if kind == "hyperbolic":
+        lat = IntegerLattice(((0, 1), (1, 0)))
+    elif kind == "minus_e8":
+        lat = IntegerLattice(_minus_e8_gram())
+    elif kind == "k3":
+        h, e = make_standard("hyperbolic"), make_standard("minus_e8")
+        lat = direct_sum_all([h, h, h, e, e])
+    else:
+        raise ValueError(f"unknown standard lattice kind: {kind!r}")
     return lat, signature_profile(lat), is_even(lat)
 
 

@@ -130,7 +130,7 @@ def check(s: ActionScenario) -> ObstructionReport:
     inv = v.totals()
     fixed_sets = tuple(map(v.fixed_set, v.table))
     # the total form is the orthogonal sum of the summand forms
-    unimodular = all(abs(p.determinant) == 1 for _, p, _, _ in v.forms.values())
+    unimodular = all(abs(p.determinant) == 1 for p, _, _ in v.forms.values())
     hypotheses = (
         _shared("intersection_form_even", inv.even, "total form is even (spin)"),
         _shared(

@@ -221,7 +221,7 @@ def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
         return None
     core = len(local1.keys() & local2.keys())
     chain1, chain2 = len(local1) - core, len(local2) - core
-    e8 = v.forms[MINUS_E8][3] if MINUS_E8 in v.forms else 0
+    e8 = v.forms[MINUS_E8][2] if MINUS_E8 in v.forms else 0
     # ids both generators move lie in orbits of four, so e8 is a multiple of 4
     free = len(v.table[GEN1][0].keys() & v.table[GEN2][0].keys())
     if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:

@@ -249,10 +249,15 @@ def test_validation_violation_exits_two(tmp_path):
             )
             for version, shown in (("1.0", "1.0"), ("true", "True"))
         ),
+        (
+            '{"schema_version": 1, "group": "Z2", "summands": [{"id": "s0", "kind": "s2xs2"}],'
+            ' "generator1": {"local": ["s0"]}}',
+            "error: malformed scenario: generator1: local must map ids to labels\n",
+        ),
     ],
     ids=["unknown-group", "deep-nesting", "z2-with-generator2", "overrides-not-a-map",
          "klein-without-generator2", "permutation-not-a-list", "schema-version-float",
-         "schema-version-bool"],
+         "schema-version-bool", "local-not-a-map"],
 )
 def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
     path = tmp_path / "broken.json"
@@ -893,13 +898,36 @@ def test_over_long_cli_numbers_exit_two_naming_the_flag(capsys, argv, flag):
     [
         (["enumerate", "--template", "z2", "--sweep", "l=x..3,k=0..0"],
          "--sweep 'l' value 'x' is not an integer"),
+        (["enumerate", "--template", "z2", "--sweep", "l=\u0663..3,k=0..0"],
+         "--sweep 'l' value '\u0663' is not an integer"),
+        (["enumerate", "--template", "z2", "--sweep", "l=3..3,k=0_0..0"],
+         "--sweep 'k' value '0_0' is not an integer"),
+        (["enumerate", "--template", "z2", "--sweep", "l= 3..3,k=0..0"],
+         "--sweep 'l' value ' 3' is not an integer"),
+        *(
+            (["enumerate", "--template", "z2", "--sweep", "l=3..3,k=0..0", "--jobs", jobs],
+             f"--jobs value {jobs!r} is not a positive integer")
+            for jobs in (" 0_0", "\u0663", "0", "00", "-1", "+1", "two")
+        ),
     ],
-    ids=["sweep"],
+    ids=["sweep", "sweep-arabic-indic-digit", "sweep-underscore", "sweep-space",
+         "jobs-space-underscore", "jobs-arabic-indic-digit",
+         "jobs-zero", "jobs-zeros", "jobs-negative", "jobs-plus-sign", "jobs-word"],
 )
 def test_cli_numbers_that_are_not_integers_exit_two_naming_the_flag(capsys, argv, message):
     status, output = run_main(argv)
     assert status == 2 and output == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_malformed_bound_exits_two_on_an_interpreter_without_a_digit_limit(
+    monkeypatch, capsys
+):
+    # as on Python 3.10.0-3.10.6, which lack the limit and its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    status, output = run_main(["enumerate", "--template", "z2", "--sweep", "l=x..3,k=0..0"])
+    assert status == 2 and output == ""
+    assert capsys.readouterr().err == "error: --sweep 'l' value 'x' is not an integer\n"
 
 
 def _z2_pairs_doc(kind: str, pairs: int) -> dict:
@@ -921,7 +949,7 @@ def _z2_pairs_doc(kind: str, pairs: int) -> dict:
     [("minus_e8", 14300, "nonsmoothable", "2^-14300"), ("s2xs2", 15000, "no_obstruction", "2^15000")],
     ids=["b0-k14300", "b15000-k0"],
 )
-def test_a_decided_certificate_prints_a_trace_past_4300_digits(
+def test_a_certificate_of_14300_or_15000_pairs_prints_its_trace_as_a_power(
     tmp_path, capsys, kind, pairs, verdict, trace
 ):
     path = tmp_path / "long.json"
@@ -1148,6 +1176,20 @@ _DISPATCH_CORPUS = [
 ]
 
 
+# the corpus lines whose command parser leaves strings over
+_LEFTOVER_LINES = [
+    ["check", "--input", "SCENARIO", "extra"],
+    ["check", "--input", "SCENARIO", "--bogus"],
+    ["check", "--input", "SCENARIO", "--"],
+    _SWEEP + ["--", "--jobs", "2"],
+]
+
+
+def _with_scenario(argv):
+    scenario = str(SCENARIOS / "z2_l3_k1.json")
+    return [arg.replace("SCENARIO", scenario) for arg in argv]
+
+
 def _run_main_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1163,13 +1205,46 @@ def _run_main_captured(argv):
 )
 def test_main_parses_like_the_top_level_parser(monkeypatch, argv):
     # main hands a command line that starts with a command name to that
-    # command's parser alone; stdout, stderr and the exit status must be
-    # those of the full top-level parse
-    scenario = str(SCENARIOS / "z2_l3_k1.json")
-    argv = [arg.replace("SCENARIO", scenario) for arg in argv]
-    fast = _run_main_captured(list(argv))
+    # command's parser alone; the exit status and stdout must be those of
+    # the full top-level parse, and so must stderr, except where that
+    # parser leaves strings over: there stderr is its own error
+    leftover = argv in _LEFTOVER_LINES
+    argv = _with_scenario(argv)
+    got = _run_main_captured(list(argv))
     monkeypatch.setattr(cli, "_parse_args", cli.build_parser().parse_args)
-    assert fast == _run_main_captured(list(argv))
+    out, err, status = _run_main_captured(list(argv))
+    if leftover:
+        command = cli._parsers()[1][argv[0]]
+        monkeypatch.setattr(cli, "_parse_args", lambda line: command.parse_args(line[1:]))
+        own_err = _run_main_captured(list(argv))[1]
+        assert own_err.startswith(f"usage: spinact {argv[0]} ") and own_err != err
+        err = own_err
+    assert got == (out, err, status)
+
+
+def test_a_named_command_never_reaches_the_top_level_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    parser, commands = cli._parsers()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    lines = [argv for argv in _DISPATCH_CORPUS if argv and argv[0] in commands]
+    assert len(lines) == 19
+    for argv in lines:
+        _run_main_captured(_with_scenario(argv))
+
+
+def test_strings_a_command_leaves_over_print_that_commands_error(capsys):
+    argv = _with_scenario(["check", "--input", "SCENARIO", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: spinact check [-h] --input INPUT [--format {text,structured}]\n"
+        "spinact check: error: unrecognized arguments: extra\n",
+    )
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch):
@@ -1188,7 +1263,7 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
         run_main(["check", "--format", "structured"])
     assert exc.value.code == 2
     assert "--input" in capsys.readouterr().err
-    # strings the command's parser leaves over go to the top-level parser
+    # strings the command's parser leaves over are that parser's error
     with pytest.raises(SystemExit) as exc:
         run_main(argv + ["extra"])
     assert exc.value.code == 2
