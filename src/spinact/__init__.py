@@ -42,14 +42,13 @@ from .equivariant_sum import (
     serialize_scenario,
     validate_scenario,
 )
-from .index_parity import (
-    ParityClass,
-    classify_parity,
+from .obstruction import (
+    ObstructionReport,
+    check,
     k_klein,
     k_odd,
     lefschetz_index,
 )
-from .obstruction import ObstructionReport, check
 from .templates import (
     klein_grid,
     klein_template,

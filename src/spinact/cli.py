@@ -103,7 +103,7 @@ def _trace_text(report: ob.ObstructionReport) -> str | None:
 
 
 def _parity_text(fs: eq.FixedSetData) -> str:
-    return fs.parity.value if fs.parity else "indeterminate"
+    return fs.parity or "indeterminate"
 
 
 def _fixed_set_doc(fs: eq.FixedSetData) -> dict:
@@ -423,7 +423,7 @@ def main(argv=None, out=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
 

@@ -26,7 +26,6 @@ from typing import Optional
 
 from ._mat import identity, mat_neg
 from ._record import frozen, set_field
-from .index_parity import ParityClass, classify_parity
 from .lattice import (
     IntegerLattice,
     MalformedLatticeError,
@@ -67,6 +66,10 @@ _LABEL_BITS = {
     ROTATE_BOTH: (1, 1),
 }
 _BITS_LABEL = {v: k for k, v in _LABEL_BITS.items()}
+
+# the parities of an involution, read from its fixed set (FixedSetData)
+ODD = "odd"
+EVEN = "even"
 
 GEN1 = "gen1"
 GEN2 = "gen2"
@@ -160,16 +163,18 @@ class FixedSetData:
 
     components holds (dimension, count) pairs, dimensions 0 and 2 only;
     counts are raw per-summand contributions (fixed-point connected sums
-    may merge 2-dimensional components, never isolated points). parity is
-    classify_parity of the components, None for an empty fixed set. n_plus
-    and n_minus are present exactly when every component is isolated.
+    may merge 2-dimensional components, never isolated points), each
+    positive. parity is ODD when a 2-dimensional component is present,
+    EVEN when only isolated points are, and None for an empty fixed set,
+    whose parity the dimensions cannot decide. n_plus and n_minus are
+    present exactly when every component is isolated.
     """
 
     def __init__(
         self,
         element: str,
         components: tuple[tuple[int, int], ...],
-        parity: Optional[ParityClass],
+        parity: Optional[str],
         n_plus: Optional[int] = None,
         n_minus: Optional[int] = None,
     ):
@@ -260,7 +265,7 @@ class ValidScenario:
             components = ((0, points), (2, two_dim)) if two_dim else ((0, points),)
         else:
             components = ((2, two_dim),) if two_dim else ()
-        parity = classify_parity(components)
+        parity = ODD if two_dim else EVEN if points else None
         if points and not two_dim:
             return FixedSetData(element, components, parity, n_plus, n_minus)
         return FixedSetData(element, components, parity)

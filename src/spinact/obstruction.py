@@ -17,21 +17,14 @@ from typing import Optional
 
 from ._record import frozen, set_field
 from .equivariant_sum import (
-    COMPOSITION,
+    EVEN,
     GEN1,
     GEN2,
+    ODD,
     ActionScenario,
     FixedSetData,
     Z2,
     require_valid,
-)
-from .index_parity import (
-    EVEN,
-    ODD,
-    ParityClass,
-    k_klein,
-    k_odd,
-    lefschetz_index,
 )
 from .templates import (
     SMOOTHABLE_BY_CONSTRUCTION,
@@ -96,22 +89,58 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
+def lefschetz_index(n_plus: int, n_minus: int) -> Fraction:
+    """Twisted Dirac index of an even involution with isolated fixed points."""
+    return Fraction(n_plus - n_minus, 2)
+
+
+def k_odd(signature: int) -> Fraction:
+    """Lower bound -signature/16 that a smooth odd involution forces on b_plus."""
+    return Fraction(-signature, 16)
+
+
+def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
+    """Lower bound -signature/32 + index/8 in the Klein four-group inequality.
+
+    The twisted index is taken for chosen lifts of the generators to the
+    spin structure. Negating one generator's lift negates the
+    composition's lift, and with it the index; both choices are lifts of
+    the same action, so a smooth action satisfies both inequalities. The
+    bound grows with the index, so callers pass its absolute value.
+    """
+    # one normalisation: (4n/d - signature)/32 with index n/d
+    n, d = index_twisted.numerator, index_twisted.denominator
+    return Fraction(4 * n - signature * d, 32 * d)
+
+
 # Records are immutable, so reports share each hypothesis whose text holds
 # no number of the scenario: one per name and truth value, and one per
-# parity hypothesis and parity class
+# parity hypothesis, parity and mixed flag
 _shared = functools.cache(Hypothesis)
 
 
+# keyed on these few values, never on a FixedSetData: fixed sets differ
+# per scenario, and the cache would grow with every scenario checked
 @functools.cache
 def _parity_hypothesis(
-    name: str, element: str, parity: Optional[ParityClass], want: str
+    name: str, element: str, parity: Optional[str], mixed: bool, want: str
 ) -> Hypothesis:
+    """Whether `element` has parity `want`; `mixed` when its fixed set has
+    both 2-dimensional components and isolated points."""
     if parity is None:
         return Hypothesis(name, False, f"{element} acts freely; parity indeterminate")
-    detail = f"{element} is {parity.value}"
-    if parity.mixed:
+    detail = f"{element} is {parity}"
+    if mixed:
         detail += " (mixed fixed-set dimensions; 2-dimensional clause applied)"
-    return Hypothesis(name, parity.value == want, detail)
+    return Hypothesis(name, parity == want, detail)
+
+
+_Z2_PARITIES = (("generator_odd", ODD),)
+_KLEIN_PARITIES = (
+    ("generator1_odd", ODD),
+    ("generator2_odd", ODD),
+    ("composition_even", EVEN),
+)
 
 
 # the same one-sided hint for every proper subgroup, by klein_admits
@@ -143,26 +172,22 @@ def check(s: ActionScenario) -> ObstructionReport:
         ),
         _shared("b1_zero", True, "summands are simply connected by construction"),
     )
+    z2 = s.group == Z2
+    hypotheses += tuple(
+        # a fixed set has two components exactly when both dimensions occur
+        _parity_hypothesis(name, fs.element, fs.parity, len(fs.components) == 2, want)
+        for (name, want), fs in zip(_Z2_PARITIES if z2 else _KLEIN_PARITIES, fixed_sets)
+    )
     index_twisted = None
-    if s.group == Z2:
+    if z2:
         theorem = Z2_THEOREM
-        hypotheses += (
-            _parity_hypothesis("generator_odd", GEN1, fixed_sets[0].parity, ODD),
-        )
         b = v.b_plus([GEN1])
         k = k_odd(inv.signature)
         hints = ()
     else:
         theorem = KLEIN_THEOREM
-        hypotheses += (
-            _parity_hypothesis("generator1_odd", GEN1, fixed_sets[0].parity, ODD),
-            _parity_hypothesis("generator2_odd", GEN2, fixed_sets[1].parity, ODD),
-            _parity_hypothesis(
-                "composition_even", COMPOSITION, fixed_sets[2].parity, EVEN
-            ),
-            # minus block permutations; validation rejects noncommuting ones
-            _shared("operators_commute", True, "induced operators commute"),
-        )
+        # minus block permutations; validation rejects noncommuting ones
+        hypotheses += (_shared("operators_commute", True, "induced operators commute"),)
         b = v.b_plus([GEN1, GEN2])
         comp_fs = fixed_sets[2]
         if comp_fs.n_plus is not None:
@@ -170,9 +195,7 @@ def check(s: ActionScenario) -> ObstructionReport:
         # both lift signs are admissible, so the larger bound applies
         k = k_klein(inv.signature, 0 if index_twisted is None else abs(index_twisted))
         shape = recognize_klein_template(v)
-        hints = _SUBGROUP_HINTS[
-            shape is not None and klein_admits(shape.l1, shape.l2, shape.k)
-        ]
+        hints = _SUBGROUP_HINTS[shape is not None and klein_admits(*shape)]
     # the inequality first: b < k in integers, the hypotheses a scan
     verdict = (
         NONSMOOTHABLE

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ._record import frozen, set_field
 from .equivariant_sum import (
     GEN1,
     GEN2,
@@ -193,22 +192,15 @@ def klein_admits(l1: int, l2: int, k: int) -> bool:
     return l1 >= 3 * k and l2 >= 3 * k
 
 
-@frozen
-class KleinShape:
-    def __init__(self, l1: int, l2: int, k: int):
-        set_field(self, "l1", l1)
-        set_field(self, "l2", l2)
-        set_field(self, "k", k)
-
-
-def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
+def recognize_klein_template(v: ValidScenario) -> tuple[int, int, int] | None:
     """Match a validated scenario against the Klein family shape, up to
     summand names.
 
-    Returns the parameters when the scenario is (a relabelling of) the
-    template: one jointly rotated core, one chain per generator swapped
-    pairwise by the other, and negative-E8 summands in free four-element
-    orbits split evenly by both generators. Anything else returns None.
+    Returns the parameters (l1, l2, k) when the scenario is (a
+    relabelling of) the template: one jointly rotated core, one chain per
+    generator swapped pairwise by the other, and negative-E8 summands in
+    free four-element orbits split evenly by both generators. Anything
+    else returns None.
     Validation puts labels exactly on the fixed spheres and every other
     summand in free orbits, so the labels and the ids each generator
     moves (the keys of its images in `v.table`) decide it.
@@ -226,4 +218,4 @@ def recognize_klein_template(v: ValidScenario) -> KleinShape | None:
     free = len(v.table[GEN1][0].keys() & v.table[GEN2][0].keys())
     if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:
         return None
-    return KleinShape(chain1 // 2, chain2 // 2, e8 // 4)
+    return chain1 // 2, chain2 // 2, e8 // 4

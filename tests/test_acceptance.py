@@ -70,9 +70,9 @@ def test_criterion_2_klein_reproduction():
     assert report.all_hypotheses_pass
     fs1, fs2, fsc = report.elements
     assert (fs1.element, fs2.element, fsc.element) == (GEN1, GEN2, COMPOSITION)
-    assert fs1.parity.value == "odd" and fs1.components[0][0] == 2
-    assert fs2.parity.value == "odd" and fs2.components[0][0] == 2
-    assert fsc.parity.value == "even"
+    assert fs1.parity == "odd" and fs1.components[0][0] == 2
+    assert fs2.parity == "odd" and fs2.components[0][0] == 2
+    assert fsc.parity == "even"
     assert fsc.components == ((0, 4),)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinact import cli
+from spinact import cli, obstruction
 from spinact.equivariant_sum import (
     COMPOSITION,
     GEN1,
@@ -724,6 +724,17 @@ def test_the_removed_repring_command_is_an_invalid_choice(capsys):
     assert err.startswith("usage: spinact ")
     assert "error: argument command: invalid choice: 'repring'" in err
     assert "Traceback" not in err
+
+
+def test_an_internal_error_exits_one(monkeypatch, capsys):
+    def broken(s):
+        raise RuntimeError("checker broke")
+
+    monkeypatch.setattr(obstruction, "check", broken)
+    assert cli.main(["check", "--input", str(SCENARIOS / "z2_l3_k1.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: checker broke\n"
 
 
 def test_console_entry_point_runs():

@@ -104,6 +104,12 @@ def test_identity_label_on_generator_rejected():
     assert "trivial_generator_label" in codes
 
 
+def test_a_klein_scenario_without_generator2_is_missing_gen2():
+    s = ActionScenario("Z2xZ2", (Summand("s0", "s2xs2"),), single_sphere(ROTATE_FIRST).gen1)
+    expected = [Violation("missing_gen2", "Z2xZ2 scenario needs generator2")]
+    assert validate_scenario(s) == expected == validate_scenario_reference(s)[0]
+
+
 def test_missing_label_rejected():
     s = ActionScenario("Z2", (Summand("s0", "s2xs2"),), GeneratorAction((), {}))
     assert [v.code for v in validate_scenario(s)] == ["missing_label"]

@@ -1,40 +1,90 @@
+"""Parity of an involution, as ValidScenario.fixed_set reads it from the
+fixed set, and the Dirac index bounds of the obstruction checker."""
+
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinact.index_parity import (
-    EVEN,
-    ODD,
-    classify_parity,
+from spinact import (
+    ActionScenario,
+    GeneratorAction,
+    Summand,
+    check,
     k_klein,
     k_odd,
     lefschetz_index,
+    require_valid,
+)
+from spinact.equivariant_sum import (
+    EVEN,
+    GEN1,
+    ODD,
+    ROTATE_BOTH,
+    ROTATE_FIRST,
+    ROTATE_SECOND,
+    S2XS2,
+    Z2,
+    Z2XZ2,
 )
 
 
+def _involution(*labels) -> ActionScenario:
+    """A Z2 scenario fixing one sphere product per label and swapping one
+    more pair."""
+    ids = [f"s{i}" for i in range(len(labels) + 2)]
+    return ActionScenario(
+        Z2,
+        tuple(Summand(i, S2XS2) for i in ids),
+        GeneratorAction(((ids[-2], ids[-1]),), dict(zip(ids, labels))),
+    )
+
+
+def _fixed_set(*labels):
+    return require_valid(_involution(*labels)).fixed_set(GEN1)
+
+
 def test_two_dimensional_component_means_odd():
-    assert classify_parity(((2, 2),)).value == ODD
+    fs = _fixed_set(ROTATE_FIRST)
+    assert (fs.components, fs.parity) == (((2, 2),), ODD)
 
 
 def test_isolated_points_mean_even():
-    assert classify_parity(((0, 4),)).value == EVEN
+    fs = _fixed_set(ROTATE_BOTH)
+    assert (fs.components, fs.parity) == (((0, 4),), EVEN)
 
 
 def test_empty_fixed_set_is_indeterminate():
-    assert classify_parity(()) is None
-    assert classify_parity(((2, 0),)) is None
+    assert _fixed_set().parity is None
+    # one free orbit of four: no element of the group fixes a point
+    spheres = tuple(Summand(f"s{i}", S2XS2) for i in range(4))
+    s = ActionScenario(
+        Z2XZ2,
+        spheres,
+        GeneratorAction((("s0", "s1"), ("s2", "s3"))),
+        GeneratorAction((("s0", "s2"), ("s1", "s3"))),
+    )
+    valid = require_valid(s)
+    assert [valid.fixed_set(e).parity for e in valid.table] == [None, None, None]
 
 
 def test_mixed_dimensions_warns_but_reports_odd():
-    p = classify_parity(((0, 4), (2, 2)))
-    assert p.value == ODD and p.mixed
+    fs = _fixed_set(ROTATE_FIRST, ROTATE_BOTH)
+    assert (fs.components, fs.parity) == (((0, 4), (2, 2)), ODD)
+    (hypothesis,) = (
+        h for h in check(_involution(ROTATE_FIRST, ROTATE_BOTH)).hypotheses
+        if h.name == "generator_odd"
+    )
+    assert hypothesis.passed
+    assert hypothesis.detail == (
+        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)"
+    )
 
 
-@given(st.permutations([(2, 2), (0, 4), (2, 6)]))
-def test_parity_ignores_component_order(components):
-    p = classify_parity(components)
-    assert p.value == ODD and p.mixed
+@given(st.permutations([ROTATE_SECOND, ROTATE_BOTH, ROTATE_FIRST, ROTATE_FIRST]))
+def test_parity_ignores_component_order(labels):
+    fs = _fixed_set(*labels)
+    assert (fs.components, fs.parity) == (((0, 4), (2, 6)), ODD)
 
 
 def test_lefschetz_examples():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinact.equivariant_sum import (
     S2XS2,
@@ -16,7 +18,7 @@ from spinact.equivariant_sum import (
     scenario_lattice,
     validate_scenario,
 )
-from spinact.index_parity import k_klein
+from spinact import k_klein
 from spinact.lattice import IntegerLattice, is_even, signature_profile
 from spinact import obstruction
 from spinact.obstruction import (
@@ -29,6 +31,7 @@ from spinact.obstruction import (
 )
 from spinact.templates import (
     NO_SMOOTH_STRUCTURE,
+    klein_grid,
     klein_template,
     recognize_klein_template,
     smooth_structure,
@@ -134,7 +137,7 @@ def test_klein_headline_example():
     assert report.verdict == NONSMOOTHABLE
     assert report.all_hypotheses_pass
     assert report.index_twisted == 0
-    parities = {fs.element: fs.parity.value for fs in report.elements}
+    parities = {fs.element: fs.parity for fs in report.elements}
     assert parities == {"gen1": "odd", "gen2": "odd", "composition": "even"}
 
 
@@ -228,6 +231,67 @@ def test_subgroup_hint_never_claims_off_template():
     t = klein_template(3, 3, 1)
     local2 = {**t.gen2.local, "core": ROTATE_BOTH}
     s = ActionScenario(t.group, t.summands, t.gen1, GeneratorAction(t.gen2.permutation, local2))
+    assert validate_scenario(s) == []
+    assert recognize_klein_template(require_valid(s)) is None
+    assert check(s).subgroup_hints == tuple((sub, UNKNOWN) for sub in ("gen1", "gen2", "diagonal"))
+
+
+_KLEIN_CORNER = klein_grid(6, 6, 3)
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_recognizer_reads_the_parameters_of_a_renamed_shuffled_template(l1, l2, k, rnd):
+    # fresh ids in a random order, summands, pairs and pair members shuffled
+    s = _KLEIN_CORNER(l1, l2, k)
+    ids = [sm.id for sm in s.summands]
+    name = dict(zip(ids, rnd.sample([f"m{i}" for i in range(len(ids))], len(ids))))
+
+    def renamed(gen):
+        pairs = [rnd.sample((name[a], name[b]), 2) for a, b in gen.permutation]
+        rnd.shuffle(pairs)
+        local = {name[i]: label for i, label in gen.local.items()}
+        return GeneratorAction(tuple(map(tuple, pairs)), local)
+
+    summands = [Summand(name[sm.id], sm.kind) for sm in s.summands]
+    rnd.shuffle(summands)
+    t = ActionScenario(s.group, tuple(summands), renamed(s.gen1), renamed(s.gen2))
+    assert recognize_klein_template(require_valid(t)) == (l1, l2, k)
+
+
+def _with_free_orbit(s: ActionScenario, kind: str) -> ActionScenario:
+    """`s` with one more free orbit of four `kind` summands."""
+    summands = s.summands + tuple(Summand(f"f{i}", kind) for i in range(4))
+    return ActionScenario(
+        s.group,
+        summands,
+        GeneratorAction(s.gen1.permutation + (("f0", "f1"), ("f2", "f3")), s.gen1.local),
+        GeneratorAction(s.gen2.permutation + (("f0", "f2"), ("f1", "f3")), s.gen2.local),
+    )
+
+
+def _chain1_rotating_second(s: ActionScenario) -> ActionScenario:
+    """`s` with gen1 rotating the second factor on its chain, not the first."""
+    local1 = {i: ROTATE_SECOND for i in s.gen1.local} | {"core": ROTATE_FIRST}
+    return ActionScenario(
+        s.group, s.summands, GeneratorAction(s.gen1.permutation, local1), s.gen2
+    )
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        _with_free_orbit(klein_template(3, 3, 1), S2XS2),
+        _with_free_orbit(klein_template(3, 3, 1), "k3"),
+        _chain1_rotating_second(klein_template(3, 3, 1)),
+    ],
+    ids=["free-s2xs2-orbit", "free-k3-orbit", "chain1-rotates-second"],
+)
+def test_recognizer_rejects_a_valid_near_miss(s):
     assert validate_scenario(s) == []
     assert recognize_klein_template(require_valid(s)) is None
     assert check(s).subgroup_hints == tuple((sub, UNKNOWN) for sub in ("gen1", "gen2", "diagonal"))

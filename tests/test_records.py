@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from spinact._record import frozen, set_field
 from spinact.equivariant_sum import (
     ActionScenario,
     FixedSetData,
@@ -28,11 +29,9 @@ from spinact.equivariant_sum import (
     TotalInvariants,
     Violation,
 )
-from spinact.index_parity import ParityClass
 from spinact.isometry import InvariantSublattice, LatticeIsometry
 from spinact.lattice import IntegerLattice, MalformedLatticeError, SignatureProfile
 from spinact.obstruction import Hypothesis, ObstructionReport
-from spinact.templates import KleinShape
 
 from oracles import GaussianValue, VirtualRepZ4, canonical_permutation
 
@@ -45,7 +44,6 @@ RECORDS = [
     (SignatureProfile, (1, 1, 0, -1), ("b_plus", "b_minus", "b_zero", "determinant")),
     (LatticeIsometry, (ONE, ((1,),)), ("lattice", "matrix")),
     (InvariantSublattice, (((1,),), ONE), ("basis", "restricted_gram")),
-    (ParityClass, ("odd", True), ("value", "mixed")),
     (GaussianValue, (Fraction(1, 2), Fraction(3)), ("re", "im")),
     (VirtualRepZ4, ((1, 0, -2, 0),), ("mult",)),
     (Violation, ("code", "message", "s1"), ("code", "message", "subject")),
@@ -62,7 +60,7 @@ RECORDS = [
     ),
     (
         FixedSetData,
-        ("gen1", ((0, 4),), ParityClass("even"), 2, 2),
+        ("gen1", ((0, 4),), "even", 2, 2),
         ("element", "components", "parity", "n_plus", "n_minus"),
     ),
     (TotalInvariants, (22, -16, True), ("b2", "signature", "even")),
@@ -96,7 +94,6 @@ RECORDS = [
             "smooth_structure",
         ),
     ),
-    (KleinShape, (3, 3, 1), ("l1", "l2", "k")),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -155,15 +152,22 @@ def test_records_survive_copy_and_pickle(cls, values, names):
 
 
 def test_records_of_different_classes_never_compare_equal():
-    assert KleinShape(1, 2, 3) != TotalInvariants(1, 2, 3)
-    assert TotalInvariants(1, 2, 3) != KleinShape(1, 2, 3)
+    @frozen
+    class Triple:
+        def __init__(self, a, b, c):
+            set_field(self, "a", a)
+            set_field(self, "b", b)
+            set_field(self, "c", c)
+
+    assert Triple(1, 2, 3) != TotalInvariants(1, 2, 3)
+    assert TotalInvariants(1, 2, 3) != Triple(1, 2, 3)
     assert FixedSetData("gen1", (), None) != Violation("gen1", ())
 
-    class Shape(KleinShape):
+    class Shape(Triple):
         pass
 
-    assert Shape(1, 2, 3) != KleinShape(1, 2, 3)
-    assert KleinShape(1, 2, 3) != Shape(1, 2, 3)
+    assert Shape(1, 2, 3) != Triple(1, 2, 3)
+    assert Triple(1, 2, 3) != Shape(1, 2, 3)
     assert Shape(1, 2, 3) == Shape(1, 2, 3)
 
 
@@ -176,7 +180,6 @@ def test_hash_of_a_record_holding_a_dict_raises():
 
 def test_defaults():
     assert Hypothesis("spin", True).detail == ""
-    assert ParityClass("even").mixed is False
     assert Violation("code", "message").subject is None
     assert Summand("a", "k3").custom_form is None
     assert FixedSetData("gen1", (), None).n_plus is None

@@ -1,3 +1,7 @@
+"""The representation ring of the order-4 cyclic group, as the test oracle
+in `tests/oracles.py` implements it: characters, alternating
+exterior-power and tom Dieck traces in exact Gaussian rationals."""
+
 from fractions import Fraction
 
 import pytest
