@@ -11,8 +11,8 @@ cohomological and fixed-set consequences are.
 
 require_valid validates a scenario once and returns a ValidScenario,
 whose methods read each derived fact (totals, an element's fixed set and
-parity, the twisted b_plus) from the orbit structure that one pass
-found. The checkers and the CLI call it once per scenario.
+parity, the twisted b_plus) from the multiset of orbit types that one
+pass found. The checkers and the CLI call it once per scenario.
 """
 
 from __future__ import annotations
@@ -75,6 +75,12 @@ GEN1 = "gen1"
 GEN2 = "gen2"
 COMPOSITION = "composition"
 IDENTITY_ELEMENT = "identity"
+
+# an element's place in group order, and so in the labels of an orbit type
+_SLOT = {GEN1: 0, GEN2: 1, COMPOSITION: 2}
+# what an orbit type holds for an element that moves its ids; a string, so
+# the labels of two types compare
+MOVED = "moved"
 
 
 class ScenarioFormatError(ValueError):
@@ -161,10 +167,11 @@ class ActionScenario:
 class FixedSetData:
     """Aggregated fixed-set contributions of one group element.
 
-    components holds (dimension, count) pairs, dimensions 0 and 2 only;
-    counts are raw per-summand contributions (fixed-point connected sums
-    may merge 2-dimensional components, never isolated points), each
-    positive. parity is ODD when a 2-dimensional component is present,
+    components holds (dimension, count) pairs, dimensions 0 and 2 only,
+    each count positive. The counts are summed over the pieces the element
+    fixes; they are not the fixed set of the connected sum, whose necks at
+    fixed points merge fixed spheres or remove isolated points (ROADMAP
+    item 15(a)). parity is ODD when a 2-dimensional component is present,
     EVEN when only isolated points are, and None for an empty fixed set,
     whose parity the dimensions cannot decide. n_plus and n_minus are
     present exactly when every component is isolated.
@@ -199,9 +206,14 @@ def compose_labels(a: str, b: str) -> str:
     return _BITS_LABEL[((x1 + x2) % 2, (y1 + y2) % 2)]
 
 
-def _form_key(sm: Summand):
-    """The kind of a standard summand, the lattice of a custom one."""
-    return sm.custom_form if sm.kind == CUSTOM else sm.kind
+def _type_key(item):
+    """The total order of (orbit type, count) pairs: labels, then a standard
+    form by kind before a custom one by gram, then the split, none first.
+    It never compares None with a tuple, or one lattice with another."""
+    labels, form, split = item[0]
+    if isinstance(form, IntegerLattice):
+        return labels, 1, form.gram, split or ()
+    return labels, 0, form, split or ()
 
 
 @frozen
@@ -210,16 +222,20 @@ class ValidScenario:
     only require_valid builds it. `table` maps each non-identity element,
     in group order, to its (images, local labels): `images` maps each id
     the element moves to its image, and an id it fixes is absent, so
-    `images.get(i, i)` is the image of any id. `overrides` merges the
-    generators' sign overrides, `summands` maps ids to summands, and
-    `forms` maps each distinct _form_key to (signature profile, evenness,
-    number of summands)."""
+    `images.get(i, i)` is the image of any id. `orbit_types` is the
+    multiset of the ids' orbit types, (type, count) pairs in _type_key
+    order, equal for scenarios that differ only in their ids and their
+    order. The type of an id is (labels, form, split): its label under each
+    non-identity element in group order, MOVED where the element moves it
+    (its stabiliser is the identity and the elements that label it); the
+    kind of a standard summand or the lattice of a custom one; and its
+    merged sign override (n_plus, n_minus), or None. `forms` maps each
+    distinct form to (signature profile, evenness)."""
 
-    def __init__(self, scenario, table, overrides, summands, forms):
+    def __init__(self, scenario, table, orbit_types, forms):
         set_field(self, "scenario", scenario)
         set_field(self, "table", table)
-        set_field(self, "overrides", overrides)
-        set_field(self, "summands", summands)
+        set_field(self, "orbit_types", orbit_types)
         set_field(self, "forms", forms)
 
     def action(self, element: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -232,16 +248,24 @@ class ValidScenario:
                 f"{self.scenario.group} scenario"
             ) from None
 
+    def _slot(self, element: str) -> int:
+        """The place of a non-identity element's label in an orbit type."""
+        if element not in self.table:
+            self.action(element)  # raises ValueError naming the element
+        return _SLOT[element]
+
     def totals(self) -> TotalInvariants:
         """Rank, signature and evenness of the connected sum, which add over
         its orthogonal summands."""
-        b2 = signature = 0
+        plus = minus = zero = 0
         even = True
-        for p, form_even, count in self.forms.values():
-            b2 += count * p.rank
-            signature += count * p.signature
+        for (_, form, _), n in self.orbit_types:
+            p, form_even = self.forms[form]
+            plus += n * p.b_plus
+            minus += n * p.b_minus
+            zero += n * p.b_zero
             even = even and form_even
-        return TotalInvariants(b2, signature, even)
+        return TotalInvariants(plus + minus + zero, plus - minus, even)
 
     def fixed_set(self, element: str) -> FixedSetData:
         """Fixed-set contributions and parity of a non-identity element,
@@ -249,18 +273,19 @@ class ValidScenario:
 
         rotate_first / rotate_second contribute two 2-dimensional components
         each; rotate_both contributes four isolated points split evenly into
-        positive and negative unless the scenario overrides the split.
+        positive and negative unless the id's orbit type carries a split.
         """
-        local = self.action(element)[1]
-        labels = list(local.values())
-        two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
-        points = 4 * labels.count(ROTATE_BOTH)
-        # two positive and two negative points per sphere unless overridden
-        n_plus = n_minus = points // 2
-        for i, (np_, nm) in self.overrides.items():
-            if local.get(i) == ROTATE_BOTH:
-                n_plus += np_ - 2
-                n_minus += nm - 2
+        slot = self._slot(element)
+        two_dim = points = n_plus = n_minus = 0
+        for (labels, _, split), n in self.orbit_types:
+            label = labels[slot]
+            if label == ROTATE_BOTH:
+                points += 4 * n
+                np_, nm = split or (2, 2)
+                n_plus += n * np_
+                n_minus += n * nm
+            elif label != MOVED:
+                two_dim += 2 * n
         if points:
             components = ((0, points), (2, two_dim)) if two_dim else ((0, points),)
         else:
@@ -273,7 +298,7 @@ class ValidScenario:
     def b_plus(self, elements) -> int:
         """Positive index of the form on the joint fixed sublattice of the
         sign-twisted operators of the non-identity `elements`, read from the
-        summand orbits of the subgroup H they generate.
+        orbit types and the subgroup H they generate.
 
         Each twisted operator is minus a block permutation, so a jointly fixed
         vector transforms under H by a sign character that is -1 on every given
@@ -282,24 +307,26 @@ class ValidScenario:
         Otherwise the elements of sign -1 are exactly the given ones, and an
         orbit of H carries one copy of its summand form (scaled by the orbit
         size) when none of them fixes its summands, and nothing otherwise; so
-        each id of such an orbit adds b_plus of its form over the orbit size.
-        Equals b_plus_invariant of the induced_cohomology_action operators,
-        without building them.
+        each id of a type that no given element labels adds b_plus of its form
+        over the size of its orbit under H. Equals b_plus_invariant of the
+        induced_cohomology_action operators, without building them.
         """
         elements = set(elements)
         if not elements:
             raise ValueError("need one or more non-identity group elements")
-        # action raises for any element outside the table
-        first, *rest = (self.action(e)[0] for e in elements)
-        if len(rest) == 2:
+        slots = [self._slot(e) for e in elements]
+        if len(slots) == 3:
             return 0  # no sign character is -1 on all three
-        # one element has orbits of two ids; two generate the group, and the
-        # third element fixes an orbit of two ids they move, or moves all four
-        third = self.table[(self.table.keys() - elements).pop()][0] if rest else ()
-        quarters = sum(
-            self.forms[_form_key(self.summands[i])][0].b_plus * (1 if i in third else 2)
-            for i in (first.keys() & rest[0].keys() if rest else first)
-        )
+        # one element or two, which generate the group
+        j, k = slots[0], slots[-1]
+        quarters = 0
+        for (labels, form, _), n in self.orbit_types:
+            if labels[j] == labels[k] == MOVED:
+                # 4 over the id's orbit size under H, |H| over its stabiliser
+                # in H: 2 over 1 for one element; for two, H is the group and
+                # the stabiliser the identity and the elements labelling it
+                weight = 2 if j == k else 4 - labels.count(MOVED)
+                quarters += n * self.forms[form][0].b_plus * weight
         return quarters // 4
 
 
@@ -307,21 +334,19 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     """Check scenario invariants; an empty list means the scenario is valid.
 
     A stage with violations ends the pass. A `parts` dict passed in
-    receives the other ValidScenario fields, complete when the list is empty.
+    receives the other ValidScenario fields when the list is empty.
     """
     v: list[Violation] = []
     by_id = {}
     counts: dict = {}
-    # the ids of the summands with no local involution data, in order
-    others = []
+    custom = False
     for sm in s.summands:
         if sm.id in by_id:
             v.append(Violation("duplicate_id", f"duplicate summand id {sm.id!r}", sm.id))
         by_id[sm.id] = sm
         kind = sm.kind
-        if kind != S2XS2:
-            others.append(sm.id)
         if kind == CUSTOM:
+            custom = True
             if sm.custom_form is None:
                 v.append(
                     Violation("missing_gram", f"custom summand {sm.id!r} has no form", sm.id)
@@ -344,6 +369,8 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         return v
 
     table = {}
+    # whether every id is moved or labelled by each generator
+    covered = True
     spheres = counts.get(S2XS2, 0)
     gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
     for name, gen in gens:
@@ -437,12 +464,15 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 for i in by_id
                 if i not in images and i not in local and by_id[i].kind == S2XS2
             ]
+        covered = covered and len(images) + len(local) == len(by_id)
     if v:
         return v
 
+    # the labels of each jointly fixed id
+    joint = []
     if s.group == Z2XZ2:
         # one pass: commutation, the jointly fixed and the identically
-        # swapped summands, and the composition's action
+        # swapped summands, and the composition's action and labels
         (m1, local1), (m2, local2) = table[GEN1], table[GEN2]
         comp, comp_local = {}, {}
         for i in by_id:
@@ -478,14 +508,19 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                         i,
                     )
                 )
-            comp_local[i] = compose_labels(label1, label2)
+            label = comp_local[i] = compose_labels(label1, label2)
+            joint.append((label1, label2, label))
         if v:
             return v
         table[COMPOSITION] = comp, comp_local
 
     # every non-spherical summand must sit in a free orbit of every
-    # non-identity element (no local involution data exists for them)
-    if others:
+    # non-identity element (no local involution data exists for them).
+    # Labels sit on exactly the fixed spheres by now, so a generator fixes
+    # a non-sphere just when it leaves an id neither moved nor labelled;
+    # the composition fixes only ids that both generators fix
+    if not covered:
+        others = [i for i, sm in by_id.items() if sm.kind != S2XS2]
         for element, (images, _) in table.items():
             v += [
                 Violation(
@@ -540,10 +575,42 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     i,
                 )
             )
-    if parts is not None:
-        parts.update(
-            table=table, overrides=merged, summands=by_id, forms=counts
-        )
+    if parts is not None and not v:
+        # the fixed ids are the labelled spheres: the jointly fixed ones, and
+        # per label those one generator alone fixes, which its labels less
+        # theirs count; every element moves every other id
+        types: dict = {}
+        for labels in joint:
+            key = labels, S2XS2, None
+            types[key] = types.get(key, 0) + 1
+        moved = (MOVED,) * len(table)
+        for slot, (_, gen) in enumerate(gens):
+            gen_labels = list(gen.local.values())
+            for both in joint:
+                gen_labels.remove(both[slot])
+            for label in set(gen_labels):
+                alone = moved[:slot] + (label,) + moved[slot + 1 :]
+                types[alone, S2XS2, None] = gen_labels.count(label)
+        fixed = sum(types.values())
+        for form, n in counts.items():
+            if form == S2XS2:
+                n -= fixed
+            if n:
+                types[moved, form, None] = n
+        # an overridden id, a fixed sphere, moves to its split's type
+        for i, split in merged.items():
+            labels = tuple(local.get(i, MOVED) for _, local in table.values())
+            key = labels, S2XS2, None
+            types[key] -= 1
+            if not types[key]:
+                del types[key]
+            key = labels, S2XS2, split
+            types[key] = types.get(key, 0) + 1
+        # without custom forms or splits the types compare as they are, in
+        # the order of _type_key
+        order = _type_key if custom or merged else None
+        orbit_types = tuple(sorted(types.items(), key=order))
+        parts.update(table=table, orbit_types=orbit_types, forms=counts)
     return v
 
 
@@ -556,10 +623,10 @@ def require_valid(s: ActionScenario) -> ValidScenario:
     if violations:
         raise InvalidScenarioError(violations)
     parts["forms"] = {
-        key: (signature_profile(key), is_even(key), n)
+        key: (signature_profile(key), is_even(key))
         if isinstance(key, IntegerLattice)
-        else (*standard_facts(key)[1:], n)
-        for key, n in parts["forms"].items()
+        else standard_facts(key)[1:]
+        for key in parts["forms"]
     }
     return ValidScenario(s, **parts)
 

@@ -3,8 +3,8 @@
 A certificate compares the positive index b of the restricted form on the
 fixed sublattice against the index-theoretic lower bound k; b < k under
 the stated hypotheses contradicts the existence of any smooth structure
-making the action smooth. Every number in it is read from the group's
-orbits on the summands, after a single validation of the scenario.
+making the action smooth. Every number in it is read from the scenario's
+orbit types, after a single validation of the scenario.
 Hypothesis failures are reported as data, not exceptions, so a user
 exploring scenarios can see which hypothesis broke.
 """
@@ -159,7 +159,7 @@ def check(s: ActionScenario) -> ObstructionReport:
     inv = v.totals()
     fixed_sets = tuple(map(v.fixed_set, v.table))
     # the total form is the orthogonal sum of the summand forms
-    unimodular = all(abs(p.determinant) == 1 for p, _, _ in v.forms.values())
+    unimodular = all(abs(p.determinant) == 1 for p, _ in v.forms.values())
     hypotheses = (
         _shared("intersection_form_even", inv.even, "total form is even (spin)"),
         _shared(

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .equivariant_sum import (
-    GEN1,
-    GEN2,
+    MOVED,
     ActionScenario,
     GeneratorAction,
+    ROTATE_BOTH,
     ROTATE_FIRST,
     ROTATE_SECOND,
     S2XS2,
@@ -192,6 +192,16 @@ def klein_admits(l1: int, l2: int, k: int) -> bool:
     return l1 >= 3 * k and l2 >= 3 * k
 
 
+# the labels and form of each orbit type of a Klein template point: the
+# core, a sphere of the first chain, one of the second, and a free -E8
+_KLEIN_SHAPE = (
+    ((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), S2XS2),
+    ((ROTATE_FIRST, MOVED, MOVED), S2XS2),
+    ((MOVED, ROTATE_SECOND, MOVED), S2XS2),
+    ((MOVED, MOVED, MOVED), MINUS_E8),
+)
+
+
 def recognize_klein_template(v: ValidScenario) -> tuple[int, int, int] | None:
     """Match a validated scenario against the Klein family shape, up to
     summand names.
@@ -200,22 +210,16 @@ def recognize_klein_template(v: ValidScenario) -> tuple[int, int, int] | None:
     relabelling of) the template: one jointly rotated core, one chain per
     generator swapped pairwise by the other, and negative-E8 summands in
     free four-element orbits split evenly by both generators. Anything
-    else returns None.
-    Validation puts labels exactly on the fixed spheres and every other
-    summand in free orbits, so the labels and the ids each generator
-    moves (the keys of its images in `v.table`) decide it.
+    else returns None. The orbit types decide it: one core id, whatever
+    its split (only the core can carry one), 2 l1 and 2 l2 ids of the two
+    chain types, 4 k free negative-E8 ids, and no other type.
     """
-    s = v.scenario
-    if s.group != Z2XZ2 or not v.forms.keys() <= {S2XS2, MINUS_E8}:
-        return None
-    local1, local2 = s.gen1.local, s.gen2.local
-    if {*local1.values()} - {ROTATE_FIRST} or {*local2.values()} - {ROTATE_SECOND}:
-        return None
-    core = len(local1.keys() & local2.keys())
-    chain1, chain2 = len(local1) - core, len(local2) - core
-    e8 = v.forms[MINUS_E8][2] if MINUS_E8 in v.forms else 0
-    # ids both generators move lie in orbits of four, so e8 is a multiple of 4
-    free = len(v.table[GEN1][0].keys() & v.table[GEN2][0].keys())
-    if core != 1 or chain1 % 2 or chain2 % 2 or free != e8:
+    counts = dict.fromkeys(_KLEIN_SHAPE, 0)
+    for (labels, form, _), n in v.orbit_types:
+        if (labels, form) not in counts:
+            return None
+        counts[labels, form] += n
+    core, chain1, chain2, e8 = counts.values()
+    if core != 1 or chain1 % 2 or chain2 % 2:
         return None
     return chain1 // 2, chain2 // 2, e8 // 4

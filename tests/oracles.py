@@ -5,7 +5,8 @@ library now derives from shared rules (the template sweep, the advertised
 family total built as one dense form), or compute it the long way (the
 full-matrix elimination, the dense matrix product, the canonical pair
 order, the validator that builds every element map before it checks,
-and the element actions that validation's table is checked against).
+the element actions that validation's table is checked against, and
+the fixed sets read id by id).
 The last section is the representation-ring reference: exact Z4
 characters and tom Dieck traces, from which the integer test b < k
 behind every certificate is derived and checked."""
@@ -20,6 +21,7 @@ import numpy as np
 from spinact.equivariant_sum import (
     COMPOSITION,
     CUSTOM,
+    EVEN,
     GEN1,
     GEN2,
     IDENTITY_ELEMENT,
@@ -27,6 +29,7 @@ from spinact.equivariant_sum import (
     KINDS,
     LABELS,
     MINUS_E8,
+    ODD,
     ROTATE_BOTH,
     ROTATE_FIRST,
     ROTATE_SECOND,
@@ -34,6 +37,7 @@ from spinact.equivariant_sum import (
     Z2,
     Z2XZ2,
     ActionScenario,
+    FixedSetData,
     GeneratorAction,
     Summand,
     Violation,
@@ -395,6 +399,25 @@ def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
         if p1[i] == i and p2[i] == i
     }
     return _moved_only(comp), local
+
+
+def fixed_set_reference(s, element: str) -> FixedSetData:
+    """The fixed-set contributions of an element of a valid scenario, read
+    id by id from its labels: two 2-spheres per summand that rotates one
+    factor, and four points per summand that rotates both, split as the
+    merged override says (gen2's wins) or two and two."""
+    local = element_action(s, element)[1]
+    merged = {**s.gen1.overrides, **(s.gen2.overrides if s.gen2 else {})}
+    labels = list(local.values())
+    two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
+    splits = [merged.get(i, (2, 2)) for i, lbl in local.items() if lbl == ROTATE_BOTH]
+    points = 4 * len(splits)
+    components = tuple((dim, n) for dim, n in ((0, points), (2, two_dim)) if n)
+    parity = ODD if two_dim else EVEN if points else None
+    if points and not two_dim:
+        n_plus, n_minus = map(sum, zip(*splits))
+        return FixedSetData(element, components, parity, n_plus, n_minus)
+    return FixedSetData(element, components, parity)
 
 
 def _kind_key(sm):

@@ -1,9 +1,14 @@
+import io
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinact import cli
 from spinact._mat import identity, mat_mul, mat_neg
 from spinact.equivariant_sum import (
     CUSTOM,
@@ -12,6 +17,7 @@ from spinact.equivariant_sum import (
     GEN2,
     IDENTITY_ELEMENT,
     IDENTITY_LABEL,
+    MOVED,
     ROTATE_BOTH,
     ROTATE_FIRST,
     ROTATE_SECOND,
@@ -23,7 +29,9 @@ from spinact.equivariant_sum import (
     ScenarioFormatError,
     Summand,
     TotalInvariants,
+    ValidScenario,
     Violation,
+    _type_key,
     compose_labels,
     induced_cohomology_action,
     parse_scenario,
@@ -42,9 +50,14 @@ from spinact.lattice import (
     signature_profile,
 )
 from spinact.obstruction import NO_OBSTRUCTION, NONSMOOTHABLE, check
-from spinact.templates import klein_template, z2_template
+from spinact.templates import klein_template, recognize_klein_template, z2_template
 
-from oracles import element_action, elements_of, validate_scenario_reference
+from oracles import (
+    element_action,
+    elements_of,
+    fixed_set_reference,
+    validate_scenario_reference,
+)
 
 
 def single_sphere(label) -> ActionScenario:
@@ -956,3 +969,134 @@ def test_equal_grams_in_a_document_share_one_lattice():
     for entry in (1.0, True):
         with pytest.raises(ScenarioFormatError):
             parse_scenario(doc(entry))
+
+
+# ---------------------------------------------------------------------------
+# the multiset of orbit types
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def relabelled(draw, scenarios):
+    """A draw of `scenarios` and a copy with fresh ids, its summands, pairs,
+    pair members, labels and overrides each in a shuffled order."""
+    s = draw(scenarios)
+    name = {sm.id: f"r{n}" for n, sm in enumerate(draw(st.permutations(s.summands)))}
+
+    def renamed(gen):
+        if gen is None:
+            return None
+        pairs = [
+            (name[b], name[a]) if draw(st.booleans()) else (name[a], name[b])
+            for a, b in draw(st.permutations(gen.permutation))
+        ]
+        local = draw(st.permutations(list(gen.local.items())))
+        overrides = draw(st.permutations(list(gen.overrides.items())))
+        return GeneratorAction(
+            tuple(pairs),
+            {name[i]: lbl for i, lbl in local},
+            {name[i]: split for i, split in overrides},
+        )
+
+    summands = tuple(
+        Summand(name[sm.id], sm.kind, sm.custom_form)
+        for sm in draw(st.permutations(s.summands))
+    )
+    return s, ActionScenario(s.group, summands, renamed(s.gen1), renamed(s.gen2))
+
+
+def _invariants_reports(s) -> tuple[dict, str]:
+    """`invariants` in both formats, the scenario digest left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(serialize_scenario(s))
+        reports = []
+        for fmt in ("structured", "text"):
+            out = io.StringIO()
+            assert cli.main(["invariants", "--input", str(path), "--format", fmt], out=out) == 0
+            reports.append(out.getvalue())
+    doc = json.loads(reports[0])
+    del doc["scenario_digest"]
+    return doc, reports[1].split("\n", 1)[1]
+
+
+_ANY_VALID = st.one_of(z2_scenarios(), klein_scenarios(), klein_scenarios_with_a_split())
+
+
+@given(relabelled(_ANY_VALID))
+@settings(max_examples=40, deadline=None)
+def test_equal_orbit_types_give_equal_reports(pair):
+    s, renamed = pair
+    types, renamed_types = require_valid(s).orbit_types, require_valid(renamed).orbit_types
+    assert types == renamed_types == tuple(sorted(types, key=_type_key))
+    assert hash(types) == hash(renamed_types)
+    assert check(renamed) == check(s)
+    assert _invariants_reports(renamed) == _invariants_reports(s)
+
+
+@given(_ANY_VALID)
+@example(with_free_orbits(klein_template(2, 1, 1), ["hyperbolic", "k3"]))
+@example(_jointly_fixed_spheres(("s0", "s1"), {"s0": (1, 3)}, {"s1": (4, 0)}))
+@settings(max_examples=6, deadline=None)
+def test_the_orbit_types_alone_give_totals_fixed_sets_and_b(s):
+    """The readers of a ValidScenario that keeps only the orbit types and
+    the forms, with no summand, pair or label behind them, against the
+    dense form, the dense twisted operators and the fixed sets read id by
+    id: b2, signature and evenness, and b for every set of elements."""
+    v = require_valid(s)
+    bare = ActionScenario(s.group, (), GeneratorAction())
+    alone = ValidScenario(bare, dict.fromkeys(v.table, ({}, {})), v.orbit_types, v.forms)
+    lattice = scenario_lattice(s)
+    assert alone.totals() == _lattice_totals(lattice)
+    elements = list(v.table)
+    for r in range(1, len(elements) + 1):
+        for subset in itertools.combinations(elements, r):
+            assert alone.b_plus(subset) == _dense_b_plus(s, subset)
+    for element in elements:
+        assert alone.fixed_set(element) == fixed_set_reference(s, element)
+
+
+def test_custom_summands_with_equal_grams_share_one_orbit_type():
+    first, second = IntegerLattice(((0, 1), (1, 0))), IntegerLattice(((0, 1), (1, 0)))
+    assert first is not second
+    s = ActionScenario(
+        "Z2",
+        (
+            Summand("c0", CUSTOM, first),
+            Summand("c1", CUSTOM, first),
+            Summand("d0", CUSTOM, second),
+            Summand("d1", CUSTOM, second),
+        ),
+        GeneratorAction((("c0", "c1"), ("d0", "d1"))),
+    )
+    assert require_valid(s).orbit_types == ((((MOVED,), first, None), 4),)
+
+
+def _chain_labelled(labels) -> ActionScenario:
+    """klein_template(len(labels) // 2, 0, 0), whose first chain gen2 swaps
+    in pairs (a0, a1), (a2, a3), ..., with gen1 giving a_i labels[i]."""
+    t = klein_template(len(labels) // 2, 0, 0)
+    local = {"core": ROTATE_FIRST} | {f"a{i}": lbl for i, lbl in enumerate(labels)}
+    return ActionScenario(t.group, t.summands, GeneratorAction(t.gen1.permutation, local), t.gen2)
+
+
+def test_a_pair_with_two_labels_gives_two_types_and_keeps_its_answers():
+    s = _chain_labelled([ROTATE_FIRST, ROTATE_SECOND])
+    v = require_valid(s)
+    assert v.orbit_types == (
+        (((ROTATE_FIRST, MOVED, MOVED), "s2xs2", None), 1),
+        (((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), "s2xs2", None), 1),
+        (((ROTATE_SECOND, MOVED, MOVED), "s2xs2", None), 1),
+    )
+    report = check(s)
+    assert report.verdict == NO_OBSTRUCTION
+    assert report.elements[0].components == ((2, 6),)
+    assert recognize_klein_template(v) is None
+    # the same labels regrouped over two pairs: not a relabelling, since
+    # each pair of one carries two labels and each of the other one, yet
+    # the orbit types and so every answer agree
+    paired = _chain_labelled([ROTATE_FIRST, ROTATE_SECOND] * 2)
+    regrouped = _chain_labelled([ROTATE_FIRST] * 2 + [ROTATE_SECOND] * 2)
+    assert require_valid(paired).orbit_types == require_valid(regrouped).orbit_types
+    assert check(paired) == check(regrouped)
+    assert _invariants_reports(paired) == _invariants_reports(regrouped)
