@@ -248,24 +248,17 @@ class ValidScenario:
                 f"{self.scenario.group} scenario"
             ) from None
 
-    def _slot(self, element: str) -> int:
-        """The place of a non-identity element's label in an orbit type."""
-        if element not in self.table:
-            self.action(element)  # raises ValueError naming the element
-        return _SLOT[element]
-
     def totals(self) -> TotalInvariants:
         """Rank, signature and evenness of the connected sum, which add over
         its orthogonal summands."""
-        plus = minus = zero = 0
+        b2 = signature = 0
         even = True
         for (_, form, _), n in self.orbit_types:
             p, form_even = self.forms[form]
-            plus += n * p.b_plus
-            minus += n * p.b_minus
-            zero += n * p.b_zero
+            b2 += n * p.rank
+            signature += n * p.signature
             even = even and form_even
-        return TotalInvariants(plus + minus + zero, plus - minus, even)
+        return TotalInvariants(b2, signature, even)
 
     def fixed_set(self, element: str) -> FixedSetData:
         """Fixed-set contributions and parity of a non-identity element,
@@ -275,7 +268,8 @@ class ValidScenario:
         each; rotate_both contributes four isolated points split evenly into
         positive and negative unless the id's orbit type carries a split.
         """
-        slot = self._slot(element)
+        self.action(element)  # raises ValueError for an element outside the table
+        slot = _SLOT[element]
         two_dim = points = n_plus = n_minus = 0
         for (labels, _, split), n in self.orbit_types:
             label = labels[slot]
@@ -314,7 +308,9 @@ class ValidScenario:
         elements = set(elements)
         if not elements:
             raise ValueError("need one or more non-identity group elements")
-        slots = [self._slot(e) for e in elements]
+        for e in elements - self.table.keys():
+            self.action(e)  # raises ValueError naming the element
+        slots = [_SLOT[e] for e in elements]
         if len(slots) == 3:
             return 0  # no sign character is -1 on all three
         # one element or two, which generate the group
@@ -339,14 +335,16 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     v: list[Violation] = []
     by_id = {}
     counts: dict = {}
-    custom = False
+    # the ids of the summands with no local involution data, in order
+    others = []
     for sm in s.summands:
         if sm.id in by_id:
             v.append(Violation("duplicate_id", f"duplicate summand id {sm.id!r}", sm.id))
         by_id[sm.id] = sm
         kind = sm.kind
+        if kind != S2XS2:
+            others.append(sm.id)
         if kind == CUSTOM:
-            custom = True
             if sm.custom_form is None:
                 v.append(
                     Violation("missing_gram", f"custom summand {sm.id!r} has no form", sm.id)
@@ -369,8 +367,6 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         return v
 
     table = {}
-    # whether every id is moved or labelled by each generator
-    covered = True
     spheres = counts.get(S2XS2, 0)
     gens = [(GEN1, s.gen1)] + ([(GEN2, s.gen2)] if s.gen2 is not None else [])
     for name, gen in gens:
@@ -464,7 +460,6 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 for i in by_id
                 if i not in images and i not in local and by_id[i].kind == S2XS2
             ]
-        covered = covered and len(images) + len(local) == len(by_id)
     if v:
         return v
 
@@ -515,12 +510,8 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         table[COMPOSITION] = comp, comp_local
 
     # every non-spherical summand must sit in a free orbit of every
-    # non-identity element (no local involution data exists for them).
-    # Labels sit on exactly the fixed spheres by now, so a generator fixes
-    # a non-sphere just when it leaves an id neither moved nor labelled;
-    # the composition fixes only ids that both generators fix
-    if not covered:
-        others = [i for i, sm in by_id.items() if sm.kind != S2XS2]
+    # non-identity element (no local involution data exists for them)
+    if others:
         for element, (images, _) in table.items():
             v += [
                 Violation(
@@ -532,6 +523,24 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 for i in others
                 if i not in images
             ]
+
+    # labels sit on exactly the fixed spheres by now: the jointly fixed
+    # ones, and per label those one generator alone fixes, which its labels
+    # less theirs count; every element moves every other id
+    types: dict = {}
+    for labels in joint:
+        key = labels, S2XS2, None
+        types[key] = types.get(key, 0) + 1
+    columns = tuple(zip(*joint)) or ((), ())
+    moved = (MOVED,) * len(table)
+    for slot, (_, gen) in enumerate(gens):
+        labels = list(gen.local.values())
+        for label in set(labels):
+            alone = moved[:slot] + (label,) + moved[slot + 1 :]
+            types[alone, S2XS2, None] = labels.count(label) - columns[slot].count(label)
+    fixed = sum(types.values())
+    for form, n in counts.items():
+        types[moved, form, None] = n - fixed if form == S2XS2 else n
 
     # gen2's split wins; a different one from gen1 is reported in gen2's order
     merged = dict(s.gen1.overrides)
@@ -546,13 +555,6 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     )
                 )
             merged[i] = split
-    if merged:
-        rotated_both = {
-            i
-            for _, local in table.values()
-            for i, label in local.items()
-            if label == ROTATE_BOTH
-        }
     for i, (np_, nm) in merged.items():
         if i not in by_id:
             v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))
@@ -566,7 +568,8 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     i,
                 )
             )
-        if i not in rotated_both:
+        labels = tuple(local.get(i, MOVED) for _, local in table.values())
+        if ROTATE_BOTH not in labels:
             v.append(
                 Violation(
                     "stale_override",
@@ -575,41 +578,13 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                     i,
                 )
             )
-    if parts is not None and not v:
-        # the fixed ids are the labelled spheres: the jointly fixed ones, and
-        # per label those one generator alone fixes, which its labels less
-        # theirs count; every element moves every other id
-        types: dict = {}
-        for labels in joint:
-            key = labels, S2XS2, None
-            types[key] = types.get(key, 0) + 1
-        moved = (MOVED,) * len(table)
-        for slot, (_, gen) in enumerate(gens):
-            gen_labels = list(gen.local.values())
-            for both in joint:
-                gen_labels.remove(both[slot])
-            for label in set(gen_labels):
-                alone = moved[:slot] + (label,) + moved[slot + 1 :]
-                types[alone, S2XS2, None] = gen_labels.count(label)
-        fixed = sum(types.values())
-        for form, n in counts.items():
-            if form == S2XS2:
-                n -= fixed
-            if n:
-                types[moved, form, None] = n
         # an overridden id, a fixed sphere, moves to its split's type
-        for i, split in merged.items():
-            labels = tuple(local.get(i, MOVED) for _, local in table.values())
-            key = labels, S2XS2, None
-            types[key] -= 1
-            if not types[key]:
-                del types[key]
-            key = labels, S2XS2, split
-            types[key] = types.get(key, 0) + 1
-        # without custom forms or splits the types compare as they are, in
-        # the order of _type_key
-        order = _type_key if custom or merged else None
-        orbit_types = tuple(sorted(types.items(), key=order))
+        key = labels, S2XS2, None
+        types[key] = types.get(key, 0) - 1
+        key = labels, S2XS2, (np_, nm)
+        types[key] = types.get(key, 0) + 1
+    if parts is not None and not v:
+        orbit_types = tuple(sorted((t for t in types.items() if t[1]), key=_type_key))
         parts.update(table=table, orbit_types=orbit_types, forms=counts)
     return v
 

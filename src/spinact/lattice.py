@@ -48,21 +48,16 @@ IntegerLattice.__hash__ = lambda self: self._gram_hash
 @frozen
 class SignatureProfile:
     """Counts of positive, negative and zero entries of any congruent diagonal
-    form, and the Gram determinant."""
+    form, and the Gram determinant. The rank and signature they give are
+    kept from construction, since totals reads them per orbit type."""
 
     def __init__(self, b_plus: int, b_minus: int, b_zero: int, determinant: int):
         set_field(self, "b_plus", b_plus)
         set_field(self, "b_minus", b_minus)
         set_field(self, "b_zero", b_zero)
         set_field(self, "determinant", determinant)
-
-    @property
-    def signature(self) -> int:
-        return self.b_plus - self.b_minus
-
-    @property
-    def rank(self) -> int:
-        return self.b_plus + self.b_minus + self.b_zero
+        set_field(self, "rank", b_plus + b_minus + b_zero)
+        set_field(self, "signature", b_plus - b_minus)
 
 
 def empty_lattice() -> IntegerLattice:
