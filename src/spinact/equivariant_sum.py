@@ -534,10 +534,10 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     columns = tuple(zip(*joint)) or ((), ())
     moved = (MOVED,) * len(table)
     for slot, (_, gen) in enumerate(gens):
-        labels = list(gen.local.values())
-        for label in set(labels):
+        gen_labels, column = list(gen.local.values()), columns[slot]
+        for label in set(gen_labels):
             alone = moved[:slot] + (label,) + moved[slot + 1 :]
-            types[alone, S2XS2, None] = labels.count(label) - columns[slot].count(label)
+            types[alone, S2XS2, None] = gen_labels.count(label) - column.count(label)
     fixed = sum(types.values())
     for form, n in counts.items():
         types[moved, form, None] = n - fixed if form == S2XS2 else n

@@ -1127,16 +1127,17 @@ def test_the_orbit_types_build_in_linear_time():
     """n spheres that both generators fix, and 2n that only gen1 fixes,
     whose rotate_both labels come first in gen1's labels, against a Z2
     scenario of as many labelled spheres. Both validate in linear time, so
-    the first takes a few times the second; a build that removes each
-    jointly fixed label from a list of gen1's took about 70 times as long
-    at n = 5000."""
+    the first takes about three times as long as the second; a build that
+    removed each jointly fixed label from a list of gen1's labels took
+    about 70 times as long at n = 5000, and 45 times at n = 3000."""
     n = 3000
     alone = [f"a{i}" for i in range(2 * n)]
     joint = [f"j{i}" for i in range(n)]
+    local1 = dict.fromkeys(alone, ROTATE_BOTH) | dict.fromkeys(joint, ROTATE_FIRST)
     klein = ActionScenario(
         "Z2xZ2",
         tuple(Summand(i, "s2xs2") for i in joint + alone),
-        GeneratorAction((), {i: ROTATE_BOTH for i in alone} | dict.fromkeys(joint, ROTATE_FIRST)),
+        GeneratorAction((), local1),
         GeneratorAction(tuple(zip(alone[::2], alone[1::2])), dict.fromkeys(joint, ROTATE_SECOND)),
     )
     ids = [f"z{i}" for i in range(3 * n)]
@@ -1145,7 +1146,7 @@ def test_the_orbit_types_build_in_linear_time():
         tuple(Summand(i, "s2xs2") for i in ids),
         GeneratorAction((), dict.fromkeys(ids, ROTATE_FIRST)),
     )
-    assert dict(require_valid(klein).orbit_types)[(ROTATE_BOTH, MOVED, MOVED), "s2xs2", None] == 2 * n
-    assert _best_seconds(lambda: require_valid(klein)) < 10 * _best_seconds(
-        lambda: require_valid(z2)
-    )
+    alone_type = (ROTATE_BOTH, MOVED, MOVED), "s2xs2", None
+    assert dict(require_valid(klein).orbit_types)[alone_type] == 2 * n
+    klein_s = _best_seconds(lambda: require_valid(klein))
+    assert klein_s < 10 * _best_seconds(lambda: require_valid(z2))
