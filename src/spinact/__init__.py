@@ -47,7 +47,6 @@ from .obstruction import (
     check,
     k_klein,
     k_odd,
-    lefschetz_index,
 )
 from .templates import (
     klein_grid,

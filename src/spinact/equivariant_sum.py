@@ -132,7 +132,6 @@ class GeneratorAction:
         self,
         permutation: tuple[tuple[str, str], ...] = (),
         local: Optional[dict[str, str]] = None,
-        overrides: Optional[dict[str, tuple[int, int]]] = None,
     ):
         # canonical pair order so serialization round-trips exactly; a
         # pair already given as an ordered tuple of two ids is kept as is
@@ -145,7 +144,6 @@ class GeneratorAction:
         pairs.sort()
         set_field(self, "permutation", tuple(pairs))
         set_field(self, "local", {} if local is None else local)
-        set_field(self, "overrides", {} if overrides is None else overrides)
 
 
 @frozen
@@ -174,7 +172,7 @@ class FixedSetData:
     item 15(a)). parity is ODD when a 2-dimensional component is present,
     EVEN when only isolated points are, and None for an empty fixed set,
     whose parity the dimensions cannot decide. n_plus and n_minus are
-    present exactly when every component is isolated.
+    present exactly when every component is isolated, and then equal.
     """
 
     def __init__(
@@ -208,12 +206,12 @@ def compose_labels(a: str, b: str) -> str:
 
 def _type_key(item):
     """The total order of (orbit type, count) pairs: labels, then a standard
-    form by kind before a custom one by gram, then the split, none first.
-    It never compares None with a tuple, or one lattice with another."""
-    labels, form, split = item[0]
+    form by kind before a custom one by gram. It never compares one lattice
+    with another."""
+    labels, form = item[0]
     if isinstance(form, IntegerLattice):
-        return labels, 1, form.gram, split or ()
-    return labels, 0, form, split or ()
+        return labels, 1, form.gram
+    return labels, 0, form
 
 
 @frozen
@@ -222,15 +220,28 @@ class ValidScenario:
     only require_valid builds it. `table` maps each non-identity element,
     in group order, to its (images, local labels): `images` maps each id
     the element moves to its image, and an id it fixes is absent, so
-    `images.get(i, i)` is the image of any id. `orbit_types` is the
-    multiset of the ids' orbit types, (type, count) pairs in _type_key
-    order, equal for scenarios that differ only in their ids and their
-    order. The type of an id is (labels, form, split): its label under each
-    non-identity element in group order, MOVED where the element moves it
-    (its stabiliser is the identity and the elements that label it); the
-    kind of a standard summand or the lattice of a custom one; and its
-    merged sign override (n_plus, n_minus), or None. `forms` maps each
-    distinct form to (signature profile, evenness)."""
+    `images.get(i, i)` is the image of any id; the labels are a copy of
+    the generator's. `orbit_types` is the multiset of the ids' orbit types,
+    (type, count) pairs in _type_key order, equal for scenarios that differ
+    only in their ids and their order. The type of an id is (labels, form):
+    its label under each non-identity element in group order, MOVED where
+    the element moves it (its stabiliser is the identity and the elements
+    that label it); and the kind of a standard summand or the lattice of a
+    custom one. `forms` maps each distinct form to (signature profile,
+    evenness).
+
+    No type carries a sign split of its isolated fixed points: an action
+    has only (2, 2). A rotate_both piece is S2 x S2 with the half-turn of
+    each factor, an isometry of the round metric, which has positive
+    scalar curvature; so its Dirac operator has no harmonic spinors
+    (Lichnerowicz, "Spineurs harmoniques", 1963) and its equivariant index
+    is 0 at every element. That index is the sum of the spin numbers of
+    the four fixed points, each +1/4 or -1/4 when both angles are pi
+    (Atiyah-Bott, "A Lefschetz fixed point formula for elliptic complexes
+    II", Ann. of Math. 88, 1968, section 8), so two have each sign,
+    whatever the lift. A neck at a fixed point joins points of opposite
+    sign, and every other summand lies in a free orbit, so the twisted
+    index of the sum is 0 as well."""
 
     def __init__(self, scenario, table, orbit_types, forms):
         set_field(self, "scenario", scenario)
@@ -253,7 +264,7 @@ class ValidScenario:
         its orthogonal summands."""
         b2 = signature = 0
         even = True
-        for (_, form, _), n in self.orbit_types:
+        for (_, form), n in self.orbit_types:
             p, form_even = self.forms[form]
             b2 += n * p.rank
             signature += n * p.signature
@@ -265,19 +276,16 @@ class ValidScenario:
         per local label.
 
         rotate_first / rotate_second contribute two 2-dimensional components
-        each; rotate_both contributes four isolated points split evenly into
-        positive and negative unless the id's orbit type carries a split.
+        each; rotate_both contributes four isolated points, two of each sign
+        (see the class docstring).
         """
         self.action(element)  # raises ValueError for an element outside the table
         slot = _SLOT[element]
-        two_dim = points = n_plus = n_minus = 0
-        for (labels, _, split), n in self.orbit_types:
+        two_dim = points = 0
+        for (labels, _), n in self.orbit_types:
             label = labels[slot]
             if label == ROTATE_BOTH:
                 points += 4 * n
-                np_, nm = split or (2, 2)
-                n_plus += n * np_
-                n_minus += n * nm
             elif label != MOVED:
                 two_dim += 2 * n
         if points:
@@ -286,7 +294,7 @@ class ValidScenario:
             components = ((2, two_dim),) if two_dim else ()
         parity = ODD if two_dim else EVEN if points else None
         if points and not two_dim:
-            return FixedSetData(element, components, parity, n_plus, n_minus)
+            return FixedSetData(element, components, parity, points // 2, points // 2)
         return FixedSetData(element, components, parity)
 
     def b_plus(self, elements) -> int:
@@ -316,7 +324,7 @@ class ValidScenario:
         # one element or two, which generate the group
         j, k = slots[0], slots[-1]
         quarters = 0
-        for (labels, form, _), n in self.orbit_types:
+        for (labels, form), n in self.orbit_types:
             if labels[j] == labels[k] == MOVED:
                 # 4 over the id's orbit size under H, |H| over its stabiliser
                 # in H: 2 over 1 for one element; for two, H is the group and
@@ -412,7 +420,8 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
                 )
             if a.kind == S2XS2:
                 sphere_pairs += 1
-        local = gen.local
+        # a copy, so a label edited after validation moves no derived fact
+        local = dict(gen.local)
         table[name] = images, local
         for i, label in local.items():
             if i not in by_id:
@@ -529,7 +538,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
     # less theirs count; every element moves every other id
     types: dict = {}
     for labels in joint:
-        key = labels, S2XS2, None
+        key = labels, S2XS2
         types[key] = types.get(key, 0) + 1
     columns = tuple(zip(*joint)) or ((), ())
     moved = (MOVED,) * len(table)
@@ -537,52 +546,11 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         gen_labels, column = list(gen.local.values()), columns[slot]
         for label in set(gen_labels):
             alone = moved[:slot] + (label,) + moved[slot + 1 :]
-            types[alone, S2XS2, None] = gen_labels.count(label) - column.count(label)
+            types[alone, S2XS2] = gen_labels.count(label) - column.count(label)
     fixed = sum(types.values())
     for form, n in counts.items():
-        types[moved, form, None] = n - fixed if form == S2XS2 else n
+        types[moved, form] = n - fixed if form == S2XS2 else n
 
-    # gen2's split wins; a different one from gen1 is reported in gen2's order
-    merged = dict(s.gen1.overrides)
-    if s.gen2 is not None:
-        for i, split in s.gen2.overrides.items():
-            if merged.get(i, split) != split:
-                v.append(
-                    Violation(
-                        "conflicting_override",
-                        f"generators give conflicting sign overrides for {i!r}",
-                        i,
-                    )
-                )
-            merged[i] = split
-    for i, (np_, nm) in merged.items():
-        if i not in by_id:
-            v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))
-            continue
-        if np_ < 0 or nm < 0 or np_ + nm != 4:
-            v.append(
-                Violation(
-                    "bad_override",
-                    f"override for {i!r} must split the 4 isolated points, got "
-                    f"({np_}, {nm})",
-                    i,
-                )
-            )
-        labels = tuple(local.get(i, MOVED) for _, local in table.values())
-        if ROTATE_BOTH not in labels:
-            v.append(
-                Violation(
-                    "stale_override",
-                    f"override for {i!r} but no element has isolated fixed points "
-                    f"there",
-                    i,
-                )
-            )
-        # an overridden id, a fixed sphere, moves to its split's type
-        key = labels, S2XS2, None
-        types[key] = types.get(key, 0) - 1
-        key = labels, S2XS2, (np_, nm)
-        types[key] = types.get(key, 0) + 1
     if parts is not None and not v:
         orbit_types = tuple(sorted((t for t in types.items() if t[1]), key=_type_key))
         parts.update(table=table, orbit_types=orbit_types, forms=counts)
@@ -642,7 +610,7 @@ def induced_cohomology_action(s: ActionScenario, element: str) -> LatticeIsometr
 _DOCUMENT_FIELDS = frozenset(
     ("schema_version", "group", "summands", "generator1", "generator2")
 )
-_GENERATOR_FIELDS = frozenset(("permutation", "local", "overrides"))
+_GENERATOR_FIELDS = frozenset(("permutation", "local"))
 
 
 def _unknown_field(doc: dict, fields) -> str:
@@ -676,23 +644,7 @@ def _parse_generator(doc, field_name: str) -> GeneratorAction:
     for k, lbl in local_doc.items():
         if not isinstance(lbl, str):
             raise ScenarioFormatError(f"label for {k!r} must be a string", field_name)
-    overrides_doc = doc.get("overrides", {})
-    if not isinstance(overrides_doc, dict):
-        raise ScenarioFormatError("overrides must map ids to sign counts", field_name)
-    overrides = {}
-    for k, ov in overrides_doc.items():
-        if not (
-            isinstance(ov, dict)
-            and len(ov) == 2
-            and type(ov.get("n_plus")) is int
-            and type(ov.get("n_minus")) is int
-        ):
-            raise ScenarioFormatError(
-                f"override for {k!r} needs integer n_plus and n_minus, nothing else",
-                field_name,
-            )
-        overrides[k] = (ov["n_plus"], ov["n_minus"])
-    return GeneratorAction(tuple(perm), dict(local_doc), overrides)
+    return GeneratorAction(tuple(perm), dict(local_doc))
 
 
 class _RepeatedKey(Exception):
@@ -746,10 +698,8 @@ def _repeated_key_error(text: str, key: str) -> ScenarioFormatError:
         place = ""
     elif field == "summands" and len(where) == 1 and type(where[0]) is int:
         place = f" in summand {where[0]}"
-    elif generator and where in (("local",), ("overrides",)):
-        place = f" in {where[0]}"
-    elif generator and len(where) == 2 and where[0] == "overrides":
-        place = f" in the override for {where[1]!r}"
+    elif generator and where == ("local",):
+        place = " in local"
     else:
         place = " at " + "".join(f"[{step!r}]" for step in path)
     return ScenarioFormatError(f"repeated key {key!r}{place}", field)
@@ -848,8 +798,7 @@ def parse_scenario(text: str) -> ActionScenario:
 # the document parse_scenario reads. The writer below produces it straight
 # from the records, in the schema's fixed sorted-key order: top level
 # generator1, generator2, group, schema_version, summands; a summand gram,
-# id, kind; a generator local, overrides (present when nonempty),
-# permutation; an override n_minus, n_plus. Each separator is a comma, a
+# id, kind; a generator local, permutation. Each separator is a comma, a
 # newline and the indent of the level it separates.
 _SEP4 = ",\n    "
 _SEP6 = ",\n      "
@@ -869,17 +818,11 @@ def _gram_text(gram) -> str:
 def _generator_text(gen: GeneratorAction) -> str:
     local = _SEP6.join(f"{_enc(k)}: {_enc(v)}" for k, v in sorted(gen.local.items()))
     local = f"{{\n      {local}\n    }}" if local else "{}"
-    overrides = _SEP6.join(
-        f'{_enc(k)}: {{\n        "n_minus": {nm!r},\n        "n_plus": {np_!r}\n      }}'
-        for k, (np_, nm) in sorted(gen.overrides.items())
-    )
-    if overrides:
-        overrides = f'    "overrides": {{\n      {overrides}\n    }},\n'
     pairs = _SEP6.join(
         f"[\n        {_enc(a)},\n        {_enc(b)}\n      ]" for a, b in gen.permutation
     )
     pairs = f"[\n      {pairs}\n    ]" if pairs else "[]"
-    return f'{{\n    "local": {local},\n{overrides}    "permutation": {pairs}\n  }}'
+    return f'{{\n    "local": {local},\n    "permutation": {pairs}\n  }}'
 
 
 def serialize_scenario(s: ActionScenario) -> str:

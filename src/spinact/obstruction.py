@@ -89,24 +89,25 @@ class ObstructionReport:
         return all(h.passed for h in self.hypotheses)
 
 
-def lefschetz_index(n_plus: int, n_minus: int) -> Fraction:
-    """Twisted Dirac index of an even involution with isolated fixed points."""
-    return Fraction(n_plus - n_minus, 2)
-
-
 def k_odd(signature: int) -> Fraction:
     """Lower bound -signature/16 that a smooth odd involution forces on b_plus."""
     return Fraction(-signature, 16)
 
 
 def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
-    """Lower bound -signature/32 + index/8 in the Klein four-group inequality.
+    """Lower bound -signature/32 + index/8 in the Klein four-group inequality
+    of the source paper, a 10/8-type bound after Furuta (Kato, arXiv
+    1708.08030).
 
     The twisted index is taken for chosen lifts of the generators to the
     spin structure. Negating one generator's lift negates the
     composition's lift, and with it the index; both choices are lifts of
-    the same action, so a smooth action satisfies both inequalities. The
-    bound grows with the index, so callers pass its absolute value.
+    the same action, so a smooth action satisfies both inequalities.
+    check passes 0: the index is the sum of the Atiyah-Bott spin numbers
+    at the composition's isolated fixed points (Atiyah-Bott II, section
+    8), +1/4 twice and -1/4 twice on each rotate_both piece by
+    Lichnerowicz, and the necks cancel in pairs of opposite sign
+    (ValidScenario gives the argument and its sources).
     """
     # one normalisation: (4n/d - signature)/32 with index n/d
     n, d = index_twisted.numerator, index_twisted.denominator
@@ -118,6 +119,13 @@ def k_klein(signature: int, index_twisted: Fraction | int) -> Fraction:
 # parity hypothesis, parity and mixed flag
 _shared = functools.cache(Hypothesis)
 
+# the lift of a spin involution squares to -1 at each fixed surface and to
+# +1 at each isolated fixed point, and that square is one global sign
+_MIXED = (
+    "fixes surfaces and isolated points; a spin involution's fixed components "
+    "are all surfaces or all points (Atiyah-Bott II, section 8; Bryan 1998, section 2)"
+)
+
 
 # keyed on these few values, never on a FixedSetData: fixed sets differ
 # per scenario, and the cache would grow with every scenario checked
@@ -126,14 +134,15 @@ def _parity_hypothesis(
     name: str, element: str, parity: Optional[str], mixed: bool, want: str
 ) -> Hypothesis:
     """Whether `element` has parity `want`; `mixed` when its fixed set has
-    both 2-dimensional components and isolated points."""
+    both 2-dimensional components and isolated points, which fails."""
     if parity is None:
         return Hypothesis(name, False, f"{element} acts freely; parity indeterminate")
-    detail = f"{element} is {parity}"
     if mixed:
-        detail += " (mixed fixed-set dimensions; 2-dimensional clause applied)"
-    return Hypothesis(name, parity == want, detail)
+        return Hypothesis(name, False, f"{element} {_MIXED}")
+    return Hypothesis(name, parity == want, f"{element} is {parity}")
 
+
+_ZERO = Fraction(0)
 
 _Z2_PARITIES = (("generator_odd", ODD),)
 _KLEIN_PARITIES = (
@@ -154,7 +163,7 @@ def check(s: ActionScenario) -> ObstructionReport:
     """Certificate for either group: one validation, then a read of the
     orbit structure it derived. The inequality is b >= -signature/16 for
     an odd involution, and b >= -signature/32 + |twisted index|/8 for a
-    Klein four-group action."""
+    Klein four-group action, whose index is 0 (k_klein)."""
     v = require_valid(s)
     inv = v.totals()
     fixed_sets = tuple(map(v.fixed_set, v.table))
@@ -189,11 +198,10 @@ def check(s: ActionScenario) -> ObstructionReport:
         # minus block permutations; validation rejects noncommuting ones
         hypotheses += (_shared("operators_commute", True, "induced operators commute"),)
         b = v.b_plus([GEN1, GEN2])
-        comp_fs = fixed_sets[2]
-        if comp_fs.n_plus is not None:
-            index_twisted = lefschetz_index(comp_fs.n_plus, comp_fs.n_minus)
-        # both lift signs are admissible, so the larger bound applies
-        k = k_klein(inv.signature, 0 if index_twisted is None else abs(index_twisted))
+        # defined when the composition fixes isolated points only
+        if fixed_sets[2].n_plus is not None:
+            index_twisted = _ZERO
+        k = k_klein(inv.signature, 0)
         shape = recognize_klein_template(v)
         hints = _SUBGROUP_HINTS[shape is not None and klein_admits(*shape)]
     # the inequality first: b < k in integers, the hypotheses a scan

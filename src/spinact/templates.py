@@ -192,8 +192,8 @@ def klein_admits(l1: int, l2: int, k: int) -> bool:
     return l1 >= 3 * k and l2 >= 3 * k
 
 
-# the labels and form of each orbit type of a Klein template point: the
-# core, a sphere of the first chain, one of the second, and a free -E8
+# the orbit types of a Klein template point, labels and form: the core, a
+# sphere of the first chain, one of the second, and a free -E8
 _KLEIN_SHAPE = (
     ((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), S2XS2),
     ((ROTATE_FIRST, MOVED, MOVED), S2XS2),
@@ -210,15 +210,15 @@ def recognize_klein_template(v: ValidScenario) -> tuple[int, int, int] | None:
     relabelling of) the template: one jointly rotated core, one chain per
     generator swapped pairwise by the other, and negative-E8 summands in
     free four-element orbits split evenly by both generators. Anything
-    else returns None. The orbit types decide it: one core id, whatever
-    its split (only the core can carry one), 2 l1 and 2 l2 ids of the two
-    chain types, 4 k free negative-E8 ids, and no other type.
+    else returns None. The orbit types decide it: one core id, 2 l1 and
+    2 l2 ids of the two chain types, 4 k free negative-E8 ids, and no other
+    type.
     """
     counts = dict.fromkeys(_KLEIN_SHAPE, 0)
-    for (labels, form, _), n in v.orbit_types:
-        if (labels, form) not in counts:
+    for t, n in v.orbit_types:
+        if t not in counts:
             return None
-        counts[labels, form] += n
+        counts[t] = n
     core, chain1, chain2, e8 = counts.values()
     if core != 1 or chain1 % 2 or chain2 % 2:
         return None

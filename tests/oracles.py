@@ -404,19 +404,15 @@ def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
 def fixed_set_reference(s, element: str) -> FixedSetData:
     """The fixed-set contributions of an element of a valid scenario, read
     id by id from its labels: two 2-spheres per summand that rotates one
-    factor, and four points per summand that rotates both, split as the
-    merged override says (gen2's wins) or two and two."""
-    local = element_action(s, element)[1]
-    merged = {**s.gen1.overrides, **(s.gen2.overrides if s.gen2 else {})}
-    labels = list(local.values())
+    factor, and four points per summand that rotates both, two of each
+    sign."""
+    labels = list(element_action(s, element)[1].values())
     two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
-    splits = [merged.get(i, (2, 2)) for i, lbl in local.items() if lbl == ROTATE_BOTH]
-    points = 4 * len(splits)
+    points = 4 * labels.count(ROTATE_BOTH)
     components = tuple((dim, n) for dim, n in ((0, points), (2, two_dim)) if n)
     parity = ODD if two_dim else EVEN if points else None
     if points and not two_dim:
-        n_plus, n_minus = map(sum, zip(*splits))
-        return FixedSetData(element, components, parity, n_plus, n_minus)
+        return FixedSetData(element, components, parity, points // 2, points // 2)
     return FixedSetData(element, components, parity)
 
 
@@ -572,9 +568,7 @@ def validate_scenario_reference(s):
     if s.group == Z2XZ2:
         table[COMPOSITION] = element_action(s, COMPOSITION)
 
-    rotated_both = set()
-    for element, (pmap, local) in table.items():
-        rotated_both |= {i for i, label in local.items() if label == ROTATE_BOTH}
+    for element, (pmap, _) in table.items():
         for i in ids:
             if i not in pmap and by_id[i].kind != S2XS2:
                 v.append(
@@ -586,41 +580,6 @@ def validate_scenario_reference(s):
                     )
                 )
 
-    merged = dict(s.gen1.overrides)
-    if s.gen2 is not None:
-        # in gen2's order; gen2's split is the one kept
-        v += [
-            Violation(
-                "conflicting_override",
-                f"generators give conflicting sign overrides for {i!r}",
-                i,
-            )
-            for i, split in s.gen2.overrides.items()
-            if s.gen1.overrides.get(i, split) != split
-        ]
-        merged.update(s.gen2.overrides)
-    for i, (np_, nm) in merged.items():
-        if i not in by_id:
-            v.append(Violation("unknown_id", f"override on unknown id {i!r}", i))
-            continue
-        if np_ < 0 or nm < 0 or np_ + nm != 4:
-            v.append(
-                Violation(
-                    "bad_override",
-                    f"override for {i!r} must split the 4 isolated points, got "
-                    f"({np_}, {nm})",
-                    i,
-                )
-            )
-        if i not in rotated_both:
-            v.append(
-                Violation(
-                    "stale_override",
-                    f"override for {i!r} but no element has isolated fixed points "
-                    f"there",
-                    i,
-                )
-            )
     return v, table
 
 

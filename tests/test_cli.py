@@ -155,18 +155,26 @@ def test_non_unimodular_form_exits_two(tmp_path):
 
 
 def test_a_non_integral_bound_prints_no_trace(tmp_path):
-    # a (4, 0) sign split makes the twisted index 2, so k = 32/32 + 2/8
-    s = klein_template(3, 3, 1)
-    gen1 = GeneratorAction(s.gen1.permutation, dict(s.gen1.local), {"core": (4, 0)})
-    path = tmp_path / "split.json"
-    path.write_text(serialize_scenario(ActionScenario(s.group, s.summands, gen1, s.gen2)))
+    # a jointly rotated core plus four custom [[-1]] summands in one free
+    # orbit: signature -4, so k = 4/32; the form is odd, so no certificate
+    doc = {
+        "schema_version": 1,
+        "group": "Z2xZ2",
+        "summands": [{"id": "core", "kind": "s2xs2"}]
+        + [{"id": f"p{i}", "kind": "custom", "gram": [[-1]]} for i in range(4)],
+        "generator1": {"permutation": [["p0", "p1"], ["p2", "p3"]], "local": {"core": "rotate_first"}},
+        "generator2": {"permutation": [["p0", "p2"], ["p1", "p3"]], "local": {"core": "rotate_second"}},
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
     status, text = run_main(["check", "--input", str(path)])
-    assert status == 0
-    assert "twisted index: 2\n" in text and "lower bound k: 5/4\n" in text
-    assert "trace 2^(b-k)" not in text and text.endswith("verdict: nonsmoothable\n")
+    assert status == 2
+    assert "b2: 6   signature: -4\n" in text and "[FAIL] intersection_form_even" in text
+    assert "twisted index: 0\n" in text and "lower bound k: 1/8\n" in text
+    assert "trace 2^(b-k)" not in text and text.endswith("verdict: no_obstruction\n")
     status, output = run_main(["check", "--input", str(path), "--format", "structured"])
     doc = json.loads(output)
-    assert status == 0 and doc["trace"] is None and doc["k"] == "5/4"
+    assert status == 2 and doc["trace"] is None and doc["k"] == "1/8"
 
 
 def test_a_positive_signature_prints_no_twisted_index(tmp_path):
@@ -227,8 +235,8 @@ def test_validation_violation_exits_two(tmp_path):
         ),
         (
             '{"schema_version": 1, "group": "Z2", "summands": [{"id": "s", "kind": "s2xs2"}],'
-            ' "generator1": {"local": {"s": "rotate_first"}, "overrides": []}}',
-            "malformed scenario: generator1: overrides must map ids to sign counts\n",
+            ' "generator1": {"local": {"s": "rotate_first"}, "overrides": {}}}',
+            "malformed scenario: generator1: unknown field 'overrides'\n",
         ),
         (
             '{"schema_version": 1, "group": "Z2xZ2", "summands": [{"id": "s", "kind": "s2xs2"}],'
@@ -255,7 +263,7 @@ def test_validation_violation_exits_two(tmp_path):
             "error: malformed scenario: generator1: local must map ids to labels\n",
         ),
     ],
-    ids=["unknown-group", "deep-nesting", "z2-with-generator2", "overrides-not-a-map",
+    ids=["unknown-group", "deep-nesting", "z2-with-generator2", "overrides-unknown",
          "klein-without-generator2", "permutation-not-a-list", "schema-version-float",
          "schema-version-bool", "local-not-a-map"],
 )
@@ -283,8 +291,8 @@ def test_malformed_file_exits_two(tmp_path, capsys, text, fragment):
         (
             ("generator1",),
             "overrides",
-            {"s0": {"n_plus": 2, "n_minus": 2, "note": 0}},
-            "generator1: override for 's0' needs integer n_plus and n_minus, nothing else",
+            {"s0": {"n_plus": 2, "n_minus": 2}},
+            "generator1: unknown field 'overrides'",
         ),
     ],
     ids=["top-level", "generator", "gram-on-s2xs2", "override"],
@@ -321,20 +329,13 @@ def _json_text(x) -> str:
         (("summands", 0), "kind", "summands: repeated key 'kind' in summand 0"),
         (("generator1",), "permutation", "generator1: repeated key 'permutation'"),
         (("generator1", "local"), "s0", "generator1: repeated key 's0' in local"),
-        (("generator1", "overrides"), "s0", "generator1: repeated key 's0' in overrides"),
-        (
-            ("generator1", "overrides", "s0"),
-            "n_plus",
-            "generator1: repeated key 'n_plus' in the override for 's0'",
-        ),
     ],
-    ids=["document", "summand", "generator", "local", "overrides", "override"],
+    ids=["document", "summand", "generator", "local"],
 )
 def test_a_repeated_key_exits_two_naming_it(tmp_path, capsys, path, key, message):
-    doc = json.loads((SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8"))
-    doc["generator1"]["local"]["s0"] = "rotate_both"
-    doc["generator1"]["overrides"] = {"s0": {"n_plus": 3, "n_minus": 1}}
-    doc = json.loads(json.dumps(doc), object_pairs_hook=_Pairs)
+    doc = json.loads(
+        (SCENARIOS / "z2_l3_k1.json").read_text(encoding="utf-8"), object_pairs_hook=_Pairs
+    )
     file = tmp_path / "repeated.json"
     file.write_text(_json_text(doc))
     assert run_main(["check", "--input", str(file)])[0] == 0
@@ -764,31 +765,32 @@ def test_stdout_matches_golden_file(golden, argv):
 
 
 def test_stdout_is_the_same_under_every_hash_seed(tmp_path):
-    # four jointly fixed spheres whose generators split every sphere's
-    # points differently: the conflicts are reported in gen2's order
+    # four fixed spheres that each generator labels in part, beside labels
+    # on unknown ids: the violations follow the document's order
     ids = ["s0", "s1", "s2", "s3"]
     doc = {
         "schema_version": 1,
         "group": "Z2xZ2",
         "summands": [{"id": i, "kind": "s2xs2"} for i in ids],
-        "generator1": {
-            "local": dict.fromkeys(ids, "rotate_first"),
-            "overrides": {i: {"n_plus": 1, "n_minus": 3} for i in ids},
-        },
-        "generator2": {
-            "local": dict.fromkeys(ids, "rotate_second"),
-            "overrides": {i: {"n_plus": 3, "n_minus": 1} for i in ids[::-1]},
-        },
+        "generator1": {"local": dict.fromkeys(["g3", "g1", "s2"], "rotate_first")},
+        "generator2": {"local": dict.fromkeys(["g2", "s0"], "rotate_second")},
     }
-    path = tmp_path / "conflicts.json"
+    path = tmp_path / "violations.json"
     path.write_text(json.dumps(doc))
     argvs = [*GOLDEN_CASES.values(), ["check", "--input", str(path)]]
     first, *rest = (
         _main_in_child(argvs, dict(os.environ, PYTHONHASHSEED=seed)) for seed in "012"
     )
     assert rest == [first, first]
-    conflicts = re.findall(r"conflicting sign overrides for '(s\d)'", first[-1][1])
-    assert conflicts == ids[::-1]
+    status, output = first[-1]
+    found = re.findall(r"violation \[(\w+)\] (gen\d): .*'(\w+)'", output)
+    assert status == 2 and found == [
+        ("unknown_id", "gen1", "g3"),
+        ("unknown_id", "gen1", "g1"),
+        *(("missing_label", "gen1", i) for i in ("s0", "s1", "s3")),
+        ("unknown_id", "gen2", "g2"),
+        *(("missing_label", "gen2", i) for i in ("s1", "s2", "s3")),
+    ]
 
 
 def _main_in_child(argvs, env) -> list[tuple[int, str]]:
@@ -809,14 +811,12 @@ def _main_in_child(argvs, env) -> list[tuple[int, str]]:
     return list(map(ast.literal_eval, proc.stdout.splitlines()))
 
 
-def _custom_doc(gram=None, override=None, summand_id="c0", label="rotate_both", pair=None):
+def _custom_doc(gram=None, summand_id="c0", label="rotate_both", pair=None):
     """A Z2 scenario with one swapped pair of custom summands; each
     argument replaces one field with a malformed value."""
     gram = [[0, 1], [1, 0]] if gram is None else gram
     local = {"s": label}
     generator = {"permutation": [pair or [summand_id, "c1"]], "local": local}
-    if override is not None:
-        generator["overrides"] = {"s": override}
     return {
         "schema_version": 1,
         "group": "Z2",
@@ -834,7 +834,6 @@ def _custom_doc(gram=None, override=None, summand_id="c0", label="rotate_both", 
     [
         _custom_doc(gram=[[None]]),
         _custom_doc(gram=[1]),
-        _custom_doc(override={"n_plus": None, "n_minus": 4}),
         _custom_doc(gram=[[-2.9]]),
         _custom_doc(gram=[[True, 1], [1, 0]]),
         _custom_doc(summand_id=0),
@@ -843,7 +842,7 @@ def _custom_doc(gram=None, override=None, summand_id="c0", label="rotate_both", 
         _custom_doc(gram=[[0, 1], [1]]),
         _custom_doc(gram=[[0, 1], [2, 0]]),
     ],
-    ids=["null-entry", "row-not-list", "null-count", "float-entry", "bool-entry",
+    ids=["null-entry", "row-not-list", "float-entry", "bool-entry",
          "int-id", "int-label", "int-pair-member", "non-square", "asymmetric"],
 )
 def test_malformed_values_exit_two_without_traceback(tmp_path, capsys, doc):
@@ -865,11 +864,8 @@ def test_well_formed_custom_doc_checks():
 
 @pytest.mark.parametrize(
     "doc",
-    [
-        json.dumps(_custom_doc(gram=[["BIG", 1], [1, 0]])),
-        json.dumps(_custom_doc(override={"n_plus": "BIG", "n_minus": 4})),
-    ],
-    ids=["gram-entry", "override-count"],
+    [json.dumps(_custom_doc(gram=[["BIG", 1], [1, 0]]))],
+    ids=["gram-entry"],
 )
 def test_over_long_integers_are_a_malformed_scenario(tmp_path, capsys, doc):
     path = tmp_path / "long.json"

@@ -203,11 +203,6 @@ def test_unknown_ids_rejected():
         GeneratorAction((("s0", "ghost"),), {"s0": ROTATE_FIRST}),
     )
     assert "unknown_id" in [v.code for v in validate_scenario(s)]
-    t = z2_template(3, 1)
-    gen1 = GeneratorAction(t.gen1.permutation, dict(t.gen1.local), {"nope": (2, 2)})
-    assert validate_scenario(ActionScenario(t.group, t.summands, gen1)) == [
-        Violation("unknown_id", "override on unknown id 'nope'", "nope")
-    ]
 
 
 def test_induced_action_of_single_rotation_is_minus_identity():
@@ -265,73 +260,15 @@ def test_fixed_set_of_double_rotation():
     assert (fs.n_plus, fs.n_minus) == (2, 2)
 
 
-def test_fixed_set_override():
-    s = ActionScenario(
-        "Z2",
-        (Summand("s0", "s2xs2"),),
-        GeneratorAction((), {"s0": ROTATE_BOTH}, {"s0": (4, 0)}),
-    )
-    assert validate_scenario(s) == []
-    fs = require_valid(s).fixed_set(GEN1)
-    assert (fs.n_plus, fs.n_minus) == (4, 0)
-
-
-def _jointly_fixed_spheres(ids, overrides1, overrides2) -> ActionScenario:
+def _jointly_fixed_spheres(ids) -> ActionScenario:
     """A Klein scenario of spheres that both generators fix, gen1 rotating
     the first factor and gen2 the second, so the composition rotates both."""
     return ActionScenario(
         "Z2xZ2",
         tuple(Summand(i, "s2xs2") for i in ids),
-        GeneratorAction((), dict.fromkeys(ids, ROTATE_FIRST), overrides1),
-        GeneratorAction((), dict.fromkeys(ids, ROTATE_SECOND), overrides2),
+        GeneratorAction((), dict.fromkeys(ids, ROTATE_FIRST)),
+        GeneratorAction((), dict.fromkeys(ids, ROTATE_SECOND)),
     )
-
-
-def test_an_override_given_only_on_gen2_reaches_the_composition():
-    s = _jointly_fixed_spheres(("s0", "s1"), {}, {"s1": (4, 0)})
-    fs = require_valid(s).fixed_set(COMPOSITION)
-    assert fs.components == ((0, 8),)
-    assert (fs.n_plus, fs.n_minus) == (2 + 4, 2 + 0)
-    assert check(s).index_twisted == 2
-
-
-# every sphere's overrides conflict; gen2 lists them in an order of its
-# own and splits s0 invalidly, so a merge that kept gen1's valid (1, 3)
-# would report no bad_override
-_CONFLICTING_OVERRIDES = _jointly_fixed_spheres(
-    ("s0", "s1", "s2"),
-    {"s0": (1, 3), "s1": (1, 3), "s2": (1, 3)},
-    {"s2": (3, 1), "s0": (5, -1), "s1": (3, 1)},
-)
-
-
-def test_conflicting_overrides_follow_gen2_and_keep_its_split():
-    violations = validate_scenario(_CONFLICTING_OVERRIDES)
-    assert [v.subject for v in violations if v.code == "conflicting_override"] == [
-        "s2",
-        "s0",
-        "s1",
-    ]
-    assert [(v.code, v.subject) for v in violations[3:]] == [("bad_override", "s0")]
-    assert "got (5, -1)" in violations[3].message
-
-
-def test_override_must_split_four_points():
-    s = ActionScenario(
-        "Z2",
-        (Summand("s0", "s2xs2"),),
-        GeneratorAction((), {"s0": ROTATE_BOTH}, {"s0": (3, 0)}),
-    )
-    assert "bad_override" in [v.code for v in validate_scenario(s)]
-
-
-def test_stale_override_rejected():
-    s = ActionScenario(
-        "Z2",
-        (Summand("s0", "s2xs2"),),
-        GeneratorAction((), {"s0": ROTATE_FIRST}, {"s0": (2, 2)}),
-    )
-    assert "stale_override" in [v.code for v in validate_scenario(s)]
 
 
 def test_fixed_set_of_free_element_is_empty():
@@ -345,6 +282,15 @@ def test_fixed_set_of_identity_element_errors():
     valid = require_valid(z2_template(1, 0))
     with pytest.raises(ValueError):
         valid.fixed_set(IDENTITY_ELEMENT)
+
+
+def test_labels_edited_after_validation_move_no_derived_fact():
+    s = z2_template(2, 1)
+    v = require_valid(s)
+    s.gen1.local["s0"] = ROTATE_BOTH
+    assert v.action(GEN1)[1] == {"s0": ROTATE_FIRST, "s1": ROTATE_FIRST}
+    assert v.fixed_set(GEN1) == require_valid(z2_template(2, 1)).fixed_set(GEN1)
+    assert v.fixed_set(GEN1).components == ((2, 4),)
 
 
 def test_klein_composition_fixed_set_is_four_points_on_core():
@@ -503,21 +449,16 @@ def z2_scenarios(draw):
     pair_kinds = draw(
         st.lists(st.sampled_from(["s2xs2", "minus_e8", "k3"]), max_size=3)
     )
-    summands, perm, local, overrides = [], [], {}, {}
+    summands, perm, local = [], [], {}
     for i, lbl in enumerate(labels):
         sid = f"f{i}"
         summands.append(Summand(sid, "s2xs2"))
         local[sid] = lbl
-        if lbl == ROTATE_BOTH and draw(st.booleans()):
-            n_plus = draw(st.integers(0, 4))
-            overrides[sid] = (n_plus, 4 - n_plus)
     for i, kind in enumerate(pair_kinds):
         a, b = f"p{i}a", f"p{i}b"
         summands += [Summand(a, kind), Summand(b, kind)]
         perm.append((a, b))
-    return ActionScenario(
-        "Z2", tuple(summands), GeneratorAction(tuple(perm), local, overrides)
-    )
+    return ActionScenario("Z2", tuple(summands), GeneratorAction(tuple(perm), local))
 
 
 def assert_checker_premises(s):
@@ -598,19 +539,8 @@ def klein_scenarios(draw):
     return ActionScenario(s.group, tuple(summands), *gens)
 
 
-@st.composite
-def klein_scenarios_with_a_split(draw):
-    """A klein_scenarios draw whose core gets a sign split on gen2, so the
-    twisted index, and with it k, need not be an integer."""
-    s = draw(klein_scenarios())
-    (core,) = s.gen1.local.keys() & s.gen2.local.keys()
-    n_plus = draw(st.integers(0, 4))
-    gen2 = GeneratorAction(s.gen2.permutation, s.gen2.local, {core: (n_plus, 4 - n_plus)})
-    return ActionScenario(s.group, s.summands, s.gen1, gen2)
-
-
-@given(st.one_of(z2_scenarios(), klein_scenarios(), klein_scenarios_with_a_split()))
-@example(_jointly_fixed_spheres(("s0", "s1"), {}, {"s1": (4, 0)}))
+@given(st.one_of(z2_scenarios(), klein_scenarios()))
+@example(_jointly_fixed_spheres(("s0", "s1")))
 @settings(max_examples=60, deadline=None)
 def test_the_verdict_is_the_fraction_comparison_of_b_and_k(s):
     report = check(s)
@@ -618,6 +548,23 @@ def test_the_verdict_is_the_fraction_comparison_of_b_and_k(s):
     assert report.verdict == (
         NONSMOOTHABLE if below and report.all_hypotheses_pass else NO_OBSTRUCTION
     )
+
+
+@given(st.one_of(z2_scenarios(), klein_scenarios()))
+@example(_jointly_fixed_spheres(("s0", "s1")))
+@settings(max_examples=40, deadline=None)
+def test_isolated_points_split_evenly_and_the_index_is_zero(s):
+    """Every rotate_both piece splits its four points two and two, so each
+    element's points do, and the twisted index is 0 when the composition
+    has isolated fixed points only, None otherwise (obstruction.k_klein)."""
+    report = check(s)
+    for fs in report.elements:
+        assert fs.n_plus == fs.n_minus
+        if fs.n_plus is not None:
+            assert fs.components == ((0, 2 * fs.n_plus),)
+    composition = report.elements[2:]
+    points_only = composition and composition[0].n_plus is not None
+    assert report.index_twisted == (0 if points_only else None)
 
 
 def _dense_b_plus(s, elements):
@@ -685,7 +632,7 @@ def _mutated(draw, s):
     """`s` with up to three edits, each aimed at one violation code."""
     summands = list(s.summands)
     gens = [
-        [list(g.permutation), dict(g.local), dict(g.overrides)]
+        [list(g.permutation), dict(g.local)]
         for g in (s.gen1, s.gen2)
         if g is not None
     ]
@@ -693,7 +640,7 @@ def _mutated(draw, s):
     for _ in range(draw(st.sampled_from([1, 1, 1, 2, 3, 0]))):
         ids = [sm.id for sm in summands]
         some_id = st.sampled_from(ids) if ids else st.just("s0")
-        perm, local, overrides = draw(st.sampled_from(gens))
+        perm, local = draw(st.sampled_from(gens))
         fresh = f"m{len(summands)}"
         edit = draw(
             st.sampled_from(
@@ -701,22 +648,18 @@ def _mutated(draw, s):
                     "duplicate_id", "unknown_id", "degenerate_pair", "overlapping_pairs",
                     "kind_mismatch", "label_on_moved", "label_on_non_sphere",
                     "missing_label", "unknown_label", "identity_label", "identical_swap",
-                    "identical_labels", "noncommuting", "bad_override", "stale_override",
-                    "conflicting_override", "fixed_non_sphere", "unknown_kind",
-                    "missing_gram", "group",
+                    "identical_labels", "noncommuting", "fixed_non_sphere",
+                    "unknown_kind", "missing_gram", "group",
                 ]
             )
         )
         if edit == "duplicate_id" and summands:
             summands.append(draw(st.sampled_from(summands)))
         elif edit == "unknown_id":
-            where = draw(st.sampled_from(["pair", "label", "override"]))
-            if where == "pair":
+            if draw(st.booleans()):
                 perm.append((draw(some_id), "ghost"))
-            elif where == "label":
-                local["ghost"] = ROTATE_FIRST
             else:
-                overrides["ghost"] = (2, 2)
+                local["ghost"] = ROTATE_FIRST
         elif edit == "degenerate_pair":
             x = draw(some_id)
             perm.append((x, x))
@@ -752,13 +695,6 @@ def _mutated(draw, s):
             gens[0][1][c] = ROTATE_FIRST
             gens[1][0].append((b, c))
             gens[1][1][a] = ROTATE_SECOND
-        elif edit == "bad_override" and ids:
-            overrides[draw(some_id)] = (draw(st.integers(-1, 5)), draw(st.integers(-1, 5)))
-        elif edit == "stale_override" and ids:
-            overrides[draw(some_id)] = (2, 2)
-        elif edit == "conflicting_override" and len(gens) == 2 and ids:
-            i = draw(some_id)
-            gens[0][2][i], gens[1][2][i] = (1, 3), (3, 1)
         elif edit == "fixed_non_sphere":
             summands.append(Summand(fresh, "minus_e8"))
         elif edit == "unknown_kind" and summands:
@@ -769,7 +705,7 @@ def _mutated(draw, s):
             summands[n] = Summand(summands[n].id, CUSTOM)
         elif edit == "group":
             group = draw(st.sampled_from(["Z2", "Z2xZ2", "Z3"]))
-    generators = [GeneratorAction(tuple(p), l, o) for p, l, o in gens]
+    generators = [GeneratorAction(tuple(p), l) for p, l in gens]
     return ActionScenario(group, tuple(summands), *generators)
 
 
@@ -803,7 +739,6 @@ _COUNTS_MATCH_BESIDE_A_VIOLATION = (
 @example(ActionScenario("Z2", klein_template(1, 1, 1).summands, *_KLEIN_GENS))
 @example(ActionScenario("Z3", (), GeneratorAction()))
 @example(_FIXED_E8_PAIRS)
-@example(_CONFLICTING_OVERRIDES)
 @example(_COUNTS_MATCH_BESIDE_A_VIOLATION[0])
 @example(_COUNTS_MATCH_BESIDE_A_VIOLATION[1])
 @example(_COUNTS_MATCH_BESIDE_A_VIOLATION[2])
@@ -864,14 +799,13 @@ def odd_generators(draw, ids):
     return GeneratorAction(
         tuple(draw(st.lists(st.tuples(any_id, any_id), max_size=3))),
         draw(st.dictionaries(any_id, st.sampled_from(LABELS) | _ODD_TEXT, max_size=3)),
-        draw(st.dictionaries(any_id, st.tuples(_BIG, _BIG), max_size=2)),
     )
 
 
 @st.composite
 def odd_scenarios(draw):
     """Scenarios that need not validate: any ids, kinds, custom grams with
-    large negative entries, overrides, and empty maps and pair lists."""
+    large negative entries, and empty maps and pair lists."""
     ids = draw(st.lists(_ODD_TEXT, unique=True, max_size=5))
     summands = []
     for sid in ids:
@@ -884,12 +818,7 @@ def odd_scenarios(draw):
 
 def _canonical_doc(s):
     def generator_doc(gen):
-        doc = {"permutation": [list(pair) for pair in gen.permutation], "local": gen.local}
-        if gen.overrides:
-            doc["overrides"] = {
-                k: {"n_plus": p, "n_minus": m} for k, (p, m) in gen.overrides.items()
-            }
-        return doc
+        return {"permutation": [list(pair) for pair in gen.permutation], "local": gen.local}
 
     doc = {
         "schema_version": 1,
@@ -937,11 +866,11 @@ _SHARED = IntegerLattice(((0, 1), (1, 0)))
         ActionScenario(
             "Z2xZ2",
             (Summand("s", "s2xs2"), Summand("t", "s2xs2")),
-            GeneratorAction((), {"s": ROTATE_BOTH}, {"s": (1, 3)}),
-            GeneratorAction((), {"s": ROTATE_FIRST, "t": ROTATE_BOTH}, {"t": (4, 0), "s": (2, 2)}),
+            GeneratorAction((), {"s": ROTATE_BOTH}),
+            GeneratorAction((), {"s": ROTATE_FIRST, "t": ROTATE_BOTH}),
         ),
     ],
-    ids=["rank-0-gram", "no-summands", "shared-and-equal-grams", "overrides-on-both"],
+    ids=["rank-0-gram", "no-summands", "shared-and-equal-grams", "labels-on-both"],
 )
 def test_serialization_examples_are_json_dumps_text(s):
     text = serialize_scenario(s)
@@ -980,7 +909,7 @@ def test_equal_grams_in_a_document_share_one_lattice():
 @st.composite
 def relabelled(draw, scenarios):
     """A draw of `scenarios` and a copy with fresh ids, its summands, pairs,
-    pair members, labels and overrides each in a shuffled order."""
+    pair members and labels each in a shuffled order."""
     s = draw(scenarios)
     name = {sm.id: f"r{n}" for n, sm in enumerate(draw(st.permutations(s.summands)))}
 
@@ -992,12 +921,7 @@ def relabelled(draw, scenarios):
             for a, b in draw(st.permutations(gen.permutation))
         ]
         local = draw(st.permutations(list(gen.local.items())))
-        overrides = draw(st.permutations(list(gen.overrides.items())))
-        return GeneratorAction(
-            tuple(pairs),
-            {name[i]: lbl for i, lbl in local},
-            {name[i]: split for i, split in overrides},
-        )
+        return GeneratorAction(tuple(pairs), {name[i]: lbl for i, lbl in local})
 
     summands = tuple(
         Summand(name[sm.id], sm.kind, sm.custom_form)
@@ -1021,7 +945,7 @@ def _invariants_reports(s) -> tuple[dict, str]:
     return doc, reports[1].split("\n", 1)[1]
 
 
-_ANY_VALID = st.one_of(z2_scenarios(), klein_scenarios(), klein_scenarios_with_a_split())
+_ANY_VALID = st.one_of(z2_scenarios(), klein_scenarios())
 
 
 @given(relabelled(_ANY_VALID))
@@ -1037,7 +961,7 @@ def test_equal_orbit_types_give_equal_reports(pair):
 
 @given(_ANY_VALID)
 @example(with_free_orbits(klein_template(2, 1, 1), ["hyperbolic", "k3"]))
-@example(_jointly_fixed_spheres(("s0", "s1"), {"s0": (1, 3)}, {"s1": (4, 0)}))
+@example(_jointly_fixed_spheres(("s0", "s1")))
 @settings(max_examples=6, deadline=None)
 def test_the_orbit_types_alone_give_totals_fixed_sets_and_b(s):
     """The readers of a ValidScenario that keeps only the orbit types and
@@ -1070,18 +994,7 @@ def test_custom_summands_with_equal_grams_share_one_orbit_type():
         ),
         GeneratorAction((("c0", "c1"), ("d0", "d1"))),
     )
-    assert require_valid(s).orbit_types == ((((MOVED,), first, None), 4),)
-
-
-def test_splits_given_in_either_order_give_one_multiset():
-    splits = {"s0": (1, 3), "s1": (4, 0)}
-    forward = _jointly_fixed_spheres(("s0", "s1"), {}, splits)
-    backward = _jointly_fixed_spheres(("s0", "s1"), {}, dict(reversed(splits.items())))
-    labels = ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH
-    assert require_valid(forward).orbit_types == require_valid(backward).orbit_types == (
-        ((labels, "s2xs2", (1, 3)), 1),
-        ((labels, "s2xs2", (4, 0)), 1),
-    )
+    assert require_valid(s).orbit_types == ((((MOVED,), first), 4),)
 
 
 def _chain_labelled(labels) -> ActionScenario:
@@ -1096,9 +1009,9 @@ def test_a_pair_with_two_labels_gives_two_types_and_keeps_its_answers():
     s = _chain_labelled([ROTATE_FIRST, ROTATE_SECOND])
     v = require_valid(s)
     assert v.orbit_types == (
-        (((ROTATE_FIRST, MOVED, MOVED), "s2xs2", None), 1),
-        (((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), "s2xs2", None), 1),
-        (((ROTATE_SECOND, MOVED, MOVED), "s2xs2", None), 1),
+        (((ROTATE_FIRST, MOVED, MOVED), "s2xs2"), 1),
+        (((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), "s2xs2"), 1),
+        (((ROTATE_SECOND, MOVED, MOVED), "s2xs2"), 1),
     )
     report = check(s)
     assert report.verdict == NO_OBSTRUCTION
@@ -1146,7 +1059,7 @@ def test_the_orbit_types_build_in_linear_time():
         tuple(Summand(i, "s2xs2") for i in ids),
         GeneratorAction((), dict.fromkeys(ids, ROTATE_FIRST)),
     )
-    alone_type = (ROTATE_BOTH, MOVED, MOVED), "s2xs2", None
+    alone_type = (ROTATE_BOTH, MOVED, MOVED), "s2xs2"
     assert dict(require_valid(klein).orbit_types)[alone_type] == 2 * n
     klein_s = _best_seconds(lambda: require_valid(klein))
     assert klein_s < 10 * _best_seconds(lambda: require_valid(z2))

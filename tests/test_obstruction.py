@@ -164,18 +164,6 @@ def test_klein_family_sweep_nonsmoothable(l1, l2, k):
     assert report.index_twisted == 0
 
 
-def test_klein_asymmetric_points_shift_the_bound():
-    # overriding the sign split makes the twisted index nonzero and the
-    # bound larger in absolute value via the sign maximum
-    s = klein_template(3, 3, 1)
-    gen1 = GeneratorAction(s.gen1.permutation, dict(s.gen1.local), {"core": (4, 0)})
-    s2 = ActionScenario(s.group, s.summands, gen1, s.gen2)
-    report = check(s2)
-    assert report.index_twisted == 2
-    assert report.k == Fraction(5, 4)
-    assert report.verdict == NONSMOOTHABLE
-
-
 def test_klein_verdict_invariant_under_relabelling():
     s = klein_template(3, 3, 1)
     renamed = ActionScenario(
@@ -371,16 +359,14 @@ def test_smooth_structure_of_named_templates(scenario, b2, expected):
 
 
 def test_klein_verdict_resting_on_the_larger_lift_sign_bound():
-    # klein_template(3, 3, 1) plus one free orbit of four sphere products,
-    # with the core's four isolated points all positive: the index is 2 for
-    # one choice of lifts and -2 for the other, and b = 1 lies between the
-    # two bounds
+    # klein_template(3, 3, 1) plus one free orbit of four sphere products:
+    # b = 1 lies between the bounds of index -2 and 2, one per choice of
+    # lifts, which the larger one would obstruct; but the core's isolated
+    # points split two and two, so the index is 0 and b = k
     base = klein_template(3, 3, 1)
     orbit = tuple(Summand(f"f{i}", S2XS2) for i in range(4))
     gen1 = GeneratorAction(
-        base.gen1.permutation + (("f0", "f1"), ("f2", "f3")),
-        base.gen1.local,
-        {"core": (4, 0)},
+        base.gen1.permutation + (("f0", "f1"), ("f2", "f3")), base.gen1.local
     )
     gen2 = GeneratorAction(
         base.gen2.permutation + (("f0", "f2"), ("f1", "f3")), base.gen2.local
@@ -388,10 +374,11 @@ def test_klein_verdict_resting_on_the_larger_lift_sign_bound():
     report = check(ActionScenario(Z2XZ2, base.summands + orbit, gen1, gen2))
     assert report.all_hypotheses_pass
     assert (report.b2, report.signature) == (66, -32)
-    assert report.b == 1 and report.index_twisted == 2
+    assert report.b == 1 and report.index_twisted == 0
     assert k_klein(report.signature, -2) == Fraction(3, 4) <= report.b
-    assert report.k == k_klein(report.signature, 2) == Fraction(5, 4) > report.b
-    assert report.verdict == NONSMOOTHABLE
+    assert k_klein(report.signature, 2) == Fraction(5, 4) > report.b
+    assert report.k == k_klein(report.signature, 0) == 1 == report.b
+    assert report.verdict == NO_OBSTRUCTION
 
 
 def _rotated_spheres(*labels) -> ActionScenario:
@@ -465,6 +452,11 @@ HYPOTHESIS_ORDER = {
 }
 
 
+# a fixed set with surfaces and isolated points fails the parity hypothesis
+_MIXED = (
+    "fixes surfaces and isolated points; a spin involution's fixed components are "
+    "all surfaces or all points (Atiyah-Bott II, section 8; Bryan 1998, section 2)"
+)
 # (scenario, hypothesis, passed, detail)
 SHARED_HYPOTHESES = [
     ("z2-free", "generator_odd", False, "gen1 acts freely; parity indeterminate"),
@@ -472,8 +464,8 @@ SHARED_HYPOTHESES = [
     (
         "z2-mixed-labels",
         "generator_odd",
-        True,
-        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+        False,
+        f"gen1 {_MIXED}",
     ),
     ("z2-both", "generator_odd", False, "gen1 is even"),
     ("klein-free", "generator1_odd", False, "gen1 acts freely; parity indeterminate"),
@@ -481,8 +473,8 @@ SHARED_HYPOTHESES = [
     (
         "klein-mixed-labels-1",
         "generator1_odd",
-        True,
-        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+        False,
+        f"gen1 {_MIXED}",
     ),
     ("klein-both-first", "generator1_odd", False, "gen1 is even"),
     ("klein-free", "generator2_odd", False, "gen2 acts freely; parity indeterminate"),
@@ -490,8 +482,8 @@ SHARED_HYPOTHESES = [
     (
         "klein-mixed-labels-2",
         "generator2_odd",
-        True,
-        "gen2 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+        False,
+        f"gen2 {_MIXED}",
     ),
     ("klein-first-both", "generator2_odd", False, "gen2 is even"),
     (
@@ -505,7 +497,7 @@ SHARED_HYPOTHESES = [
         "klein-mixed-labels-1",
         "composition_even",
         False,
-        "composition is odd (mixed fixed-set dimensions; 2-dimensional clause applied)",
+        f"composition {_MIXED}",
     ),
     ("klein-template", "composition_even", True, "composition is even"),
     ("z2-odd-form", "intersection_form_even", False, "total form is even (spin)"),

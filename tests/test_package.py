@@ -13,7 +13,7 @@ PUBLIC = {
     "TotalInvariants", "ValidScenario", "Violation", "b_plus_invariant", "check",
     "commute", "direct_sum", "direct_sum_all", "empty_lattice",
     "induced_cohomology_action", "invariant_sublattice", "is_even", "k_klein",
-    "k_odd", "klein_grid", "klein_template", "lefschetz_index", "make_standard",
+    "k_odd", "klein_grid", "klein_template", "make_standard",
     "parse_scenario", "recognize_klein_template", "require_valid",
     "restricted_profile", "scenario_digest", "serialize_scenario",
     "signature_profile", "smith_invariant_factors", "smooth_structure",

@@ -1,6 +1,8 @@
 """Parity of an involution, as ValidScenario.fixed_set reads it from the
-fixed set, and the Dirac index bounds of the obstruction checker."""
+fixed set, the parity hypotheses that check reads from it, and the Dirac
+index bounds of the obstruction checker."""
 
+import io
 from fractions import Fraction
 
 from hypothesis import given
@@ -13,12 +15,14 @@ from spinact import (
     check,
     k_klein,
     k_odd,
-    lefschetz_index,
     require_valid,
+    serialize_scenario,
 )
+from spinact import cli
 from spinact.equivariant_sum import (
     EVEN,
     GEN1,
+    MINUS_E8,
     ODD,
     ROTATE_BOTH,
     ROTATE_FIRST,
@@ -68,35 +72,47 @@ def test_empty_fixed_set_is_indeterminate():
     assert [valid.fixed_set(e).parity for e in valid.table] == [None, None, None]
 
 
-def test_mixed_dimensions_warns_but_reports_odd():
+def test_mixed_dimensions_report_odd_but_fail_the_parity_hypothesis():
     fs = _fixed_set(ROTATE_FIRST, ROTATE_BOTH)
     assert (fs.components, fs.parity) == (((0, 4), (2, 2)), ODD)
     (hypothesis,) = (
         h for h in check(_involution(ROTATE_FIRST, ROTATE_BOTH)).hypotheses
         if h.name == "generator_odd"
     )
-    assert hypothesis.passed
+    assert not hypothesis.passed
     assert hypothesis.detail == (
-        "gen1 is odd (mixed fixed-set dimensions; 2-dimensional clause applied)"
+        "gen1 fixes surfaces and isolated points; a spin involution's fixed "
+        "components are all surfaces or all points (Atiyah-Bott II, section 8; "
+        "Bryan 1998, section 2)"
     )
+
+
+def test_a_mixed_fixed_set_gives_no_obstruction_and_exit_two(tmp_path):
+    # one sphere rotated in a factor, one in both, and a swapped -E8 pair:
+    # b = 0 < k = 1 would certify it, but no spin involution fixes both
+    # surfaces and points
+    s = ActionScenario(
+        Z2,
+        (Summand("a", S2XS2), Summand("b", S2XS2))
+        + (Summand("w0", MINUS_E8), Summand("w1", MINUS_E8)),
+        GeneratorAction((("w0", "w1"),), {"a": ROTATE_FIRST, "b": ROTATE_BOTH}),
+    )
+    report = check(s)
+    assert (report.b, report.k) == (0, 1)
+    assert [h.name for h in report.hypotheses if not h.passed] == ["generator_odd"]
+    assert report.verdict == "no_obstruction"
+    path = tmp_path / "mixed.json"
+    path.write_text(serialize_scenario(s))
+    out = io.StringIO()
+    assert cli.main(["check", "--input", str(path)], out=out) == 2
+    assert "verdict: no_obstruction\n" in out.getvalue()
+    assert "[FAIL] generator_odd  (gen1 fixes surfaces and isolated points;" in out.getvalue()
 
 
 @given(st.permutations([ROTATE_SECOND, ROTATE_BOTH, ROTATE_FIRST, ROTATE_FIRST]))
 def test_parity_ignores_component_order(labels):
     fs = _fixed_set(*labels)
     assert (fs.components, fs.parity) == (((0, 4), (2, 6)), ODD)
-
-
-def test_lefschetz_examples():
-    assert lefschetz_index(2, 2) == 0
-    assert lefschetz_index(3, 1) == 1
-    assert lefschetz_index(1, 2) == Fraction(-1, 2)
-
-
-@given(st.integers(0, 50), st.integers(0, 50))
-def test_lefschetz_antisymmetric(n_plus, n_minus):
-    assert lefschetz_index(n_plus, n_minus) == -lefschetz_index(n_minus, n_plus)
-    assert lefschetz_index(n_plus, n_plus) == 0
 
 
 def test_k_odd_examples():
@@ -110,6 +126,8 @@ def test_k_klein_examples():
     assert k_klein(-32, 0) == 1
     assert k_klein(0, 0) == 0
     assert k_klein(-32, 2) == Fraction(5, 4)
+    # the two lifts of one action: index -2 and 2 bracket b = 1
+    assert k_klein(-32, -2) == Fraction(3, 4)
 
 
 @given(st.integers(-320, 0))

@@ -50,8 +50,8 @@ RECORDS = [
     (Summand, ("c0", "custom", ONE), ("id", "kind", "custom_form")),
     (
         GeneratorAction,
-        ((("a", "b"),), {"c": "rotate_both"}, {"c": (2, 2)}),
-        ("permutation", "local", "overrides"),
+        ((("a", "b"),), {"c": "rotate_both"}),
+        ("permutation", "local"),
     ),
     (
         ActionScenario,
@@ -185,9 +185,8 @@ def test_defaults():
     assert FixedSetData("gen1", (), None).n_plus is None
     assert ActionScenario("Z2", (), GeneratorAction()).gen2 is None
     gen = GeneratorAction()
-    assert (gen.permutation, gen.local, gen.overrides) == ((), {}, {})
+    assert (gen.permutation, gen.local) == ((), {})
     assert GeneratorAction().local is not GeneratorAction().local
-    assert GeneratorAction().overrides is not GeneratorAction().overrides
     with pytest.raises(TypeError):
         Hypothesis("spin")
 

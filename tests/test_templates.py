@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinact import cli
-from spinact.equivariant_sum import ROTATE_SECOND, Summand, scenario_digest
+from spinact.equivariant_sum import ROTATE_BOTH, ROTATE_SECOND, Summand, scenario_digest
 from spinact.templates import (
     NO_SMOOTH_STRUCTURE,
     SMOOTHABLE_BY_CONSTRUCTION,
@@ -87,7 +87,7 @@ def test_points_share_no_label_dicts():
     point = z2_grid(4, 1)
     first = point(3, 1)
     first.gen1.local.clear()
-    first.gen1.overrides["s0"] = (1, 0)
+    first.gen1.local["s0"] = ROTATE_BOTH
     assert point(3, 1) == z2_template_reference(3, 1)
 
     point = klein_grid(2, 2, 1)
