@@ -51,7 +51,6 @@ from .obstruction import (
 from .templates import (
     klein_grid,
     klein_template,
-    recognize_klein_template,
     smooth_structure,
     z2_grid,
     z2_template,

@@ -163,16 +163,14 @@ class ActionScenario:
 
 @frozen
 class FixedSetData:
-    """Aggregated fixed-set contributions of one group element.
+    """The fixed set of one group element on the connected sum.
 
     components holds (dimension, count) pairs, dimensions 0 and 2 only,
-    each count positive. The counts are summed over the pieces the element
-    fixes; they are not the fixed set of the connected sum, whose necks at
-    fixed points merge fixed spheres or remove isolated points (ROADMAP
-    item 15(a)). parity is ODD when a 2-dimensional component is present,
-    EVEN when only isolated points are, and None for an empty fixed set,
-    whose parity the dimensions cannot decide. n_plus and n_minus are
-    present exactly when every component is isolated, and then equal.
+    each count positive and counted on the sum (ValidScenario.fixed_set).
+    parity is ODD when a 2-dimensional component is present, EVEN when only
+    isolated points are, and None for an empty fixed set, whose parity the
+    dimensions cannot decide. n_plus and n_minus are present exactly when
+    every component is isolated, and then equal.
     """
 
     def __init__(
@@ -272,30 +270,31 @@ class ValidScenario:
         return TotalInvariants(b2, signature, even)
 
     def fixed_set(self, element: str) -> FixedSetData:
-        """Fixed-set contributions and parity of a non-identity element,
-        per local label.
+        """Fixed set and parity of a non-identity element on the connected sum.
 
-        rotate_first / rotate_second contribute two 2-dimensional components
-        each; rotate_both contributes four isolated points, two of each sign
-        (see the class docstring).
+        A piece fixes two 2-spheres under rotate_first / rotate_second, and
+        four points, two of each sign, under rotate_both (see the class
+        docstring). The necks form a tree, and the f pieces of one kind that
+        the element fixes span a subtree whose f - 1 necks each merge two
+        spheres or remove two points: f + 1 spheres, or 2f + 2 points, as the
+        Lefschetz number 2 + tr(g*) requires. A mixed set takes both counts.
         """
         self.action(element)  # raises ValueError for an element outside the table
         slot = _SLOT[element]
-        two_dim = points = 0
+        f2 = f0 = 0  # fixed pieces, by the dimension of their fixed set
         for (labels, _), n in self.orbit_types:
             label = labels[slot]
             if label == ROTATE_BOTH:
-                points += 4 * n
+                f0 += n
             elif label != MOVED:
-                two_dim += 2 * n
-        if points:
-            components = ((0, points), (2, two_dim)) if two_dim else ((0, points),)
-        else:
-            components = ((2, two_dim),) if two_dim else ()
-        parity = ODD if two_dim else EVEN if points else None
-        if points and not two_dim:
-            return FixedSetData(element, components, parity, points // 2, points // 2)
-        return FixedSetData(element, components, parity)
+                f2 += n
+        if f2 and f0:
+            return FixedSetData(element, ((0, 2 * f0 + 2), (2, f2 + 1)), ODD)
+        if f2:
+            return FixedSetData(element, ((2, f2 + 1),), ODD)
+        if f0:
+            return FixedSetData(element, ((0, 2 * f0 + 2),), EVEN, f0 + 1, f0 + 1)
+        return FixedSetData(element, (), None)
 
     def b_plus(self, elements) -> int:
         """Positive index of the form on the joint fixed sublattice of the

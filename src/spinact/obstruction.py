@@ -20,19 +20,15 @@ from .equivariant_sum import (
     EVEN,
     GEN1,
     GEN2,
+    MOVED,
     ODD,
     ActionScenario,
     FixedSetData,
+    ValidScenario,
     Z2,
     require_valid,
 )
-from .templates import (
-    SMOOTHABLE_BY_CONSTRUCTION,
-    UNKNOWN,
-    klein_admits,
-    recognize_klein_template,
-    smooth_structure,
-)
+from .templates import SMOOTHABLE_BY_CONSTRUCTION, UNKNOWN, smooth_structure
 
 Z2_THEOREM = "z2_odd_involution"
 KLEIN_THEOREM = "z2xz2_odd_pair"
@@ -67,7 +63,7 @@ class ObstructionReport:
         index_twisted: Optional[Fraction],
         b2: int,
         signature: int,
-        # (subgroup, hint) for each proper subgroup of a Klein scenario
+        # (subgroup, answer) for each proper subgroup of a Klein scenario
         subgroup_hints: tuple[tuple[str, str], ...],
         # (answer, reason) of templates.smooth_structure for the total form
         smooth_structure: tuple[str, str],
@@ -152,11 +148,52 @@ _KLEIN_PARITIES = (
 )
 
 
-# the same one-sided hint for every proper subgroup, by klein_admits
-_SUBGROUP_HINTS = tuple(
-    tuple((sub, hint) for sub in SUBGROUPS)
-    for hint in (UNKNOWN, SMOOTHABLE_BY_CONSTRUCTION)
-)
+def _below(b: int, k: Fraction) -> bool:
+    """b < k, in integers."""
+    return b * k.denominator < k.numerator
+
+
+def _subgroup_answers(v: ValidScenario, signature: int, forms_pass: bool, fixed_sets):
+    """(subgroup, answer) for each proper subgroup <e> of a Klein scenario,
+    read from X_e, one piece of each pair that e swaps. nonsmoothable: the
+    Z2 certificate of <e> holds (the form hypotheses, e odd, and b_plus(X_e)
+    = b_plus([e]) < k_odd). smoothable_by_construction: e fixes points only
+    or surfaces only, and smooth_structure constructs X_e from standard
+    forms. <e> then acts on the rotated S2 x S2 pieces it fixes # X_e # X_e,
+    whose copies a rotation of S^4 swaps at a free orbit (Kato, arXiv
+    1708.08030); by Freedman that is the scenario's manifold. Else unknown.
+    """
+    # per element, b_plus and signature of the pieces it moves: twice X_e's
+    b_plus, sigma = [0, 0, 0], [0, 0, 0]
+    for (labels, form), n in v.orbit_types:
+        p = v.forms[form][0]
+        b, sig = n * p.b_plus, n * p.signature
+        for slot, label in enumerate(labels):
+            if label == MOVED:
+                b_plus[slot] += b
+                sigma[slot] += sig
+    # custom pieces, never constructed, lie in free orbits: every element moves them
+    standard = all(isinstance(form, str) for form in v.forms)
+    k = k_odd(signature)
+    name, want = _Z2_PARITIES[0]
+    answers = []
+    for sub, fs, b, sig in zip(SUBGROUPS, fixed_sets, b_plus, sigma):
+        b, sig, mixed = b // 2, sig // 2, len(fs.components) == 2
+        if (
+            forms_pass
+            and _below(b, k)
+            and _parity_hypothesis(name, fs.element, fs.parity, mixed, want).passed
+        ):
+            answer = NONSMOOTHABLE
+        # a standard form is nondegenerate, of rank 2 b_plus - signature
+        elif fs.parity and not mixed and smooth_structure(
+            2 * b - sig, sig, standard
+        )[0] == SMOOTHABLE_BY_CONSTRUCTION:
+            answer = SMOOTHABLE_BY_CONSTRUCTION
+        else:
+            answer = UNKNOWN
+        answers.append((sub, answer))
+    return tuple(answers)
 
 
 def check(s: ActionScenario) -> ObstructionReport:
@@ -202,14 +239,10 @@ def check(s: ActionScenario) -> ObstructionReport:
         if fixed_sets[2].n_plus is not None:
             index_twisted = _ZERO
         k = k_klein(inv.signature, 0)
-        shape = recognize_klein_template(v)
-        hints = _SUBGROUP_HINTS[shape is not None and klein_admits(*shape)]
-    # the inequality first: b < k in integers, the hypotheses a scan
-    verdict = (
-        NONSMOOTHABLE
-        if b * k.denominator < k.numerator and all(h.passed for h in hypotheses)
-        else NO_OBSTRUCTION
-    )
+        forms_pass = all(h.passed for h in hypotheses[:4])
+        hints = _subgroup_answers(v, inv.signature, forms_pass, fixed_sets)
+    passed = all(h.passed for h in hypotheses)
+    verdict = NONSMOOTHABLE if passed and _below(b, k) else NO_OBSTRUCTION
     return ObstructionReport(
         theorem=theorem,
         hypotheses=hypotheses,

@@ -12,16 +12,13 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .equivariant_sum import (
-    MOVED,
     ActionScenario,
     GeneratorAction,
-    ROTATE_BOTH,
     ROTATE_FIRST,
     ROTATE_SECOND,
     S2XS2,
     MINUS_E8,
     Summand,
-    ValidScenario,
     Z2,
     Z2XZ2,
 )
@@ -191,35 +188,3 @@ def klein_admits(l1: int, l2: int, k: int) -> bool:
     """Every proper subgroup is smoothable by construction: both chains >= 3k."""
     return l1 >= 3 * k and l2 >= 3 * k
 
-
-# the orbit types of a Klein template point, labels and form: the core, a
-# sphere of the first chain, one of the second, and a free -E8
-_KLEIN_SHAPE = (
-    ((ROTATE_FIRST, ROTATE_SECOND, ROTATE_BOTH), S2XS2),
-    ((ROTATE_FIRST, MOVED, MOVED), S2XS2),
-    ((MOVED, ROTATE_SECOND, MOVED), S2XS2),
-    ((MOVED, MOVED, MOVED), MINUS_E8),
-)
-
-
-def recognize_klein_template(v: ValidScenario) -> tuple[int, int, int] | None:
-    """Match a validated scenario against the Klein family shape, up to
-    summand names.
-
-    Returns the parameters (l1, l2, k) when the scenario is (a
-    relabelling of) the template: one jointly rotated core, one chain per
-    generator swapped pairwise by the other, and negative-E8 summands in
-    free four-element orbits split evenly by both generators. Anything
-    else returns None. The orbit types decide it: one core id, 2 l1 and
-    2 l2 ids of the two chain types, 4 k free negative-E8 ids, and no other
-    type.
-    """
-    counts = dict.fromkeys(_KLEIN_SHAPE, 0)
-    for t, n in v.orbit_types:
-        if t not in counts:
-            return None
-        counts[t] = n
-    core, chain1, chain2, e8 = counts.values()
-    if core != 1 or chain1 % 2 or chain2 % 2:
-        return None
-    return chain1 // 2, chain2 // 2, e8 // 4

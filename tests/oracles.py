@@ -5,8 +5,9 @@ library now derives from shared rules (the template sweep, the advertised
 family total built as one dense form), or compute it the long way (the
 full-matrix elimination, the dense matrix product, the canonical pair
 order, the validator that builds every element map before it checks,
-the element actions that validation's table is checked against, and
-the fixed sets read id by id).
+the element actions that validation's table is checked against, the
+fixed sets read id by id, and the subgroup answers from restricted
+scenarios, dense halves and closed forms).
 The last section is the representation-ring reference: exact Z4
 characters and tom Dieck traces, from which the integer test b < k
 behind every certificate is derived and checked."""
@@ -42,9 +43,17 @@ from spinact.equivariant_sum import (
     Summand,
     Violation,
     compose_labels,
+    require_valid,
 )
 from spinact._record import frozen, set_field
-from spinact.lattice import SignatureProfile
+from spinact.lattice import SignatureProfile, direct_sum_all
+from spinact.obstruction import (
+    NONSMOOTHABLE,
+    SMOOTHABLE_BY_CONSTRUCTION,
+    UNKNOWN,
+    check,
+)
+from spinact.templates import smooth_structure
 
 
 def freeze_per_entry(rows):
@@ -402,18 +411,66 @@ def element_action(s, element: str) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def fixed_set_reference(s, element: str) -> FixedSetData:
-    """The fixed-set contributions of an element of a valid scenario, read
-    id by id from its labels: two 2-spheres per summand that rotates one
-    factor, and four points per summand that rotates both, two of each
-    sign."""
+    """The fixed set of an element of a valid scenario on the connected sum,
+    read id by id from its labels: f summands that rotate one factor, two
+    2-spheres each, joined by f - 1 necks that each merge two spheres, and
+    f that rotate both, four points each, joined by f - 1 necks that each
+    remove two points, half of the rest of each sign."""
     labels = list(element_action(s, element)[1].values())
-    two_dim = 2 * (labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND))
-    points = 4 * labels.count(ROTATE_BOTH)
+    surfaces = labels.count(ROTATE_FIRST) + labels.count(ROTATE_SECOND)
+    doubles = labels.count(ROTATE_BOTH)
+    two_dim = 2 * surfaces - (surfaces - 1) if surfaces else 0
+    points = 4 * doubles - 2 * (doubles - 1) if doubles else 0
     components = tuple((dim, n) for dim, n in ((0, points), (2, two_dim)) if n)
     parity = ODD if two_dim else EVEN if points else None
     if points and not two_dim:
         return FixedSetData(element, components, parity, points // 2, points // 2)
     return FixedSetData(element, components, parity)
+
+
+def restricted_scenario(s, element: str) -> ActionScenario:
+    """The Z2 scenario of the subgroup that `element` generates in a valid
+    Klein scenario: its summands, with the element's pairs and labels from
+    the validated element table as the one generator."""
+    images, local = require_valid(s).table[element]
+    pairs = {tuple(sorted(pair)) for pair in images.items()}
+    return ActionScenario(Z2, s.summands, GeneratorAction(tuple(pairs), dict(local)))
+
+
+def subgroup_answer_reference(s, element: str) -> str:
+    """The answer for the subgroup that `element` generates in a valid Klein
+    scenario, the long way. nonsmoothable when the certificate of its
+    restricted Z2 scenario is. smoothable_by_construction when its fixed
+    set, read id by id, is nonempty and of one kind, and X_e, one summand
+    of each pair it swaps, has standard summands only and a dense form that
+    smooth_structure constructs. unknown otherwise."""
+    if check(restricted_scenario(s, element)).verdict == NONSMOOTHABLE:
+        return NONSMOOTHABLE
+    images = element_action(s, element)[0]
+    half = [sm for sm in s.summands if sm.id in images and sm.id < images[sm.id]]
+    if len(fixed_set_reference(s, element).components) == 1 and all(
+        sm.kind != CUSTOM for sm in half
+    ):
+        p = signature_profile_full(direct_sum_all(sm.form() for sm in half))
+        if smooth_structure(p.rank, p.signature, True)[0] == SMOOTHABLE_BY_CONSTRUCTION:
+            return SMOOTHABLE_BY_CONSTRUCTION
+    return UNKNOWN
+
+
+def klein_subgroup_reference(l1: int, l2: int, k: int) -> dict[str, str]:
+    """The subgroup answers of klein_template(l1, l2, k) in closed form.
+    gen1 swaps the l2 sphere pairs of the second chain and 2k -E8 pairs:
+    its b = l2 meets k_odd = 2k, and l2 >= 3k sphere pairs build k K3
+    pairs. gen2 is the same with l1. The composition fixes the core's
+    points, so only its construction applies: l1 + l2 sphere pairs."""
+
+    def generator(l: int) -> str:
+        if l < 2 * k:
+            return NONSMOOTHABLE
+        return SMOOTHABLE_BY_CONSTRUCTION if l >= 3 * k else UNKNOWN
+
+    diagonal = SMOOTHABLE_BY_CONSTRUCTION if l1 + l2 >= 3 * k else UNKNOWN
+    return {"gen1": generator(l2), "gen2": generator(l1), "diagonal": diagonal}
 
 
 def _kind_key(sm):

@@ -83,10 +83,16 @@ def test_criterion_3_subgroup_hints():
     hints = dict(check(klein_template(3, 3, 1)).subgroup_hints)
     for sub in ("gen1", "gen2", "diagonal"):
         assert hints[sub] == SMOOTHABLE_BY_CONSTRUCTION
+    # gen1 restricts to l2 swapped sphere pairs and 2k swapped -E8 pairs
     tight = dict(check(klein_template(3, 2, 1)).subgroup_hints)  # l2 = 3k - 1
-    for sub in ("gen1", "gen2", "diagonal"):
-        assert tight[sub] == UNKNOWN
-    _report(3, "subgroup hints: smoothable at l>=3k, unknown at l2=3k-1")
+    assert tight == {
+        "gen1": UNKNOWN,
+        "gen2": SMOOTHABLE_BY_CONSTRUCTION,
+        "diagonal": SMOOTHABLE_BY_CONSTRUCTION,
+    }
+    obstructed = dict(check(klein_template(3, 1, 1)).subgroup_hints)  # l2 < 2k
+    assert obstructed["gen1"] == NONSMOOTHABLE
+    _report(3, "subgroups: smoothable at l>=3k, unknown at l2=3k-1, nonsmoothable at l2<2k")
 
 
 def test_criterion_4_tomdieck_identity():

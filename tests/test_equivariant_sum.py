@@ -50,13 +50,20 @@ from spinact.lattice import (
     make_standard,
     signature_profile,
 )
-from spinact.obstruction import NO_OBSTRUCTION, NONSMOOTHABLE, check
-from spinact.templates import klein_template, recognize_klein_template, z2_template
+from spinact.obstruction import (
+    NO_OBSTRUCTION,
+    NONSMOOTHABLE,
+    SMOOTHABLE_BY_CONSTRUCTION,
+    check,
+)
+from spinact.templates import klein_template, z2_template
 
 from oracles import (
     element_action,
     elements_of,
     fixed_set_reference,
+    restricted_scenario,
+    subgroup_answer_reference,
     validate_scenario_reference,
 )
 
@@ -290,7 +297,7 @@ def test_labels_edited_after_validation_move_no_derived_fact():
     s.gen1.local["s0"] = ROTATE_BOTH
     assert v.action(GEN1)[1] == {"s0": ROTATE_FIRST, "s1": ROTATE_FIRST}
     assert v.fixed_set(GEN1) == require_valid(z2_template(2, 1)).fixed_set(GEN1)
-    assert v.fixed_set(GEN1).components == ((2, 4),)
+    assert v.fixed_set(GEN1).components == ((2, 3),)
 
 
 def test_klein_composition_fixed_set_is_four_points_on_core():
@@ -565,6 +572,55 @@ def test_isolated_points_split_evenly_and_the_index_is_zero(s):
     composition = report.elements[2:]
     points_only = composition and composition[0].n_plus is not None
     assert report.index_twisted == (0 if points_only else None)
+
+
+def _core_doubly_rotated_by_gen2(s: ActionScenario) -> ActionScenario:
+    """Klein template `s` with gen2 rotating both factors of the core, so
+    gen2 fixes surfaces and points and the composition rotates the core's
+    second factor."""
+    local2 = {**s.gen2.local, "core": ROTATE_BOTH}
+    return ActionScenario(s.group, s.summands, s.gen1, GeneratorAction(s.gen2.permutation, local2))
+
+
+@given(st.one_of(z2_scenarios(), klein_scenarios()))
+@example(_jointly_fixed_spheres(("s0", "s1")))
+@example(with_free_orbits(klein_template(2, 1, 1), ["hyperbolic", "k3"]))
+@example(_core_doubly_rotated_by_gen2(klein_template(1, 2, 1)))
+@settings(max_examples=40, deadline=None)
+def test_a_fixed_set_of_one_kind_has_the_lefschetz_number_as_euler_characteristic(s):
+    """chi(Fix g) = L(g) = 2 + tr(g*) on H2, the pullback g* being minus
+    the twisted operator, for every element whose fixed set is nonempty and
+    of one kind. A mixed set belongs to no spin involution, and an empty one
+    leaves the kind of the fixed set that a flipped neck carries open."""
+    v = require_valid(s)
+    for element in v.table:
+        fs = v.fixed_set(element)
+        if len(fs.components) != 1:
+            continue
+        ((dim, count),) = fs.components
+        op = induced_cohomology_action(s, element).matrix
+        trace = -sum(op[i][i] for i in range(len(op)))
+        assert (2 * count if dim == 2 else count) == 2 + trace
+
+
+@given(klein_scenarios())
+@example(_core_doubly_rotated_by_gen2(klein_template(3, 3, 1)))
+@example(_core_doubly_rotated_by_gen2(klein_template(0, 0, 1)))
+@example(with_free_orbits(klein_template(1, 0, 1), ["k3", "hyperbolic"]))
+@example(with_free_orbits(klein_template(3, 3, 1), ["k3"]))
+@settings(max_examples=30, deadline=None)
+def test_subgroup_answers_match_restricted_scenarios_and_dense_halves(s):
+    """Each proper subgroup's answer against its restricted Z2 scenario,
+    which validates and whose b is b_plus of the generator, and against the
+    half X_e of what the generator swaps, summed id by id into a dense form."""
+    v = require_valid(s)
+    answers = check(s).subgroup_hints
+    assert [sub for sub, _ in answers] == ["gen1", "gen2", "diagonal"]
+    for (_, answer), element in zip(answers, v.table):
+        restricted = restricted_scenario(s, element)
+        assert validate_scenario(restricted) == []
+        assert check(restricted).b == v.b_plus([element])
+        assert answer == subgroup_answer_reference(s, element)
 
 
 def _dense_b_plus(s, elements):
@@ -1015,8 +1071,12 @@ def test_a_pair_with_two_labels_gives_two_types_and_keeps_its_answers():
     )
     report = check(s)
     assert report.verdict == NO_OBSTRUCTION
-    assert report.elements[0].components == ((2, 6),)
-    assert recognize_klein_template(v) is None
+    # three surface pieces of gen1 joined by two necks
+    assert report.elements[0].components == ((2, 4),)
+    # off the template shape, yet every subgroup is built as the rule says
+    assert report.subgroup_hints == tuple(
+        (sub, SMOOTHABLE_BY_CONSTRUCTION) for sub in ("gen1", "gen2", "diagonal")
+    )
     # the same labels regrouped over two pairs: not a relabelling, since
     # each pair of one carries two labels and each of the other one, yet
     # the orbit types and so every answer agree

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinact.equivariant_sum import (
@@ -14,7 +15,6 @@ from spinact.equivariant_sum import (
     ROTATE_FIRST,
     ROTATE_SECOND,
     Summand,
-    require_valid,
     scenario_lattice,
     validate_scenario,
 )
@@ -31,14 +31,14 @@ from spinact.obstruction import (
 )
 from spinact.templates import (
     NO_SMOOTH_STRUCTURE,
+    klein_admits,
     klein_grid,
     klein_template,
-    recognize_klein_template,
     smooth_structure,
     z2_template,
 )
 
-from oracles import bk_trace_and_integrality
+from oracles import bk_trace_and_integrality, klein_subgroup_reference
 
 
 def test_z2_headline_example():
@@ -197,58 +197,53 @@ def test_check_dispatches_on_group():
     assert check(klein_template(3, 3, 1)).theorem == "z2xz2_odd_pair"
 
 
+_SUBGROUPS = ("gen1", "gen2", "diagonal")
+_BUILT = tuple((sub, SMOOTHABLE_BY_CONSTRUCTION) for sub in _SUBGROUPS)
+
+
 def test_subgroup_hints_on_template():
-    s = klein_template(3, 3, 1)
-    hints = dict(check(s).subgroup_hints)
-    for sub in ("gen1", "gen2", "diagonal"):
-        assert hints[sub] == SMOOTHABLE_BY_CONSTRUCTION
-    hints = dict(check(klein_template(3, 2, 1)).subgroup_hints)
-    for sub in ("gen1", "gen2", "diagonal"):
-        assert hints[sub] == UNKNOWN
+    assert check(klein_template(3, 3, 1)).subgroup_hints == _BUILT
+    # gen1 restricts to l2 = 2 swapped sphere pairs and 2k = 2 swapped -E8
+    # pairs: b = 2 reaches k = 2, but a K3 pair needs three sphere pairs
+    assert dict(check(klein_template(3, 2, 1)).subgroup_hints) == {
+        "gen1": UNKNOWN,
+        "gen2": SMOOTHABLE_BY_CONSTRUCTION,
+        "diagonal": SMOOTHABLE_BY_CONSTRUCTION,
+    }
+    # b = 1 < 2 for gen1
+    assert dict(check(klein_template(3, 1, 1)).subgroup_hints) == {
+        "gen1": NONSMOOTHABLE,
+        "gen2": SMOOTHABLE_BY_CONSTRUCTION,
+        "diagonal": SMOOTHABLE_BY_CONSTRUCTION,
+    }
+    # both generators obstructed; the diagonal's 2 sphere pairs build no K3 pair
+    assert dict(check(klein_template(1, 1, 1)).subgroup_hints) == {
+        "gen1": NONSMOOTHABLE,
+        "gen2": NONSMOOTHABLE,
+        "diagonal": UNKNOWN,
+    }
 
 
-def test_subgroup_hint_never_claims_off_template():
-    # a hand-built commuting action that is not the template shape: two
-    # jointly rotated cores
+def test_subgroup_answers_off_the_template_follow_the_rule():
+    # two jointly rotated cores: nothing moves, so each subgroup is the sum
+    # of the pieces it fixes
     summands = (Summand("c1", "s2xs2"), Summand("c2", "s2xs2"))
     gen1 = GeneratorAction((), {"c1": ROTATE_FIRST, "c2": ROTATE_FIRST})
     gen2 = GeneratorAction((), {"c1": ROTATE_SECOND, "c2": ROTATE_SECOND})
     s = ActionScenario("Z2xZ2", summands, gen1, gen2)
-    assert dict(check(s).subgroup_hints)["gen1"] == UNKNOWN
-    # the template with its core doubly rotated by gen2 is valid but off shape
+    assert check(s).subgroup_hints == _BUILT
+    # the template with its core doubly rotated by gen2: gen2 fixes
+    # surfaces and points, which no construction joins, and the composition
+    # rotates the core's second factor
     t = klein_template(3, 3, 1)
     local2 = {**t.gen2.local, "core": ROTATE_BOTH}
     s = ActionScenario(t.group, t.summands, t.gen1, GeneratorAction(t.gen2.permutation, local2))
     assert validate_scenario(s) == []
-    assert recognize_klein_template(require_valid(s)) is None
-    assert check(s).subgroup_hints == tuple((sub, UNKNOWN) for sub in ("gen1", "gen2", "diagonal"))
-
-
-_KLEIN_CORNER = klein_grid(6, 6, 3)
-
-
-@given(
-    st.integers(0, 6),
-    st.integers(0, 6),
-    st.integers(0, 3),
-    st.randoms(use_true_random=False),
-)
-def test_recognizer_reads_the_parameters_of_a_renamed_shuffled_template(l1, l2, k, rnd):
-    # fresh ids in a random order, summands, pairs and pair members shuffled
-    s = _KLEIN_CORNER(l1, l2, k)
-    ids = [sm.id for sm in s.summands]
-    name = dict(zip(ids, rnd.sample([f"m{i}" for i in range(len(ids))], len(ids))))
-
-    def renamed(gen):
-        pairs = [rnd.sample((name[a], name[b]), 2) for a, b in gen.permutation]
-        rnd.shuffle(pairs)
-        local = {name[i]: label for i, label in gen.local.items()}
-        return GeneratorAction(tuple(map(tuple, pairs)), local)
-
-    summands = [Summand(name[sm.id], sm.kind) for sm in s.summands]
-    rnd.shuffle(summands)
-    t = ActionScenario(s.group, tuple(summands), renamed(s.gen1), renamed(s.gen2))
-    assert recognize_klein_template(require_valid(t)) == (l1, l2, k)
+    assert check(s).subgroup_hints == (
+        ("gen1", SMOOTHABLE_BY_CONSTRUCTION),
+        ("gen2", UNKNOWN),
+        ("diagonal", SMOOTHABLE_BY_CONSTRUCTION),
+    )
 
 
 def _with_free_orbit(s: ActionScenario, kind: str) -> ActionScenario:
@@ -280,9 +275,44 @@ def _chain1_rotating_second(s: ActionScenario) -> ActionScenario:
     ids=["free-s2xs2-orbit", "free-k3-orbit", "chain1-rotates-second"],
 )
 def test_recognizer_rejects_a_valid_near_miss(s):
+    """Valid near misses of the template shape, which an exact match of the
+    template rejected: the rule reads them from their orbit types and
+    builds every subgroup, as it builds the template's."""
     assert validate_scenario(s) == []
-    assert recognize_klein_template(require_valid(s)) is None
-    assert check(s).subgroup_hints == tuple((sub, UNKNOWN) for sub in ("gen1", "gen2", "diagonal"))
+    assert check(s).subgroup_hints == _BUILT
+
+
+def _assert_closed_forms(s, l1, l2, k):
+    answers = dict(check(s).subgroup_hints)
+    assert answers == klein_subgroup_reference(l1, l2, k)
+    # the sweep keeps exactly the points whose subgroups are all built
+    built = set(answers.values()) == {SMOOTHABLE_BY_CONSTRUCTION}
+    assert klein_admits(l1, l2, k) == built
+
+
+def test_subgroup_answers_follow_their_closed_forms_on_a_small_grid():
+    point = klein_grid(6, 6, 3)
+    for l1, l2, k in itertools.product(range(7), range(7), range(4)):
+        _assert_closed_forms(point(l1, l2, k), l1, l2, k)
+
+
+def _near_the_thresholds(k: int):
+    """A chain length anywhere up to 400, or next to 2k or 3k, where the
+    answers change."""
+    edges = [max(0, 2 * k + d) for d in (-1, 0)] + [max(0, 3 * k + d) for d in (-1, 0)]
+    return st.one_of(st.integers(0, 400), st.sampled_from(edges))
+
+
+@given(
+    st.integers(0, 100).flatmap(
+        lambda k: st.tuples(_near_the_thresholds(k), _near_the_thresholds(k), st.just(k))
+    )
+)
+@example((400, 400, 100))
+@example((199, 300, 100))
+@settings(max_examples=25, deadline=None)
+def test_subgroup_answers_follow_their_closed_forms_far_past_the_goldens(point):
+    _assert_closed_forms(klein_template(*point), *point)
 
 
 def test_k3_swap_scenario_obstruction_does_not_fire():
@@ -551,7 +581,8 @@ def test_shared_hypotheses_are_cached_per_value_not_per_scenario():
     reports = [check(s) for s in scenarios]
     # even and unimodular per truth value, b1_zero, operators_commute
     assert obstruction._shared.cache_info().currsize <= 6
-    # four parity hypotheses, each per parity class or None
-    assert obstruction._parity_hypothesis.cache_info().currsize <= 16
+    # four parity hypotheses, and generator_odd at gen2 and the composition
+    # for their subgroups: six, each per parity class or None
+    assert obstruction._parity_hypothesis.cache_info().currsize <= 24
     b1_zero = [h for r in reports for h in r.hypotheses if h.name == "b1_zero"]
     assert b1_zero[0] is b1_zero[-1]

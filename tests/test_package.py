@@ -14,7 +14,7 @@ PUBLIC = {
     "commute", "direct_sum", "direct_sum_all", "empty_lattice",
     "induced_cohomology_action", "invariant_sublattice", "is_even", "k_klein",
     "k_odd", "klein_grid", "klein_template", "make_standard",
-    "parse_scenario", "recognize_klein_template", "require_valid",
+    "parse_scenario", "require_valid",
     "restricted_profile", "scenario_digest", "serialize_scenario",
     "signature_profile", "smith_invariant_factors", "smooth_structure",
     "validate_scenario", "verify_isometry", "z2_grid", "z2_template",

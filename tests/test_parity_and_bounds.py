@@ -111,8 +111,9 @@ def test_a_mixed_fixed_set_gives_no_obstruction_and_exit_two(tmp_path):
 
 @given(st.permutations([ROTATE_SECOND, ROTATE_BOTH, ROTATE_FIRST, ROTATE_FIRST]))
 def test_parity_ignores_component_order(labels):
+    # three surface pieces give 3 + 1 spheres, and one point piece 4 points
     fs = _fixed_set(*labels)
-    assert (fs.components, fs.parity) == (((0, 4), (2, 6)), ODD)
+    assert (fs.components, fs.parity) == (((0, 4), (2, 4)), ODD)
 
 
 def test_k_odd_examples():
