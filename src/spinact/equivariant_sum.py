@@ -10,9 +10,9 @@ Connected-sum points and ball removals are not modelled; only their
 cohomological and fixed-set consequences are.
 
 require_valid validates a scenario once and returns a ValidScenario,
-whose methods read each derived fact (totals, an element's fixed set and
-parity, the twisted b_plus) from the multiset of orbit types that one
-pass found. The checkers and the CLI call it once per scenario.
+whose methods read each derived fact (totals, an element's fixed set,
+parity and swapped half, the twisted b_plus) from numbers kept by one
+walk of its orbit types. The checkers and the CLI call it once per scenario.
 """
 
 from __future__ import annotations
@@ -76,10 +76,7 @@ GEN2 = "gen2"
 COMPOSITION = "composition"
 IDENTITY_ELEMENT = "identity"
 
-# an element's place in group order, and so in the labels of an orbit type
-_SLOT = {GEN1: 0, GEN2: 1, COMPOSITION: 2}
-# what an orbit type holds for an element that moves its ids; a string, so
-# the labels of two types compare
+# what an orbit type holds for an element that moves its ids
 MOVED = "moved"
 
 
@@ -167,10 +164,12 @@ class FixedSetData:
 
     components holds (dimension, count) pairs, dimensions 0 and 2 only,
     each count positive and counted on the sum (ValidScenario.fixed_set).
-    parity is ODD when a 2-dimensional component is present, EVEN when only
-    isolated points are, and None for an empty fixed set, whose parity the
-    dimensions cannot decide. n_plus and n_minus are present exactly when
-    every component is isolated, and then equal.
+    parity is ODD when a 2-dimensional component is present and EVEN when
+    only isolated points are. An element that fixes no summand has no
+    components and parity None, yet its Lefschetz number is 2, so it has
+    fixed points in the necks, which the model does not resolve. n_plus
+    and n_minus are present exactly when every component is isolated, and
+    then equal.
     """
 
     def __init__(
@@ -202,16 +201,6 @@ def compose_labels(a: str, b: str) -> str:
     return _BITS_LABEL[((x1 + x2) % 2, (y1 + y2) % 2)]
 
 
-def _type_key(item):
-    """The total order of (orbit type, count) pairs: labels, then a standard
-    form by kind before a custom one by gram. It never compares one lattice
-    with another."""
-    labels, form = item[0]
-    if isinstance(form, IntegerLattice):
-        return labels, 1, form.gram
-    return labels, 0, form
-
-
 @frozen
 class ValidScenario:
     """A scenario that passed validation, with what that one pass derived;
@@ -220,13 +209,15 @@ class ValidScenario:
     the element moves to its image, and an id it fixes is absent, so
     `images.get(i, i)` is the image of any id; the labels are a copy of
     the generator's. `orbit_types` is the multiset of the ids' orbit types,
-    (type, count) pairs in _type_key order, equal for scenarios that differ
+    a frozenset of (type, count) pairs, equal for scenarios that differ
     only in their ids and their order. The type of an id is (labels, form):
     its label under each non-identity element in group order, MOVED where
     the element moves it (its stabiliser is the identity and the elements
     that label it); and the kind of a standard summand or the lattice of a
     custom one. `forms` maps each distinct form to (signature profile,
-    evenness).
+    evenness). Construction walks the orbit types once; the methods read
+    only the totals and, per element, the pieces it fixes and the b_plus
+    and signature of those it moves.
 
     No type carries a sign split of its isolated fixed points: an action
     has only (2, 2). A rotate_both piece is S2 x S2 with the half-turn of
@@ -246,6 +237,29 @@ class ValidScenario:
         set_field(self, "table", table)
         set_field(self, "orbit_types", orbit_types)
         set_field(self, "forms", forms)
+        b2 = signature = 0
+        even = True
+        # per element: the surface pieces and the point pieces it fixes,
+        # then b_plus and signature of the pieces it moves, which pair up,
+        # so twice those of X_e
+        sums = {e: [0, 0, 0, 0] for e in table}
+        rows = tuple(sums.values())  # in group order, as the labels
+        for (labels, form), n in orbit_types:
+            p, form_even = forms[form]
+            b, sig = n * p.b_plus, n * p.signature
+            b2 += n * p.rank
+            signature += sig
+            even = even and form_even
+            for row, label in zip(rows, labels):
+                if label == MOVED:
+                    row[2] += b
+                    row[3] += sig
+                elif label == ROTATE_BOTH:
+                    row[1] += n
+                else:
+                    row[0] += n
+        set_field(self, "_totals", TotalInvariants(b2, signature, even))
+        set_field(self, "_sums", sums)
 
     def action(self, element: str) -> tuple[dict[str, str], dict[str, str]]:
         """The table entry of a non-identity element of the scenario's group."""
@@ -260,14 +274,7 @@ class ValidScenario:
     def totals(self) -> TotalInvariants:
         """Rank, signature and evenness of the connected sum, which add over
         its orthogonal summands."""
-        b2 = signature = 0
-        even = True
-        for (_, form), n in self.orbit_types:
-            p, form_even = self.forms[form]
-            b2 += n * p.rank
-            signature += n * p.signature
-            even = even and form_even
-        return TotalInvariants(b2, signature, even)
+        return self._totals
 
     def fixed_set(self, element: str) -> FixedSetData:
         """Fixed set and parity of a non-identity element on the connected sum.
@@ -277,17 +284,13 @@ class ValidScenario:
         docstring). The necks form a tree, and the f pieces of one kind that
         the element fixes span a subtree whose f - 1 necks each merge two
         spheres or remove two points: f + 1 spheres, or 2f + 2 points, as the
-        Lefschetz number 2 + tr(g*) requires. A mixed set takes both counts.
+        Lefschetz number 2 + tr(g*) requires. A mixed set takes both counts,
+        whose Euler characteristic exceeds the Lefschetz number by 2. No spin
+        involution has a mixed set, and the checker's parity hypothesis fails
+        on one.
         """
         self.action(element)  # raises ValueError for an element outside the table
-        slot = _SLOT[element]
-        f2 = f0 = 0  # fixed pieces, by the dimension of their fixed set
-        for (labels, _), n in self.orbit_types:
-            label = labels[slot]
-            if label == ROTATE_BOTH:
-                f0 += n
-            elif label != MOVED:
-                f2 += n
+        f2, f0, _, _ = self._sums[element]
         if f2 and f0:
             return FixedSetData(element, ((0, 2 * f0 + 2), (2, f2 + 1)), ODD)
         if f2:
@@ -296,41 +299,42 @@ class ValidScenario:
             return FixedSetData(element, ((0, 2 * f0 + 2),), EVEN, f0 + 1, f0 + 1)
         return FixedSetData(element, (), None)
 
+    def half(self, element: str) -> tuple[int, int]:
+        """(b_plus, signature) of X_e, one piece of each pair of summands
+        that the non-identity `element` swaps."""
+        self.action(element)  # raises ValueError for an element outside the table
+        _, _, b, sig = self._sums[element]
+        return b // 2, sig // 2
+
     def b_plus(self, elements) -> int:
         """Positive index of the form on the joint fixed sublattice of the
-        sign-twisted operators of the non-identity `elements`, read from the
-        orbit types and the subgroup H they generate.
+        sign-twisted operators of the non-identity `elements`.
 
         Each twisted operator is minus a block permutation, so a jointly fixed
-        vector transforms under H by a sign character that is -1 on every given
-        element. None exists for all three non-identity elements of Z2 x Z2,
-        whose product is the identity, and then the sublattice is zero.
-        Otherwise the elements of sign -1 are exactly the given ones, and an
-        orbit of H carries one copy of its summand form (scaled by the orbit
-        size) when none of them fixes its summands, and nothing otherwise; so
-        each id of a type that no given element labels adds b_plus of its form
-        over the size of its orbit under H. Equals b_plus_invariant of the
-        induced_cohomology_action operators, without building them.
+        vector transforms under the subgroup H the elements generate by a sign
+        character that is -1 on every given element. None exists for all
+        three non-identity elements of Z2 x Z2, whose product is the
+        identity, and then the sublattice is zero. For one element e it is
+        h_e, b_plus of X_e. For two, e and e', an orbit carries one copy of
+        its summand form exactly when its stabiliser lies in the kernel
+        {1, ee'}, which the character average (h_e + h_e' - h_ee') / 2
+        counts. Equals b_plus_invariant of the induced_cohomology_action
+        operators, without building them.
         """
         elements = set(elements)
         if not elements:
             raise ValueError("need one or more non-identity group elements")
         for e in elements - self.table.keys():
             self.action(e)  # raises ValueError naming the element
-        slots = [_SLOT[e] for e in elements]
-        if len(slots) == 3:
+        if len(elements) == 3:
             return 0  # no sign character is -1 on all three
-        # one element or two, which generate the group
-        j, k = slots[0], slots[-1]
-        quarters = 0
-        for (labels, form), n in self.orbit_types:
-            if labels[j] == labels[k] == MOVED:
-                # 4 over the id's orbit size under H, |H| over its stabiliser
-                # in H: 2 over 1 for one element; for two, H is the group and
-                # the stabiliser the identity and the elements labelling it
-                weight = 2 if j == k else 4 - labels.count(MOVED)
-                quarters += n * self.forms[form][0].b_plus * weight
-        return quarters // 4
+        sums = self._sums  # twice h_e at index 2
+        if len(elements) == 1:
+            (e,) = elements
+            return sums[e][2] // 2
+        (product,) = self.table.keys() - elements
+        e, f = elements
+        return (sums[e][2] + sums[f][2] - sums[product][2]) // 4
 
 
 def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
@@ -551,7 +555,7 @@ def validate_scenario(s: ActionScenario, parts=None) -> list[Violation]:
         types[moved, form] = n - fixed if form == S2XS2 else n
 
     if parts is not None and not v:
-        orbit_types = tuple(sorted((t for t in types.items() if t[1]), key=_type_key))
+        orbit_types = frozenset(t for t in types.items() if t[1])
         parts.update(table=table, orbit_types=orbit_types, forms=counts)
     return v
 

@@ -3,8 +3,8 @@
 A certificate compares the positive index b of the restricted form on the
 fixed sublattice against the index-theoretic lower bound k; b < k under
 the stated hypotheses contradicts the existence of any smooth structure
-making the action smooth. Every number in it is read from the scenario's
-orbit types, after a single validation of the scenario.
+making the action smooth. Every number in it is read from the facts that
+a single validation of the scenario derived (ValidScenario).
 Hypothesis failures are reported as data, not exceptions, so a user
 exploring scenarios can see which hypothesis broke.
 """
@@ -20,7 +20,6 @@ from .equivariant_sum import (
     EVEN,
     GEN1,
     GEN2,
-    MOVED,
     ODD,
     ActionScenario,
     FixedSetData,
@@ -132,7 +131,8 @@ def _parity_hypothesis(
     """Whether `element` has parity `want`; `mixed` when its fixed set has
     both 2-dimensional components and isolated points, which fails."""
     if parity is None:
-        return Hypothesis(name, False, f"{element} acts freely; parity indeterminate")
+        detail = f"{element} fixes no summand; its fixed set in the necks is not modelled"
+        return Hypothesis(name, False, detail)
     if mixed:
         return Hypothesis(name, False, f"{element} {_MIXED}")
     return Hypothesis(name, parity == want, f"{element} is {parity}")
@@ -163,22 +163,14 @@ def _subgroup_answers(v: ValidScenario, signature: int, forms_pass: bool, fixed_
     whose copies a rotation of S^4 swaps at a free orbit (Kato, arXiv
     1708.08030); by Freedman that is the scenario's manifold. Else unknown.
     """
-    # per element, b_plus and signature of the pieces it moves: twice X_e's
-    b_plus, sigma = [0, 0, 0], [0, 0, 0]
-    for (labels, form), n in v.orbit_types:
-        p = v.forms[form][0]
-        b, sig = n * p.b_plus, n * p.signature
-        for slot, label in enumerate(labels):
-            if label == MOVED:
-                b_plus[slot] += b
-                sigma[slot] += sig
     # custom pieces, never constructed, lie in free orbits: every element moves them
     standard = all(isinstance(form, str) for form in v.forms)
     k = k_odd(signature)
     name, want = _Z2_PARITIES[0]
     answers = []
-    for sub, fs, b, sig in zip(SUBGROUPS, fixed_sets, b_plus, sigma):
-        b, sig, mixed = b // 2, sig // 2, len(fs.components) == 2
+    for sub, fs in zip(SUBGROUPS, fixed_sets):
+        b, sig = v.half(fs.element)
+        mixed = len(fs.components) == 2
         if (
             forms_pass
             and _below(b, k)

@@ -777,11 +777,41 @@ def test_stdout_is_the_same_under_every_hash_seed(tmp_path):
     }
     path = tmp_path / "violations.json"
     path.write_text(json.dumps(doc))
-    argvs = [*GOLDEN_CASES.values(), ["check", "--input", str(path)]]
+    # a valid Klein scenario whose orbit types are a set in hash order: a
+    # pair (a0, a1) that carries two labels, and a free orbit of four
+    # custom summands
+    custom = [f"c{j}" for j in range(4)]
+    hyperbolic = [[0, 1], [1, 0]]
+    klein = {
+        "schema_version": 1,
+        "group": "Z2xZ2",
+        "summands": [{"id": i, "kind": "s2xs2"} for i in ("core", "a0", "a1")]
+        + [{"id": i, "kind": "custom", "gram": hyperbolic} for i in custom],
+        "generator1": {
+            "permutation": [["c0", "c1"], ["c2", "c3"]],
+            "local": {"core": "rotate_first", "a0": "rotate_first", "a1": "rotate_second"},
+        },
+        "generator2": {
+            "permutation": [["a0", "a1"], ["c0", "c2"], ["c1", "c3"]],
+            "local": {"core": "rotate_second"},
+        },
+    }
+    klein_path = tmp_path / "klein.json"
+    klein_path.write_text(json.dumps(klein))
+    argvs = [
+        *GOLDEN_CASES.values(),
+        *(
+            [command, "--input", str(klein_path), "--format", fmt]
+            for command in ("check", "invariants")
+            for fmt in ("text", "structured")
+        ),
+        ["check", "--input", str(path)],
+    ]
     first, *rest = (
         _main_in_child(argvs, dict(os.environ, PYTHONHASHSEED=seed)) for seed in "012"
     )
     assert rest == [first, first]
+    assert [status for status, _ in first[-5:-1]] == [0] * 4
     status, output = first[-1]
     found = re.findall(r"violation \[(\w+)\] (gen\d): .*'(\w+)'", output)
     assert status == 2 and found == [

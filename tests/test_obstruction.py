@@ -60,7 +60,7 @@ def test_z2_no_e8_content_gives_no_obstruction():
 
 
 def test_z2_free_generator_is_a_hypothesis_failure():
-    # everything swapped in pairs: empty fixed set, zero signature
+    # everything swapped in pairs: no summand fixed, zero signature
     s = ActionScenario(
         "Z2",
         (Summand("s0", "s2xs2"), Summand("s1", "s2xs2")),
@@ -441,7 +441,7 @@ HYPOTHESIS_SCENARIOS = {
     "z2-first": _rotated_spheres(ROTATE_FIRST),
     "z2-mixed-labels": _rotated_spheres(ROTATE_FIRST, ROTATE_BOTH),
     "z2-both": _rotated_spheres(ROTATE_BOTH),
-    # one free orbit of four: every element acts freely
+    # one free orbit of four: no element fixes a summand
     "klein-free": ActionScenario(
         Z2XZ2,
         _SPHERES,
@@ -489,7 +489,12 @@ _MIXED = (
 )
 # (scenario, hypothesis, passed, detail)
 SHARED_HYPOTHESES = [
-    ("z2-free", "generator_odd", False, "gen1 acts freely; parity indeterminate"),
+    (
+        "z2-free",
+        "generator_odd",
+        False,
+        "gen1 fixes no summand; its fixed set in the necks is not modelled",
+    ),
     ("z2-first", "generator_odd", True, "gen1 is odd"),
     (
         "z2-mixed-labels",
@@ -498,7 +503,12 @@ SHARED_HYPOTHESES = [
         f"gen1 {_MIXED}",
     ),
     ("z2-both", "generator_odd", False, "gen1 is even"),
-    ("klein-free", "generator1_odd", False, "gen1 acts freely; parity indeterminate"),
+    (
+        "klein-free",
+        "generator1_odd",
+        False,
+        "gen1 fixes no summand; its fixed set in the necks is not modelled",
+    ),
     ("klein-template", "generator1_odd", True, "gen1 is odd"),
     (
         "klein-mixed-labels-1",
@@ -507,7 +517,12 @@ SHARED_HYPOTHESES = [
         f"gen1 {_MIXED}",
     ),
     ("klein-both-first", "generator1_odd", False, "gen1 is even"),
-    ("klein-free", "generator2_odd", False, "gen2 acts freely; parity indeterminate"),
+    (
+        "klein-free",
+        "generator2_odd",
+        False,
+        "gen2 fixes no summand; its fixed set in the necks is not modelled",
+    ),
     ("klein-template", "generator2_odd", True, "gen2 is odd"),
     (
         "klein-mixed-labels-2",
@@ -520,7 +535,7 @@ SHARED_HYPOTHESES = [
         "klein-free",
         "composition_even",
         False,
-        "composition acts freely; parity indeterminate",
+        "composition fixes no summand; its fixed set in the necks is not modelled",
     ),
     ("klein-first-both", "composition_even", False, "composition is odd"),
     (
